@@ -47,6 +47,7 @@ from .steenrod import (
     hook_component_e_top,
     SteenrodCriterionInstance,
     SteenrodOp,
+    char_class_operation,
     check_steenrod_criterion,
     class_algebra,
     suspension_moore,
@@ -54,7 +55,6 @@ from .steenrod import (
     suspension_rp,
     suspension_sphere,
     torus_model,
-    total_char_class_operation,
 )
 from .sullivan import (
     build_formal_model,
@@ -313,12 +313,12 @@ def _ai_presentation(n: int) -> Presentation:
     return Presentation(Algebra(FieldSpec(2), gens))
 
 
-def _restricted_action(model, class_name, family, prime, images, target_alg) -> Poly:
-    """Total operation of a classifying-space class pushed through a restriction table."""
-    total = total_char_class_operation(model, class_name, family, prime)
-    calg = total.algebra
+def _restricted_action(model, class_name, op, images, target_alg) -> Poly:
+    """One operation component of a classifying-space class pushed through a restriction table."""
+    component = char_class_operation(model, class_name, op)
+    calg = component.algebra
     out = target_alg.zero()
-    for exps, coeff in total.terms.items():
+    for exps, coeff in component.terms.items():
         term = target_alg.unit().scale(coeff)
         for i, e in enumerate(exps):
             if e == 0:
@@ -357,17 +357,17 @@ def _ai_steps(n: int) -> list:
     alg = pres.algebra
     so = torus_model("so", n)
     images = {f"w{i}": alg.gen(f"v{i}") for i in range(2, n + 1)}
-    action = {f"v{n}": _restricted_action(so, f"w{n}", "Sq", 2, images, alg)}
     steps = []
     for b in _power_candidates(n):
+        op = SteenrodOp("Sq", b, 2)
         inst = SteenrodCriterionInstance(
             space=f"AI({n})",
             presentation=pres,
-            action=action,
+            action={f"v{n}": _restricted_action(so, f"w{n}", op, images, alg)},
             action_provenance="derived",
             action_citation=_WU_CITE + " in BSO(n), restricted along v_i = iota^*(w_i) (Mimura-Toda)",
             prime=2,
-            op=SteenrodOp("Sq", b, 2),
+            op=op,
             a=f"v{n}",
             b=f"v{b}",
             x=f"v{n}",
@@ -387,7 +387,6 @@ def _bso_steps(m: int, n: int) -> list:
     model = torus_model("so", n)
     alg = class_algebra(model, 2)
     pres = Presentation(alg)
-    action = {f"w{n}": total_char_class_operation(model, f"w{n}", "Sq", 2)}
     lift = LiftStep(
         base=f"BSO({n})",
         target=f"BDI({m},{n})",
@@ -400,14 +399,15 @@ def _bso_steps(m: int, n: int) -> list:
     )
     steps = []
     for b in _power_candidates(n):
+        op = SteenrodOp("Sq", b, 2)
         inst = SteenrodCriterionInstance(
             space=f"BSO({n})",
             presentation=pres,
-            action=action,
+            action={f"w{n}": char_class_operation(model, f"w{n}", op)},
             action_provenance="derived",
             action_citation=_WU_CITE + " in BSO(n)",
             prime=2,
-            op=SteenrodOp("Sq", b, 2),
+            op=op,
             a=f"w{n}",
             b=f"w{b}",
             x=f"w{n}",
@@ -460,7 +460,7 @@ def _csp_steps(m: int, n: int) -> list:
     model = torus_model("sp", n)
     alg = class_algebra(model, prime)
     pres = Presentation(alg)
-    action = {f"q{n}": total_char_class_operation(model, f"q{n}", op.family, prime)}
+    action = {f"q{n}": char_class_operation(model, f"q{n}", op)}
     source_a = suspension_quasi_projective(n, prime)
     source_b = source_a if diagonal and b_index == n else suspension_quasi_projective(b_index, prime)
     inst = SteenrodCriterionInstance(
@@ -529,7 +529,8 @@ def _g_step(ds: DataSet) -> SteenrodStep:
     for rec in ds.find("pullback", space="G"):
         images[rec["class"]] = parse_poly(rec["value"], alg)
     so4 = torus_model("so", 4)
-    action = {"x3": _restricted_action(so4, "w3", "Sq", 2, images, alg)}
+    op = SteenrodOp("Sq", 2, 2)
+    action = {"x3": _restricted_action(so4, "w3", op, images, alg)}
     inst = SteenrodCriterionInstance(
         space="G",
         presentation=pres,
@@ -537,7 +538,7 @@ def _g_step(ds: DataSet) -> SteenrodStep:
         action_provenance="derived",
         action_citation=_WU_CITE + " in BSO(4), restricted along x_i = iota^*(w_i) (Borel-Hirzebruch)",
         prime=2,
-        op=SteenrodOp("Sq", 2, 2),
+        op=op,
         a="x3",
         b="x2",
         x="x3",
@@ -871,6 +872,8 @@ def _run_step(step):
 def check(instance: SpaceInstance):
     """Run the instance's criterion plan; certificate on first success."""
     plan = route(instance)
+    if not plan.steps:
+        raise DataIncomplete(f"empty criterion plan for {instance.label}")
     notes = []
     last = None
     for step in plan.steps:
@@ -891,7 +894,6 @@ def check(instance: SpaceInstance):
             f"plan step '{getattr(step, 'label', step.__class__.__name__)}' refused: {result.failed}"
         )
         last = result
-    assert last is not None, "empty criterion plan"
     return Refusal(
         instance.label,
         last.criterion,

@@ -171,6 +171,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_hilbert(args) -> int:
+    if args.up_to < 0:
+        raise ParameterError(f"--up-to must be a non-negative degree, got {args.up_to}")
     with open(args.file, "r", encoding="utf-8") as fh:
         pres = parse_presentation(fh.read())
     dims = hilbert_function(pres, args.up_to)

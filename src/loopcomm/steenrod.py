@@ -3,14 +3,18 @@
 Characteristic-class formulas are never hard-coded: a class restricts to an
 elementary symmetric polynomial in torus variables, the total operation is the
 multiplicative substitution t -> t + t^p, and the answer is re-expressed in
-elementary symmetric polynomials with rank truncation.  Suspension models
-carry stable action tables derived from the same engine, and the six-condition
-criterion consumes both.
+elementary symmetric polynomials with rank truncation.  Only the degree
+component an operation asks for is expanded, and symmetric polynomials are
+kept in the partition basis, one coefficient per orbit of torus monomials.
+Suspension models carry stable action tables derived from the same engine,
+and the six-condition criterion consumes both.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -118,36 +122,6 @@ def total_operation_on_torus(poly: dict, family: str, prime: int, var_degree: in
     return {e: c for e, c in out.items() if c}
 
 
-def tp_degree_component(poly: dict, degree: int, var_degree: int) -> dict:
-    return {e: c for e, c in poly.items() if sum(e) * var_degree == degree}
-
-
-@lru_cache(maxsize=None)
-def hook_component_e_top(j: int, c: int) -> int:
-    """Coefficient of e_{j+c} in the e-expansion of m_{(2^c, 1^{j-c})}.
-
-    This is the linear (indecomposable) coefficient of the weight-(j+c)
-    component of the total operation on e_j; it is stable in the number of
-    variables, so it is computed at the minimal rank j+c.
-    """
-    if c > j:
-        return 0  # at most j factors of e_j can be squared
-    n = j + c
-    mono: dict = {}
-    for twos in itertools.combinations(range(n), c):
-        rest = [i for i in range(n) if i not in twos]
-        for ones in itertools.combinations(rest, j - c):
-            exps = [0] * n
-            for i in twos:
-                exps[i] = 2
-            for i in ones:
-                exps[i] = 1
-            mono[tuple(exps)] = 1
-    e_terms = express_symmetric(mono, n)
-    top = tuple(1 if k == n - 1 else 0 for k in range(n))
-    return e_terms.get(top, 0)
-
-
 def symmetry_violation(poly: dict, nvars: int) -> Optional[tuple]:
     """The first adjacent transposition under which the polynomial moves, if any."""
     for i in range(nvars - 1):
@@ -161,42 +135,152 @@ def symmetry_violation(poly: dict, nvars: int) -> Optional[tuple]:
     return None
 
 
+# ---------------------------------------------------------------------------
+# symmetric polynomials in the partition basis: dict partition -> int, the
+# coefficient of the monomial symmetric polynomial m_lambda.  A partition is a
+# non-increasing tuple of positive parts, () being the constant 1; tuple order
+# on partitions is the lex order on their zero-padded exponent vectors.
+
+
+def _orbit_size(exps: tuple) -> int:
+    """Number of distinct permutations of an exponent vector."""
+    out = math.factorial(len(exps))
+    for mult in Counter(exps).values():
+        out //= math.factorial(mult)
+    return out
+
+
+def _partition_coefficients(poly: dict, nvars: int) -> dict:
+    """The m_lambda coefficients of a symmetric torus polynomial.
+
+    A polynomial is symmetric exactly when every term carries the coefficient
+    of its sorted exponent vector and every orbit is complete, so one pass
+    decides it; the transposition search runs only to name a violation.
+    """
+    poly = {e: c for e, c in poly.items() if c}
+    orbits: Counter = Counter()
+    symmetric = True
+    for e, c in poly.items():
+        key = tuple(sorted(e, reverse=True))
+        if poly.get(key) != c:
+            symmetric = False
+            break
+        orbits[key] += 1
+    if not symmetric or any(n != _orbit_size(key) for key, n in orbits.items()):
+        bad = symmetry_violation(poly, nvars)
+        raise ContractViolation(f"input not symmetric: moves under transposition {bad}")
+    return {tuple(x for x in key if x): poly[key] for key in orbits}
+
+
+def _pieri(lam: tuple, k: int, nvars: int) -> list:
+    """Terms (nu, coeff) of m_lam * e_k in nvars variables (vertical-strip rule).
+
+    e_k raises k distinct variables by one.  Raising b_v of the parts of lam
+    equal to v (zeros included, up to nvars parts) gives nu; the coefficient
+    counts which b_v of the mult_{v+1}(nu) parts of nu equal to v + 1 came from
+    v, and is prod_v C(mult_{v+1}(nu), b_v).
+    """
+    groups = sorted(Counter(lam).items(), reverse=True)
+    if nvars > len(lam):
+        groups.append((0, nvars - len(lam)))
+    room = [0] * (len(groups) + 1)
+    for idx in range(len(groups) - 1, -1, -1):
+        room[idx] = room[idx + 1] + groups[idx][1]
+    out = []
+
+    def walk(idx: int, left: int, parts: tuple, coeff: int, above: tuple):
+        if idx == len(groups):
+            out.append((parts, coeff))
+            return
+        v, m = groups[idx]
+        # parts of value v + 1 left unraised by the group above join the raised ones
+        stay_above = above[1] if above[0] == v + 1 else 0
+        for b in range(max(0, left - room[idx + 1]), min(m, left) + 1):
+            walk(
+                idx + 1,
+                left - b,
+                parts + (v + 1,) * b + (v,) * (m - b if v else 0),
+                coeff * math.comb(stay_above + b, b),
+                (v, m - b),
+            )
+
+    walk(0, k, (), 1, (None, 0))
+    return out
+
+
 @lru_cache(maxsize=None)
 def _e_product(nvars: int, e_exps: tuple) -> dict:
-    out = tp_unit(nvars)
-    for k, mult in enumerate(e_exps, start=1):
-        for _ in range(mult):
-            out = tp_mul(out, elementary(nvars, k))
+    """Partition-basis expansion of prod_k e_k^{e_exps[k-1]} in nvars variables."""
+    low = min((k for k, mult in enumerate(e_exps, start=1) if mult), default=0)
+    if low == 0:
+        return {(): 1}
+    # peel every factor e_low here, so recursion depth is the number of distinct k
+    rest = list(e_exps)
+    rest[low - 1] = 0
+    out = _e_product(nvars, tuple(rest))
+    for _ in range(e_exps[low - 1]):
+        nxt: dict = {}
+        for lam, c in out.items():
+            for nu, pc in _pieri(lam, low, nvars):
+                nxt[nu] = nxt.get(nu, 0) + c * pc
+        out = nxt
+    return out
+
+
+def _e_coefficients(mcoeffs: dict, nvars: int, prime: int = 0) -> dict:
+    """Rewrite partition-basis coefficients over e_1..e_n: {e-exponents: coeff}.
+
+    Leading-term elimination: the lex-greatest partition lambda is the leading
+    term, with coefficient 1, of the elementary monomial with multiplicities
+    lambda_k - lambda_{k+1}, whose other terms are all lex-smaller.  With a
+    prime, coefficients are reduced mod prime as they are produced.
+    """
+    work = {lam: c % prime if prime else c for lam, c in mcoeffs.items()}
+    work = {lam: c for lam, c in work.items() if c}
+    out: dict = {}
+    while work:
+        lam = max(work)
+        c = work.pop(lam)
+        padded = lam + (0,) * (nvars + 1 - len(lam))
+        e_exps = tuple(padded[k] - padded[k + 1] for k in range(nvars))
+        out[e_exps] = c
+        for nu, pc in _e_product(nvars, e_exps).items():
+            if nu == lam:
+                continue
+            v = work.get(nu, 0) - c * pc
+            if prime:
+                v %= prime
+            if v:
+                work[nu] = v
+            else:
+                work.pop(nu, None)
     return out
 
 
 def express_symmetric(poly: dict, nvars: int) -> dict:
     """Unique expression of a symmetric polynomial in e_1..e_n.
 
-    Classical leading-term elimination: the lex-greatest monomial of a
-    symmetric polynomial is a partition lambda, matched by the elementary
-    monomial with multiplicities lambda_k - lambda_{k+1}.  Raises naming a
-    violating transposition when the input is not symmetric.
+    Eliminates on the m_lambda coefficients, one per orbit of exponent
+    vectors.  Raises naming a violating transposition when the input is not
+    symmetric.
     """
-    bad = symmetry_violation(poly, nvars)
-    if bad is not None:
-        raise ContractViolation(f"input not symmetric: moves under transposition {bad}")
-    work = dict(poly)
-    out: dict = {}
-    while work:
-        lam = max(work)  # lex-greatest exponent vector; symmetric => a partition
-        padded = list(lam) + [0]
-        e_exps = tuple(padded[k] - padded[k + 1] for k in range(nvars))
-        c = work[lam]
-        out[e_exps] = out.get(e_exps, 0) + c
-        prod = _e_product(nvars, e_exps)
-        for e, pc in prod.items():
-            v = work.get(e, 0) - c * pc
-            if v:
-                work[e] = v
-            else:
-                work.pop(e, None)
-    return {e: c for e, c in out.items() if c}
+    return _e_coefficients(_partition_coefficients(poly, nvars), nvars)
+
+
+@lru_cache(maxsize=None)
+def hook_component_e_top(j: int, c: int) -> int:
+    """Coefficient of e_{j+c} in the e-expansion of m_{(2^c, 1^{j-c})}.
+
+    This is the linear (indecomposable) coefficient of the weight-(j+c)
+    component of the total operation on e_j; it is stable in the number of
+    variables, so it is computed at the minimal rank j+c.
+    """
+    if c > j:
+        return 0  # at most j factors of e_j can be squared
+    n = j + c
+    e_terms = _e_coefficients({(2,) * c + (1,) * (j - c): 1}, n)
+    top = tuple(1 if k == n - 1 else 0 for k in range(n))
+    return e_terms.get(top, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -323,34 +407,63 @@ def _op_compatible(model: TorusModel, op: SteenrodOp) -> None:
         )
 
 
+def _raised_class(model: TorusModel, i: int, prime: int, raise_by: int) -> dict:
+    """Partition-basis part of the total operation on the i-th class that
+    raises torus degree by exactly raise_by, reduced mod prime.
+
+    The class restricts to m_{(w^i)}, w = class_power, and each of its i
+    factors t^w becomes sum_c C(w, c) t^(w + c(p-1)).  A choice of how many
+    factors take each raise c is one partition, whose coefficient is that of
+    m_lambda; no choice passes raise_by.  Squared-class models collapse t^2 to
+    one variable after the reduction, which leaves only even exponents.
+    """
+    w = model.class_power
+    out: dict = {}
+
+    def walk(c: int, slots: int, left: int, parts: tuple, coeff: int):
+        # choose how many of the remaining factors to raise by c, largest c first
+        if c == 0:
+            if left == 0 and coeff % prime:
+                out[parts + (w,) * slots] = coeff % prime
+            return
+        for n in range(min(slots, left // c), -1, -1):
+            part = w + c * (prime - 1)
+            walk(c - 1, slots - n, left - n * c, parts + (part,) * n, coeff * binomial(w, c) ** n)
+
+    walk(w, i, raise_by, (), 1)
+    if w == 1:
+        return out
+    if any(part % 2 for lam in out for part in lam):
+        raise ContractViolation("expected even exponents in a squared-class model")
+    return {tuple(part // 2 for part in lam): c for lam, c in out.items()}
+
+
 @lru_cache(maxsize=None)
-def total_char_class_operation(model: TorusModel, class_name: str, family: str, prime: int) -> Poly:
-    """Full total operation of a characteristic class, in characteristic classes."""
-    i = model.class_index(class_name)
-    if family == "P" and model.var_degree != 2:
-        raise ContractViolation("power operations need degree-2 variables")
-    f = elementary(model.rank, i, power=model.class_power)
-    total = total_operation_on_torus(f, family, prime, model.var_degree)
-    if model.class_power == 2:
-        # odd-exponent terms can only carry coefficients divisible by p
-        total = {e: c % prime for e, c in total.items() if c % prime}
-        collapsed = {}
-        for exps, c in total.items():
-            if any(e % 2 for e in exps):
-                raise ContractViolation("expected even exponents in a squared-class model")
-            s = tuple(e // 2 for e in exps)
-            collapsed[s] = collapsed.get(s, 0) + c
-        total = collapsed
-    e_terms = express_symmetric(total, model.rank)
-    return _classes_from_e(model, e_terms, prime)
-
-
 def char_class_operation(model: TorusModel, class_name: str, op: SteenrodOp) -> Poly:
-    """One operation component on a characteristic class, with rank truncation."""
+    """One operation component on a characteristic class, with rank truncation.
+
+    Only the torus-degree raise the component needs is expanded, and it is
+    re-expressed in characteristic classes in the partition basis, mod p.
+    """
     _op_compatible(model, op)
     i = model.class_index(class_name)
-    total = total_char_class_operation(model, class_name, op.family, op.prime)
-    return total.degree_component(model.class_degree(i) + op.shift)
+    step = model.var_degree * (op.prime - 1)
+    if op.shift % step:
+        return class_algebra(model, op.prime).zero()
+    mcoeffs = _raised_class(model, i, op.prime, op.shift // step)
+    return _classes_from_e(model, _e_coefficients(mcoeffs, model.rank, op.prime), op.prime)
+
+
+@lru_cache(maxsize=None)
+def total_char_class_operation(model: TorusModel, class_name: str, family: str, prime: int) -> Poly:
+    """Full total operation of a characteristic class: the sum of its components."""
+    _op_compatible(model, SteenrodOp(family, 0, prime))
+    i = model.class_index(class_name)
+    total = class_algebra(model, prime).zero()
+    for raise_by in range(model.class_power * i + 1):
+        k = raise_by * model.var_degree if family == "Sq" else raise_by
+        total = total + char_class_operation(model, class_name, SteenrodOp(family, k, prime))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +621,7 @@ class SteenrodCriterionInstance:
 
     space: str
     presentation: Presentation
-    action: dict  # generator name -> total operation Poly
+    action: dict  # generator name -> Poly holding the component of degree |x| + shift
     action_provenance: str
     action_citation: str
     prime: int

@@ -106,7 +106,7 @@ def test_acceptance_3_wu_oracle():
         return out
 
     mismatches = []
-    for n in range(2, 9):
+    for n in range(2, 11):
         model = torus_model("so", n)
         for j in range(2, n + 1):
             for i in range(1, j + 1):
@@ -129,7 +129,7 @@ def test_acceptance_3_wu_oracle():
         exps[want.index[f"w{n}"]] += 1
         if got != want.monomial(tuple(exps)):
             mismatches.append(("sq3", n))
-    _line(3, "Wu-formula oracle, 2 <= n <= 8, exact", not mismatches)
+    _line(3, "Wu-formula oracle, 2 <= n <= 10, exact", not mismatches)
     assert not mismatches, mismatches
 
 

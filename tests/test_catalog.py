@@ -20,7 +20,7 @@ from loopcomm.catalog import (
     report,
     route,
 )
-from loopcomm.criteria import ASSERTED, Certificate, Refusal
+from loopcomm.criteria import ASSERTED, Certificate, DataIncomplete, Refusal
 
 
 class TestInstantiate:
@@ -220,6 +220,12 @@ class TestChecks:
         cert = check(instantiate("FII"))
         surfaced = [e for e in cert.transcript if "surfaced unresolved" in e.description]
         assert surfaced and "3*p4" in surfaced[0].description
+
+    def test_empty_plan_is_an_error(self, monkeypatch):
+        # an explicit check, so that it also holds under python -O
+        monkeypatch.setattr("loopcomm.catalog.route", lambda instance: CriterionPlan(()))
+        with pytest.raises(DataIncomplete, match="empty criterion plan for EIV"):
+            check(instantiate("EIV"))
 
     def test_g_action_fully_derived(self):
         cert = check(instantiate("G"))

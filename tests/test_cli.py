@@ -39,6 +39,12 @@ class TestExitCodes:
         code, _, err = run(capsys, "report", "--family", "XYZ")
         assert code == 1
 
+    def test_cii_7_7_certifies(self, capsys):
+        # needs P^1 at p = 7 on BSp(7)
+        code, out, _ = run(capsys, "check", "CII", "--m", "7", "--n", "7")
+        assert code == 0
+        assert "P^1 (p=7)" in out
+
     def test_unknown_class_is_one(self, capsys):
         code, _, err = run(
             capsys, "steenrod", "--group", "so", "--rank", "4", "--class", "w9", "--op", "sq2"
@@ -95,6 +101,17 @@ class TestFileCommands:
         assert code == 0
         assert "d y7 = x2^4" in out
         assert "d^2 = 0: True" in out
+
+    def test_negative_hilbert_bound_is_one(self, capsys, tmp_path):
+        f = tmp_path / "cp3.pres"
+        f.write_text(
+            "field rational\ngenerator x2 2\nrelation 8 explicit\nterm 1 4\nend\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "hilbert", "--file", str(f), "--up-to", "-5")
+        assert code == 1
+        assert out == ""
+        assert "--up-to" in err
 
     def test_missing_file_is_one(self, capsys, tmp_path):
         code, _, err = run(capsys, "hilbert", "--file", str(tmp_path / "nope"), "--up-to", "4")

@@ -1,10 +1,14 @@
 """Splitting-principle engine, Wu oracle, suspension models, criterion checker."""
 
+import functools
 import itertools
+import math
 import random
+import re
 
 import pytest
 
+from loopcomm.cli import main as cli_main
 from loopcomm.criteria import Certificate, DataIncomplete, Refusal
 from loopcomm.gradedalg import (
     Algebra,
@@ -15,6 +19,8 @@ from loopcomm.gradedalg import (
     poly_to_text,
 )
 from loopcomm.steenrod import (
+    _GROUPS,
+    _FIXED_RANK,
     ClassifyingCrossCheck,
     SteenrodCriterionInstance,
     SteenrodOp,
@@ -214,6 +220,14 @@ class TestCharClassOperations:
                     engine = char_class_operation(model, f"w{j}", SteenrodOp("Sq", i, 2))
                     assert engine == wu_formula(n, i, j), (n, i, j)
 
+    def test_wu_oracle_at_rank_30_through_the_cli(self, capsys):
+        # rank 30 lies far past the desk ranges; the Wu closed form is the oracle
+        code = cli_main(
+            ["steenrod", "--group", "so", "--rank", "30", "--class", "w30", "--op", "sq2"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.strip() == poly_to_text(wu_formula(30, 2, 30))
+
     def test_p1_symplectic_top_class(self):
         # frozen from the splitting expansion: 2*q5*(e1^2 - 2 e2) mod 5
         out = char_class_operation(torus_model("sp", 5), "q5", SteenrodOp("P", 1, 5))
@@ -312,6 +326,158 @@ def _monomials(n, d):
         for rest in _monomials(n - 1, d - e):
             out.append((e,) + rest)
     return out
+
+
+# ---------------------------------------------------------------------------
+# differential checks of the partition-basis, degree-targeted engine against
+# a full expansion over torus monomials
+
+
+def ref_express_symmetric(poly, nvars):
+    """Leading-term elimination over torus monomials, with e-products built by tp_mul."""
+    work = dict(poly)
+    out = {}
+    while work:
+        lam = max(work)
+        padded = list(lam) + [0]
+        e_exps = tuple(padded[k] - padded[k + 1] for k in range(nvars))
+        c = work[lam]
+        out[e_exps] = out.get(e_exps, 0) + c
+        prod_ = tp_unit(nvars)
+        for k, mult in enumerate(e_exps, start=1):
+            for _ in range(mult):
+                prod_ = tp_mul(prod_, elementary(nvars, k))
+        for e, pc in prod_.items():
+            v = work.get(e, 0) - c * pc
+            if v:
+                work[e] = v
+            else:
+                work.pop(e, None)
+    return {e: c for e, c in out.items() if c}
+
+
+@functools.lru_cache(maxsize=None)
+def ref_total_char_class_operation(model, class_name, family, prime):
+    """The whole total operation, expanded over every torus monomial, in classes."""
+    i = model.class_index(class_name)
+    f = elementary(model.rank, i, power=model.class_power)
+    total = total_operation_on_torus(f, family, prime, model.var_degree)
+    if model.class_power == 2:
+        total = {e: c % prime for e, c in total.items() if c % prime}
+        assert all(x % 2 == 0 for e in total for x in e)
+        total = {tuple(x // 2 for x in e): c for e, c in total.items()}
+    alg = class_algebra(model, prime)
+    offset = 2 if model.kill_e1 else 1
+    out = alg.zero()
+    for e_exps, coeff in ref_express_symmetric(total, model.rank).items():
+        if model.kill_e1 and e_exps[0]:
+            continue
+        exps = [0] * len(alg.generators)
+        for k, mult in enumerate(e_exps, start=1):
+            if mult and k >= offset:
+                exps[k - offset] = mult
+        out = out + alg.monomial(tuple(exps), coeff)
+    return out
+
+
+def ref_hook_component_e_top(j, c):
+    """Monomial-enumeration version: expand every monomial of m_(2^c, 1^(j-c))."""
+    if c > j:
+        return 0
+    n = j + c
+    mono = {}
+    for twos in itertools.combinations(range(n), c):
+        rest = [i for i in range(n) if i not in twos]
+        for ones in itertools.combinations(rest, j - c):
+            exps = [0] * n
+            for i in twos:
+                exps[i] = 2
+            for i in ones:
+                exps[i] = 1
+            mono[tuple(exps)] = 1
+    top = tuple(1 if k == n - 1 else 0 for k in range(n))
+    return ref_express_symmetric(mono, n).get(top, 0)
+
+
+def _random_symmetric(rng, n):
+    sym = {}
+    for _ in range(rng.randint(1, 4)):
+        shape = sorted((rng.randint(0, 4) for _ in range(n)), reverse=True)
+        c = rng.randint(-5, 5)
+        for perm in set(itertools.permutations(shape)):
+            sym[perm] = sym.get(perm, 0) + c
+    return {e: c for e, c in sym.items() if c}
+
+
+def _ops_for(model):
+    """Every operation component that can act on the model's classes."""
+    top = model.class_degree(model.rank)
+    ops = [SteenrodOp("Sq", k, 2) for k in range(top + 1)]
+    if model.var_degree == 2:
+        for p in (3, 5):
+            ops += [SteenrodOp("P", k, p) for k in range(model.class_power * model.rank + 2)]
+    return ops
+
+
+class TestPartitionEngineDifferential:
+    def test_express_symmetric_on_random_symmetric_inputs(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            poly = _random_symmetric(rng, n)
+            assert express_symmetric(poly, n) == ref_express_symmetric(poly, n)
+
+    def test_non_symmetric_inputs_rejected_naming_the_transposition(self):
+        rng = random.Random(37)
+        cases = [
+            {(0, 2): 1},  # sorted representative absent
+            {(2, 0, 0): 1, (0, 2, 0): 1},  # equal coefficients, incomplete orbit
+            {(1, 0): 1, (0, 1): 2},  # complete orbit, unequal coefficients
+        ]
+        for _ in range(30):
+            n = rng.randint(2, 5)
+            poly = _random_symmetric(rng, n)
+            moved = sorted(e for e in poly if len(set(e)) > 1)
+            if moved:
+                poly[moved[rng.randrange(len(moved))]] += rng.choice((-1, 1))
+                cases.append({e: c for e, c in poly.items() if c})
+        for poly in cases:
+            n = len(next(iter(poly)))
+            bad = symmetry_violation(poly, n)
+            assert bad is not None
+            with pytest.raises(ContractViolation, match=re.escape(str(bad))):
+                express_symmetric(poly, n)
+
+    @pytest.mark.parametrize("group", sorted(_GROUPS))
+    def test_char_class_operation_matches_full_expansion(self, group):
+        ranks = [_FIXED_RANK[group]] if group in _FIXED_RANK else range(1, 6)
+        for rank in ranks:
+            model = torus_model(group, rank)
+            for name in model.class_names():
+                i = model.class_index(name)
+                for op in _ops_for(model):
+                    full = ref_total_char_class_operation(model, name, op.family, op.prime)
+                    want = full.degree_component(model.class_degree(i) + op.shift)
+                    assert char_class_operation(model, name, op) == want, (group, rank, name, op)
+                for family, prime in {(op.family, op.prime) for op in _ops_for(model)}:
+                    full = ref_total_char_class_operation(model, name, family, prime)
+                    assert total_char_class_operation(model, name, family, prime) == full
+
+    def test_hook_component_matches_monomial_enumeration(self):
+        for j in range(0, 9):
+            for c in range(0, 9 - j):
+                assert hook_component_e_top(j, c) == ref_hook_component_e_top(j, c), (j, c)
+
+    def test_hook_component_matches_closed_form_at_larger_ranks(self):
+        # modulo decomposables m_lambda = (-1)^(n-l) n (l-1)! / prod_v mult_v! e_n,
+        # n = |lambda|, l = its length (Waring's formula for the linear term)
+        for j in range(1, 13):
+            for c in range(0, j + 1):
+                n = j + c
+                want = (-1) ** c * n * math.factorial(j - 1) // (
+                    math.factorial(c) * math.factorial(j - c)
+                )
+                assert hook_component_e_top(j, c) == want, (j, c)
 
 
 class TestSuspensionModels:
