@@ -1,9 +1,10 @@
 """The classification table as data: space families, criterion routing, reports.
 
-Each irreducible symmetric space family carries constructors for its cohomology
-data and a routing rule that assembles an ordered plan of criterion checks.
-Running a plan yields a Certificate with a full transcript, or a Refusal; the
-report generator runs desk-scale parameter ranges over the whole table.
+`FAMILIES` is the table: one row per irreducible symmetric space family with
+its parameters, its report range and the plan builder that assembles an
+ordered plan of criterion checks for an instance.  Running a plan yields a
+Certificate with a full transcript, or a Refusal; the report generator runs
+the desk-scale ranges over the whole table.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import os
 import shlex
 from dataclasses import dataclass
 from importlib import resources
-from typing import Optional
+from typing import Callable, Optional
 
 from .criteria import (
     ASSERTED,
@@ -71,25 +72,6 @@ class ParameterError(ValueError):
 class CatalogDataError(ValueError):
     """Malformed catalog data file."""
 
-
-FAMILY_ORDER = (
-    "AI", "AII", "AIII", "BDI", "DIII", "CI", "CII",
-    "EI", "EII", "EIII", "EIV", "EV", "EVI", "EVII", "EVIII", "EIX",
-    "FI", "FII", "G",
-)
-
-_PARAM_COUNT = {
-    "AI": 1, "AII": 1, "AIII": 2, "BDI": 2, "DIII": 1, "CI": 1, "CII": 2,
-}
-_CONSTRAINT_DOC = {
-    "AI": "n >= 2",
-    "AII": "n >= 2",
-    "AIII": "m, n >= 1",
-    "BDI": "m, n >= 2",
-    "DIII": "n >= 2",
-    "CI": "n >= 2",
-    "CII": "m, n >= 1",
-}
 
 DATA_ENV = "LOOPCOMM_DATA_DIR"
 
@@ -266,34 +248,36 @@ class CriterionPlan:
     exception_note: str = ""
 
 
-def instantiate(family: str, params=()) -> SpaceInstance:
+def family(family_id: str) -> "Family":
+    """The classification-table row of a family id."""
+    row = _BY_ID.get(family_id)
+    if row is None:
+        valid = ", ".join(f.id for f in FAMILIES)
+        raise ParameterError(f"unknown family {family_id!r}; valid ids: {valid}")
+    return row
+
+
+def instantiate(family_id: str, params=()) -> SpaceInstance:
     """Validate parameters against the classification table and normalize them."""
-    if family not in FAMILY_ORDER:
-        raise ParameterError(f"unknown family {family!r}; valid ids: {', '.join(FAMILY_ORDER)}")
+    fam = family(family_id)
     params = tuple(int(p) for p in params)
-    want = _PARAM_COUNT.get(family, 0)
-    if len(params) != want:
+    if len(params) != fam.arity:
         raise ParameterError(
-            f"{family} takes {want} parameter(s)"
-            + (f" ({_CONSTRAINT_DOC[family]})" if family in _CONSTRAINT_DOC else "")
+            f"{fam.id} takes {fam.arity} parameter(s)" + (f" ({fam.constraint})" if fam.arity else "")
         )
-    if family in ("AI", "AII", "DIII", "CI") and params[0] < 2:
-        raise ParameterError(f"{family} requires {_CONSTRAINT_DOC[family]}")
-    if family == "AIII" and min(params) < 1:
-        raise ParameterError("AIII requires m, n >= 1")
-    if family == "BDI" and min(params) < 2:
-        raise ParameterError("BDI requires m, n >= 2")
-    if family == "CII" and min(params) < 1:
-        raise ParameterError("CII requires m, n >= 1")
-    if family == "AIII":
-        params = tuple(sorted(params))
-    elif family in ("BDI", "CII"):
-        params = tuple(sorted(params, reverse=True))
-    label = family if not params else f"{family}({','.join(str(p) for p in params)})"
-    return SpaceInstance(family, params, label)
+    if any(p < fam.least for p in params):
+        raise ParameterError(f"{fam.id} requires {fam.constraint}")
+    params = tuple(fam.normalize(params))
+    label = fam.id if not params else f"{fam.id}({','.join(str(p) for p in params)})"
+    return SpaceInstance(fam.id, params, label)
 
 
-# -- constructors for parameterized data
+def route(instance: SpaceInstance) -> CriterionPlan:
+    """Assemble the ordered plan of criterion invocations for an instance."""
+    return family(instance.family).plan(load_dataset(), instance)
+
+
+# -- plan builders: (DataSet, SpaceInstance) -> CriterionPlan, run when an instance is checked
 
 
 def _cp_presentation(N: int) -> Presentation:
@@ -306,11 +290,6 @@ def _cp_mod2_data(N: int) -> ExteriorActionData:
     pres = Presentation(alg, (Relation(2 * (N + 1), "explicit", alg.monomial((N + 1,))),))
     table = {"x2": alg.gen("x2") + alg.gen("x2") * alg.gen("x2")}
     return ExteriorActionData(pres, table, citation="total square of the projective-space generator")
-
-
-def _ai_presentation(n: int) -> Presentation:
-    gens = [Generator(f"v{i}", i, squares_to_zero=True) for i in range(2, n + 1)]
-    return Presentation(Algebra(FieldSpec(2), gens))
 
 
 def _restricted_action(model, class_name, op, images, target_alg) -> Poly:
@@ -349,47 +328,64 @@ def _power_candidates(n: int) -> list:
 
 
 _WU_CITE = "Wu formula computed by the splitting principle"
-_RP_PULLBACK_CITE = "reflection-map restriction g*(w_i) = Sigma u^{i-1} (Whitehead)"
 
 
-def _ai_steps(n: int) -> list:
-    pres = _ai_presentation(n)
+def _wu_steps(n: int, space: str, pres: Presentation, prefix: str, restriction="", lift=None) -> list:
+    """One Sq^b instance on the rank-n top class per candidate b, sourced on Sigma RP.
+
+    The action is the Wu-formula component on w_n in BSO(n), carried to the
+    presentation along w_i -> <prefix>i.
+    """
     alg = pres.algebra
     so = torus_model("so", n)
-    images = {f"w{i}": alg.gen(f"v{i}") for i in range(2, n + 1)}
+    images = {f"w{i}": alg.gen(f"{prefix}{i}") for i in range(2, n + 1)}
+    top = f"{prefix}{n}"
     steps = []
     for b in _power_candidates(n):
         op = SteenrodOp("Sq", b, 2)
-        inst = SteenrodCriterionInstance(
-            space=f"AI({n})",
+        criterion = SteenrodCriterionInstance(
+            space=space,
             presentation=pres,
-            action={f"v{n}": _restricted_action(so, f"w{n}", op, images, alg)},
+            action={top: _restricted_action(so, f"w{n}", op, images, alg)},
             action_provenance="derived",
-            action_citation=_WU_CITE + " in BSO(n), restricted along v_i = iota^*(w_i) (Mimura-Toda)",
+            action_citation=_WU_CITE + " in BSO(n)" + restriction,
             prime=2,
             op=op,
-            a=f"v{n}",
-            b=f"v{b}",
-            x=f"v{n}",
+            a=top,
+            b=f"{prefix}{b}",
+            x=top,
             source_a=suspension_rp(n - 1),
             source_b=suspension_rp(b - 1),
-            pullback_a={f"v{i}": f"su{i - 1}" for i in range(2, n + 1)},
-            pullback_b={
-                f"v{i}": (f"su{i - 1}" if i - 1 <= b - 1 else None) for i in range(2, n + 1)
-            },
-            pullback_citation=_RP_PULLBACK_CITE,
+            pullback_a={f"{prefix}{i}": f"su{i - 1}" for i in range(2, n + 1)},
+            pullback_b={f"{prefix}{i}": (f"su{i - 1}" if i <= b else None) for i in range(2, n + 1)},
+            pullback_citation="reflection-map restriction g*(w_i) = Sigma u^{i-1} (Whitehead)",
         )
-        steps.append(SteenrodStep(inst, label=f"Steenrod Sq^{b} on AI({n})"))
+        steps.append(SteenrodStep(criterion, lift=lift, label=f"Steenrod Sq^{b} on {space}"))
     return steps
 
 
-def _bso_steps(m: int, n: int) -> list:
-    model = torus_model("so", n)
-    alg = class_algebra(model, 2)
-    pres = Presentation(alg)
+def _ai_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
+    (n,) = inst.params
+    if n == 2:
+        rec = ds.one("external", family="AI-rank2")
+        statement = (
+            f"Omega({inst.label}) is not homotopy commutative: AI(2) = S^2 carries "
+            "the non-trivial Whitehead square [1,1]"
+        )
+        return CriterionPlan((RecordedStep(inst.label, statement, rec["cite"]),))
+    gens = [Generator(f"v{i}", i, squares_to_zero=True) for i in range(2, n + 1)]
+    pres = Presentation(Algebra(FieldSpec(2), gens))
+    restriction = ", restricted along v_i = iota^*(w_i) (Mimura-Toda)"
+    return CriterionPlan(tuple(_wu_steps(n, inst.label, pres, "v", restriction)))
+
+
+def _bdi_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
+    m, n = inst.params
+    if n == 2:
+        return CriterionPlan((_recorded_step(ds, "BDI-rank2", inst.label),))
     lift = LiftStep(
         base=f"BSO({n})",
-        target=f"BDI({m},{n})",
+        target=inst.label,
         threshold=n,
         source_dim=n,
         citation=(
@@ -397,30 +393,8 @@ def _bso_steps(m: int, n: int) -> list:
             "n-equivalence for m >= n"
         ),
     )
-    steps = []
-    for b in _power_candidates(n):
-        op = SteenrodOp("Sq", b, 2)
-        inst = SteenrodCriterionInstance(
-            space=f"BSO({n})",
-            presentation=pres,
-            action={f"w{n}": char_class_operation(model, f"w{n}", op)},
-            action_provenance="derived",
-            action_citation=_WU_CITE + " in BSO(n)",
-            prime=2,
-            op=op,
-            a=f"w{n}",
-            b=f"w{b}",
-            x=f"w{n}",
-            source_a=suspension_rp(n - 1),
-            source_b=suspension_rp(b - 1),
-            pullback_a={f"w{i}": f"su{i - 1}" for i in range(2, n + 1)},
-            pullback_b={
-                f"w{i}": (f"su{i - 1}" if i - 1 <= b - 1 else None) for i in range(2, n + 1)
-            },
-            pullback_citation=_RP_PULLBACK_CITE,
-        )
-        steps.append(SteenrodStep(inst, lift=lift, label=f"Steenrod Sq^{b} on BSO({n})"))
-    return steps
+    pres = Presentation(class_algebra(torus_model("so", n), 2))
+    return CriterionPlan(tuple(_wu_steps(n, f"BSO({n})", pres, "w", lift=lift)))
 
 
 def _smallest_odd_prime_divisor(n: int) -> Optional[int]:
@@ -437,11 +411,12 @@ def _smallest_odd_prime_divisor(n: int) -> Optional[int]:
     return m
 
 
-def _csp_steps(m: int, n: int) -> list:
+def _cii_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
+    m, n = inst.params
     p = _smallest_odd_prime_divisor(n)
     lift = LiftStep(
         base=f"BSp({n})",
-        target=f"CII({m},{n})",
+        target=inst.label,
         threshold=4 * n + 2,
         source_dim=4 * n,
         citation="the classifying map CII(m,n) -> BSp(n) is a (4n+2)-equivalence for m >= n",
@@ -463,7 +438,7 @@ def _csp_steps(m: int, n: int) -> list:
     action = {f"q{n}": char_class_operation(model, f"q{n}", op)}
     source_a = suspension_quasi_projective(n, prime)
     source_b = source_a if diagonal and b_index == n else suspension_quasi_projective(b_index, prime)
-    inst = SteenrodCriterionInstance(
+    criterion = SteenrodCriterionInstance(
         space=f"BSp({n})",
         presentation=pres,
         action=action,
@@ -481,16 +456,17 @@ def _csp_steps(m: int, n: int) -> list:
         diagonal=diagonal,
         pullback_citation="quasi-projective restriction g*(q_i) = Sigma x_i (James)",
     )
-    return [SteenrodStep(inst, lift=lift, label=label)]
+    return CriterionPlan((SteenrodStep(criterion, lift=lift, label=label),))
 
 
-def _sphere_bottom_step(ds: DataSet, space: str, gen: str, zero_gens=()) -> SteenrodStep:
-    """Diagonal bottom-cell instance at p = 5 with a classifying cross-check."""
+def _bottom_cell_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
+    """Diagonal bottom-cell instance on the recorded action, with a classifying cross-check."""
+    space = inst.family
     pres = ds.presentation(space)
     alg = pres.algebra
     rec = ds.one("action", space=space)
+    gen = rec["gen"]
     op = SteenrodOp(rec["family"], int(rec["k"]), int(rec["prime"]))
-    total = alg.gen(rec["gen"]) + parse_poly(rec["value"], alg)
     pb = ds.one("pullback", space=space)
     cc = ClassifyingCrossCheck(
         model=torus_model(pb["model"], 4),
@@ -499,12 +475,13 @@ def _sphere_bottom_step(ds: DataSet, space: str, gen: str, zero_gens=()) -> Stee
         citation=pb["cite"],
     )
     sphere = suspension_sphere(8)
+    # the bottom cell S^8 detects the acted-on generator; every other generator restricts to 0
     table = {gen: "s8"}
-    table.update({g: None for g in zero_gens})
-    inst = SteenrodCriterionInstance(
+    table.update({g.name: None for g in pres.generators if g.name != gen})
+    criterion = SteenrodCriterionInstance(
         space=space,
         presentation=pres,
-        action={rec["gen"]: total},
+        action={gen: alg.gen(gen) + parse_poly(rec["value"], alg)},
         action_provenance="asserted",
         action_citation=rec["cite"],
         prime=int(rec["prime"]),
@@ -519,10 +496,10 @@ def _sphere_bottom_step(ds: DataSet, space: str, gen: str, zero_gens=()) -> Stee
         diagonal=True,
         pullback_citation=f"bottom cell S^8 -> {space} detecting {gen}",
     )
-    return SteenrodStep(inst, crosscheck=cc, label=f"Steenrod {op.label} on {space}")
+    return CriterionPlan((SteenrodStep(criterion, crosscheck=cc, label=f"Steenrod {op.label} on {space}"),))
 
 
-def _g_step(ds: DataSet) -> SteenrodStep:
+def _g_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     pres = ds.presentation("G")
     alg = pres.algebra
     images = {}
@@ -531,7 +508,7 @@ def _g_step(ds: DataSet) -> SteenrodStep:
     so4 = torus_model("so", 4)
     op = SteenrodOp("Sq", 2, 2)
     action = {"x3": _restricted_action(so4, "w3", op, images, alg)}
-    inst = SteenrodCriterionInstance(
+    criterion = SteenrodCriterionInstance(
         space="G",
         presentation=pres,
         action=action,
@@ -548,10 +525,11 @@ def _g_step(ds: DataSet) -> SteenrodStep:
         pullback_b={"x2": "s2", "x3": None},
         pullback_citation="restriction to the 3-skeleton S^2 cup_2 e^3 and its bottom cell",
     )
-    return SteenrodStep(inst, label="Steenrod Sq^2 on G")
+    return CriterionPlan((SteenrodStep(criterion, label="Steenrod Sq^2 on G"),))
 
 
-def _aii_data(n: int, ds: DataSet):
+def _aii_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
+    (n,) = inst.params
     degrees = [4 * i + 1 for i in range(1, n)]
     gens = [Generator(f"x{d}", d, squares_to_zero=True) for d in degrees]
     alg = Algebra(FieldSpec(2), gens)
@@ -578,14 +556,14 @@ def _aii_data(n: int, ds: DataSet):
     witness = GeneratingMapWitness(
         source=f"Sigma HP^{n - 1}",
         base=f"HP^{n - 1}",
-        target=f"AII({n})",
+        target=inst.label,
         cell_degrees=tuple(degrees),
         citation=gm["cite"],
     )
-    return data, witness
+    return CriterionPlan((ProjectiveStep(data, witness),))
 
 
-def _eiv_data(ds: DataSet):
+def _eiv_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     pres = ds.presentation("EIV")
     alg = pres.algebra
     table = {}
@@ -602,26 +580,44 @@ def _eiv_data(ds: DataSet):
         cell_degrees=(9, 17),
         citation=gm["cite"],
     )
-    return data, witness
+    return CriterionPlan((ProjectiveStep(data, witness),))
 
 
-def _rational_step(ds: DataSet, space: str, label: str) -> RationalStep:
-    return RationalStep(
-        space=label,
-        presentation=ds.presentation(space),
-        citation=ds.presentation_cite(space),
+def _aiii_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
+    m, n = inst.params
+    if m > 1:
+        return _recorded_plan(ds, inst)
+    # AIII(1,n) is CP^n
+    rational = RationalStep(
+        space=f"CP^{n}",
+        presentation=_cp_presentation(n),
+        citation="truncated polynomial rational cohomology of complex projective space",
     )
-
-
-def _rational_transfer_step(ds: DataSet, space: str, target_label: str) -> RationalStep:
-    fib = ds.one("fibration", space=space)
-    aux = fib["aux"]
-    return RationalStep(
-        space=fib["aux-label"],
-        presentation=ds.presentation(aux),
-        citation=ds.presentation_cite(aux),
-        transfer=TransferStep(int(fib["threshold"]), target_label, fib["cite"]),
+    if n != 3:
+        return CriterionPlan((rational, _recorded_step(ds, "AIII", inst.label)))
+    projective = ProjectiveStep(
+        _cp_mod2_data(n),
+        GeneratingMapWitness(
+            source="S^2",
+            base="S^1",
+            target="CP^3",
+            cell_degrees=(2,),
+            citation="bottom cell of CP^3",
+        ),
+        label="PartialProjectivePlane on CP^3",
     )
+    return CriterionPlan((rational, projective), exception_note=ds.one("exception", space="CP3")["cite"])
+
+
+def _rational_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
+    """The rational criterion on the space, or on the auxiliary space of its recorded fibration."""
+    space, label, transfer = inst.family, inst.label, None
+    if ds.find("fibration", space=space):
+        fib = ds.one("fibration", space=space)
+        space, label = fib["aux"], fib["aux-label"]
+        transfer = TransferStep(int(fib["threshold"]), inst.label, fib["cite"])
+    step = RationalStep(label, ds.presentation(space), ds.presentation_cite(space), transfer)
+    return CriterionPlan((step,))
 
 
 def _recorded_step(ds: DataSet, family_key: str, space_label: str) -> RecordedStep:
@@ -633,93 +629,83 @@ def _recorded_step(ds: DataSet, family_key: str, space_label: str) -> RecordedSt
     )
 
 
-def route(instance: SpaceInstance) -> CriterionPlan:
-    """Assemble the ordered plan of criterion invocations for an instance."""
-    ds = load_dataset()
-    fam, params, label = instance.family, instance.params, instance.label
+def _recorded_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
+    return CriterionPlan((_recorded_step(ds, inst.family, inst.label),))
 
-    if fam == "AI":
-        n = params[0]
-        if n == 2:
-            rec = ds.one("external", family="AI-rank2")
-            return CriterionPlan(
-                (
-                    RecordedStep(
-                        label,
-                        f"Omega({label}) is not homotopy commutative: AI(2) = S^2 carries "
-                        "the non-trivial Whitehead square [1,1]",
-                        rec["cite"],
-                    ),
-                )
-            )
-        return CriterionPlan(tuple(_ai_steps(n)))
 
-    if fam == "AII":
-        data, witness = _aii_data(params[0], ds)
-        return CriterionPlan((ProjectiveStep(data, witness),))
+# -- the classification table
 
-    if fam == "AIII":
-        m, n = params
-        if m == 1:
-            N = n  # AIII(1,n) is CP^n
-            steps = [
-                RationalStep(
-                    space=f"CP^{N}",
-                    presentation=_cp_presentation(N),
-                    citation="truncated polynomial rational cohomology of complex projective space",
-                )
-            ]
-            if N == 3:
-                steps.append(
-                    ProjectiveStep(
-                        _cp_mod2_data(N),
-                        GeneratingMapWitness(
-                            source="S^2",
-                            base="S^1",
-                            target="CP^3",
-                            cell_degrees=(2,),
-                            citation="bottom cell of CP^3",
-                        ),
-                        label="PartialProjectivePlane on CP^3",
-                    )
-                )
-                exc = ds.one("exception", space="CP3")
-                return CriterionPlan(tuple(steps), exception_note=exc["cite"])
-            steps.append(_recorded_step(ds, "AIII", label))
-            return CriterionPlan(tuple(steps))
-        return CriterionPlan((_recorded_step(ds, "AIII", label),))
 
-    if fam == "BDI":
-        m, n = params
-        if n == 2:
-            return CriterionPlan((_recorded_step(ds, "BDI-rank2", label),))
-        return CriterionPlan(tuple(_bso_steps(m, n)))
+@dataclass(frozen=True)
+class Family:
+    """One row of Cartan's table, described once.
 
-    if fam in ("DIII", "CI", "EIII", "EVII"):
-        return CriterionPlan((_recorded_step(ds, fam, label),))
+    `plan(ds, instance)` builds an instance's criterion plan when it is
+    checked.  The report runs `default_range`.  A family with a `summary`
+    also gets one recorded row covering all its parameters; its range then
+    lists only the instances that the summary leaves out, and those are
+    reported whatever the parameter cap.
+    """
 
-    if fam == "CII":
-        m, n = params
-        return CriterionPlan(tuple(_csp_steps(m, n)))
+    id: str
+    plan: Callable
+    arity: int = 0  # parameters, named ("n",) or ("m", "n")
+    least: int = 0  # lower bound the table puts on every parameter
+    normalize: Callable = tuple  # canonical parameter order
+    default_range: tuple = ((),)
+    summary: str = ""  # scope of the family-level recorded row; empty for none
+    summary_note: str = ""
 
-    if fam == "EI":
-        return CriterionPlan((_sphere_bottom_step(ds, "EI", "x8", zero_gens=("x9", "x17")),))
-    if fam == "EII":
-        return CriterionPlan((_rational_step(ds, "EII", label),))
-    if fam == "EIV":
-        data, witness = _eiv_data(ds)
-        return CriterionPlan((ProjectiveStep(data, witness),))
-    if fam == "EV":
-        return CriterionPlan((_rational_step(ds, "EV", label),))
-    if fam == "EVIII":
-        return CriterionPlan((_rational_step(ds, "EVIII", label),))
-    if fam in ("EVI", "EIX", "FI"):
-        return CriterionPlan((_rational_transfer_step(ds, fam, label),))
-    if fam == "FII":
-        return CriterionPlan((_sphere_bottom_step(ds, "FII", "q"),))
-    if fam == "G":
-        return CriterionPlan((_g_step(ds),))
-    raise ParameterError(f"no routing rule for family {fam!r}")
+    @property
+    def param_names(self) -> tuple:
+        return ("m", "n")[2 - self.arity :]
+
+    @property
+    def constraint(self) -> str:
+        return f"{', '.join(self.param_names)} >= {self.least}"
+
+
+def _ranks(lo: int, hi: int) -> tuple:
+    return tuple((n,) for n in range(lo, hi + 1))
+
+
+def _pairs(lo: int, hi: int) -> tuple:
+    """(m, n) with lo <= n <= m <= hi, n-major."""
+    return tuple((m, n) for n in range(lo, hi + 1) for m in range(n, hi + 1))
+
+
+def _descending(params) -> list:
+    return sorted(params, reverse=True)
+
+
+_IN_RANGE = "all parameters in range"
+
+FAMILIES = (
+    Family("AI", _ai_plan, arity=1, least=2, default_range=_ranks(2, 10)),
+    Family("AII", _aii_plan, arity=1, least=2, default_range=_ranks(2, 6)),
+    Family(
+        "AIII", _aiii_plan, arity=2, least=1, normalize=sorted, default_range=((1, 3),),
+        summary="all parameters, except CP^3",
+        summary_note="the CP^3 instance AIII(1,3) is the known exception; see its own row",
+    ),
+    Family("BDI", _bdi_plan, arity=2, least=2, normalize=_descending, default_range=_pairs(2, 8)),
+    Family("DIII", _recorded_plan, arity=1, least=2, default_range=(), summary=_IN_RANGE),
+    Family("CI", _recorded_plan, arity=1, least=2, default_range=(), summary=_IN_RANGE),
+    Family("CII", _cii_plan, arity=2, least=1, normalize=_descending, default_range=_pairs(1, 6)),
+    Family("EI", _bottom_cell_plan),
+    Family("EII", _rational_plan),
+    Family("EIII", _recorded_plan, default_range=(), summary=_IN_RANGE),
+    Family("EIV", _eiv_plan),
+    Family("EV", _rational_plan),
+    Family("EVI", _rational_plan),
+    Family("EVII", _recorded_plan, default_range=(), summary=_IN_RANGE),
+    Family("EVIII", _rational_plan),
+    Family("EIX", _rational_plan),
+    Family("FI", _rational_plan),
+    Family("FII", _bottom_cell_plan),
+    Family("G", _g_plan),
+)
+_BY_ID = {f.id: f for f in FAMILIES}
 
 
 # ---------------------------------------------------------------------------
@@ -938,15 +924,7 @@ class Report:
                     "conclusion": r.conclusion,
                     "exception": r.exception,
                     "note": r.note,
-                    "transcript": [
-                        {
-                            "status": e.status,
-                            "outcome": e.outcome,
-                            "description": e.description,
-                            "citation": e.citation,
-                        }
-                        for e in r.transcript
-                    ],
+                    "transcript": [e.to_dict() for e in r.transcript],
                 }
                 for r in self.rows
             ],
@@ -1005,54 +983,32 @@ def _row_from_instance(instance: SpaceInstance) -> ReportRow:
     )
 
 
-def _family_level_row(family: str) -> ReportRow:
-    ds = load_dataset()
-    rec = ds.one("external", family=family)
-    label = f"{family} (all parameters in range)"
-    note = ""
-    if family == "AIII":
-        label = "AIII (all parameters, except CP^3)"
-        note = "the CP^3 instance AIII(1,3) is the known exception; see its own row"
-    statement = f"Omega({family}) is not homotopy commutative for every instance in range"
+def _family_level_row(fam: Family) -> ReportRow:
+    rec = load_dataset().one("external", family=fam.id)
+    statement = f"Omega({fam.id}) is not homotopy commutative for every instance in range"
     return ReportRow(
-        family=family,
+        family=fam.id,
         params="all",
-        label=label,
+        label=f"{fam.id} ({fam.summary})",
         criterion=RECORDED,
         witness="recorded external result",
         conclusion=statement,
         exception=False,
-        note=note,
+        note=fam.summary_note,
         transcript=(TranscriptEntry(ASSERTED, "pass", statement, citation=rec["cite"]),),
     )
 
 
-DEFAULT_RANGES = {
-    "AI": [(n,) for n in range(2, 11)],
-    "AII": [(n,) for n in range(2, 7)],
-    "BDI": [(m, n) for n in range(2, 9) for m in range(n, 9)],
-    "CII": [(m, n) for n in range(1, 7) for m in range(n, 7)],
-}
-_SINGLES = ("EI", "EII", "EIV", "EV", "EVI", "EVIII", "EIX", "FI", "FII", "G")
-_HERMITIAN_FAMILY_ROWS = ("AIII", "DIII", "CI", "EIII", "EVII")
-
-
 def report(families=None, max_param: Optional[int] = None) -> Report:
     """One row per instance over desk-scale ranges, in classification-table order."""
-    wanted = set(families) if families else None
+    wanted = {family(f).id for f in families} if families else None
     rows = []
-    for family in FAMILY_ORDER:
-        if wanted is not None and family not in wanted:
+    for fam in FAMILIES:
+        if wanted is not None and fam.id not in wanted:
             continue
-        if family in DEFAULT_RANGES:
-            for params in DEFAULT_RANGES[family]:
-                if max_param is not None and any(p > max_param for p in params):
-                    continue
-                rows.append(_row_from_instance(instantiate(family, params)))
-        elif family in _HERMITIAN_FAMILY_ROWS:
-            rows.append(_family_level_row(family))
-            if family == "AIII":
-                rows.append(_row_from_instance(instantiate("AIII", (1, 3))))
-        elif family in _SINGLES:
-            rows.append(_row_from_instance(instantiate(family)))
+        if fam.summary:
+            rows.append(_family_level_row(fam))
+        for params in fam.default_range:
+            if fam.summary or max_param is None or all(p <= max_param for p in params):
+                rows.append(_row_from_instance(instantiate(fam.id, params)))
     return Report(tuple(rows))

@@ -13,10 +13,10 @@ import sys
 
 from .catalog import (
     DATA_ENV,
-    FAMILY_ORDER,
     CatalogDataError,
     ParameterError,
     check,
+    family,
     instantiate,
     report,
 )
@@ -67,15 +67,7 @@ def _certificate_payload(cert: Certificate, conclusion: str) -> dict:
         "criterion": cert.criterion,
         "witness": [[k, v] for k, v in cert.witness],
         "conclusion": conclusion,
-        "transcript": [
-            {
-                "status": e.status,
-                "outcome": e.outcome,
-                "description": e.description,
-                "citation": e.citation,
-            }
-            for e in cert.transcript
-        ],
+        "transcript": [e.to_dict() for e in cert.transcript],
     }
 
 
@@ -102,15 +94,7 @@ def _refusal_payload(ref: Refusal) -> dict:
         "failed": ref.failed,
         "exception_note": ref.exception_note,
         "conclusion": "no conclusion from the implemented criteria",
-        "transcript": [
-            {
-                "status": e.status,
-                "outcome": e.outcome,
-                "description": e.description,
-                "citation": e.citation,
-            }
-            for e in ref.transcript
-        ],
+        "transcript": [e.to_dict() for e in ref.transcript],
     }
 
 
@@ -131,18 +115,12 @@ def _refusal_text(ref: Refusal) -> str:
 
 
 def _cmd_check(args) -> int:
-    params = []
-    if args.m is not None:
-        params.append(args.m)
-    if args.n is not None:
-        params.append(args.n)
-    if args.family in ("AI", "AII", "DIII", "CI") and args.m is not None and args.n is None:
-        raise ParameterError(f"{args.family} takes a single parameter --n")
-    if args.family in ("AIII", "BDI", "CII"):
-        if args.m is None or args.n is None:
-            raise ParameterError(f"{args.family} takes two parameters --m and --n")
-        params = [args.m, args.n]
-    instance = instantiate(args.family, tuple(params))
+    fam = family(args.family)
+    given = tuple(name for name in ("m", "n") if getattr(args, name) is not None)
+    if given != fam.param_names:
+        flags = " and ".join(f"--{name}" for name in fam.param_names)
+        raise ParameterError(f"{fam.id} takes {flags or 'no parameters'}")
+    instance = instantiate(fam.id, tuple(getattr(args, name) for name in given))
     result = check(instance)
     if isinstance(result, Certificate):
         conclusion = conclude_noncommutative(result)
@@ -157,15 +135,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    families = None
-    if args.family:
-        for f in args.family:
-            if f not in FAMILY_ORDER:
-                raise ParameterError(
-                    f"unknown family {f!r}; valid ids: {', '.join(FAMILY_ORDER)}"
-                )
-        families = args.family
-    rep = report(families=families, max_param=args.max)
+    rep = report(families=args.family, max_param=args.max)
     _emit(rep.to_dict(), rep.render_text(), args.format)
     return EXIT_OK
 
@@ -211,15 +181,15 @@ def _cmd_steenrod(args) -> int:
     m = _OP_RE.match(args.op)
     if not m:
         raise ParameterError(f"bad operation {args.op!r}; expected e.g. sq2 or p1")
-    family = "Sq" if m.group(1).lower() == "sq" else "P"
+    op_family = "Sq" if m.group(1).lower() == "sq" else "P"
     k = int(m.group(2))
     prime = args.prime if args.prime is not None else 2
-    if family == "Sq" and prime != 2:
+    if op_family == "Sq" and prime != 2:
         raise ParameterError("sq operations live at the prime 2")
-    if family == "P" and prime == 2:
+    if op_family == "P" and prime == 2:
         raise ParameterError("p operations need an odd --prime")
     model = torus_model(args.group, args.rank)
-    result = char_class_operation(model, getattr(args, "class"), SteenrodOp(family, k, prime))
+    result = char_class_operation(model, getattr(args, "class"), SteenrodOp(op_family, k, prime))
     text = poly_to_text(result)
     payload = {
         "schema_version": 1,
@@ -227,7 +197,7 @@ def _cmd_steenrod(args) -> int:
         "group": args.group,
         "rank": args.rank,
         "class": getattr(args, "class"),
-        "operation": f"{family}^{k}",
+        "operation": f"{op_family}^{k}",
         "prime": prime,
         "result": text,
     }

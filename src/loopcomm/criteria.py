@@ -35,6 +35,14 @@ class TranscriptEntry:
         cite = f" ({self.citation})" if self.citation else ""
         return f"[{self.status}] {self.outcome}: {self.description}{cite}"
 
+    def to_dict(self) -> dict:
+        return {
+            "status": self.status,
+            "outcome": self.outcome,
+            "description": self.description,
+            "citation": self.citation,
+        }
+
 
 @dataclass(frozen=True)
 class Certificate:

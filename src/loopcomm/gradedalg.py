@@ -443,23 +443,22 @@ def graded_dimension(pres: Presentation, degree: int) -> int:
 
 
 def indecomposable_dimension(pres: Presentation, degree: int) -> int:
-    """dim of (positive part)/(decomposables) in one degree, from the presentation."""
+    """dim of (positive part)/(decomposables) in one degree, from the presentation.
+
+    Decomposables span every monomial of word length >= 2, and m * rho is
+    decomposable unless m = 1, so the quotient is the span of the degree-d
+    generators modulo the linear parts of the degree-d relations (and zero
+    when a relation is a non-zero constant).
+    """
     if not pres.all_explicit:
         raise UnsupportedPresentation("indecomposable quotient requires explicit relations")
-    if degree <= 0:
+    if degree <= 0 or any(rel.degree == 0 and rel.terms for rel in pres.relations):
         return 0
     alg = pres.algebra
-    basis = alg.monomials_of_degree(degree)
-    index = {m: i for i, m in enumerate(basis)}
-    rows = _ideal_rows(pres, degree, index)
-    zero = alg.field.normalize(0)
-    one = alg.field.normalize(1)
-    for m in basis:
-        if sum(m) >= 2:
-            row = [zero] * len(basis)
-            row[index[m]] = one
-            rows.append(row)
-    return len(basis) - _rank(rows, pres.field)
+    cols = [i for i, d in enumerate(alg.degrees) if d == degree]
+    gen_exps = [tuple(int(j == i) for j in range(len(alg.degrees))) for i in cols]
+    rows = [[rel.terms.coefficient(e) for e in gen_exps] for rel in pres.relations if rel.degree == degree]
+    return len(cols) - _rank(rows, pres.field)
 
 
 def _series_quotient(rel_degrees: list, gen_degrees: list, up_to: int) -> list:
@@ -482,7 +481,8 @@ def is_complete_intersection(pres: Presentation) -> bool:
 
     Compares hilbert_function with prod(1 - t^{|rho_i|}) / prod(1 - t^{|x_j|})
     up to the formal dimension D = sum(|rho_i| - |x_j|) and checks vanishing in
-    a window above D wide enough to force vanishing in all higher degrees.
+    a window above D wide enough to force vanishing in all higher degrees.  A
+    recorded formal dimension that differs from D is a hypothesis violation.
     """
     for g in pres.generators:
         if g.degree % 2 == 1:
@@ -498,10 +498,11 @@ def is_complete_intersection(pres: Presentation) -> bool:
         )
     rel_degrees = [r.degree for r in pres.relations]
     gen_degrees = [g.degree for g in pres.generators]
-    # cap at the recorded formal dimension when present, else the series degree
     D = sum(rel_degrees) - sum(gen_degrees)
-    if pres.formal_dimension is not None:
-        D = pres.formal_dimension
+    if pres.formal_dimension is not None and pres.formal_dimension != D:
+        raise HypothesisViolation(
+            f"recorded formal dimension {pres.formal_dimension} differs from the series degree {D}"
+        )
     if D < 0:
         return False
     window = max(gen_degrees, default=0)

@@ -35,6 +35,7 @@ from .gradedalg import (
     Generator,
     Poly,
     Presentation,
+    _is_prime,
     graded_dimension,
     indecomposable_dimension,
     is_decomposable,
@@ -300,8 +301,8 @@ class SteenrodOp:
             raise ContractViolation(f"unknown operation family {self.family!r}")
         if self.family == "Sq" and self.prime != 2:
             raise ContractViolation("Sq operations live at the prime 2")
-        if self.family == "P" and self.prime == 2:
-            raise ContractViolation("power operations live at odd primes")
+        if self.family == "P" and (self.prime == 2 or not _is_prime(self.prime)):
+            raise ContractViolation(f"power operations live at odd primes, not at {self.prime}")
 
     @property
     def shift(self) -> int:
@@ -488,14 +489,6 @@ class SuspensionModel:
         if k == 0:
             return ((1, class_name),)
         return self.actions.get((class_name, family, k), ())
-
-    def replace(self, classes=None, actions=None) -> "SuspensionModel":
-        return SuspensionModel(
-            self.base,
-            self.classes if classes is None else classes,
-            self.actions if actions is None else actions,
-            self.citation,
-        )
 
 
 @lru_cache(maxsize=None)

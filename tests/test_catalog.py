@@ -5,8 +5,7 @@ import json
 import pytest
 
 from loopcomm.catalog import (
-    DEFAULT_RANGES,
-    FAMILY_ORDER,
+    FAMILIES,
     CatalogDataError,
     CriterionPlan,
     ParameterError,
@@ -305,7 +304,7 @@ class TestReport:
     def test_rows_ordered_by_table(self):
         rep = report()
         fams = [r.family for r in rep.rows]
-        order = {f: i for i, f in enumerate(FAMILY_ORDER)}
+        order = {f.id: i for i, f in enumerate(FAMILIES)}
         assert fams == sorted(fams, key=lambda f: order[f])
 
     def test_round_trip_serialization_is_stable(self):

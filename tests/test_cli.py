@@ -1,9 +1,11 @@
 """CLI exit-code contract, output formats, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
+from loopcomm.catalog import FAMILIES, instantiate
 from loopcomm.cli import main
 
 
@@ -39,6 +41,12 @@ class TestExitCodes:
         code, _, err = run(capsys, "report", "--family", "XYZ")
         assert code == 1
 
+    def test_ai_64_certifies(self, capsys):
+        # condition (4) reads one degree of the indecomposables, not every monomial of it
+        code, out, _ = run(capsys, "check", "AI", "--n", "64")
+        assert code == 0
+        assert "certificate" in out
+
     def test_cii_7_7_certifies(self, capsys):
         # needs P^1 at p = 7 on BSp(7)
         code, out, _ = run(capsys, "check", "CII", "--m", "7", "--n", "7")
@@ -50,6 +58,20 @@ class TestExitCodes:
             capsys, "steenrod", "--group", "so", "--rank", "4", "--class", "w9", "--op", "sq2"
         )
         assert code == 1
+
+
+class TestFamilyTable:
+    @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.id)
+    def test_range_instantiates_and_wrong_flags_are_one(self, capsys, fam):
+        for params in fam.default_range:
+            assert instantiate(fam.id, params).params == params  # ranges are already normalized
+        for names in ((), ("n",), ("m",), ("m", "n")):
+            if names == fam.param_names:
+                continue
+            flags = [arg for name in names for arg in (f"--{name}", "3")]
+            code, _, err = run(capsys, "check", fam.id, *flags)
+            assert code == 1, names
+            assert fam.id in err
 
 
 class TestSteenrodCommand:
@@ -75,6 +97,14 @@ class TestSteenrodCommand:
         )
         assert code == 1
         assert "odd" in err
+        # a non-prime is rejected by name, not by a traceback or a later, misleading error
+        for group, cls, prime in (("su", "c1", 0), ("su", "c1", 1), ("sp", "q2", 4), ("sp", "q2", 9)):
+            code, _, err = run(
+                capsys, "steenrod", "--group", group, "--rank", "3", "--class", cls,
+                "--op", "p1", "--prime", str(prime),
+            )
+            assert code == 1
+            assert "odd" in err and str(prime) in err
 
 
 class TestFileCommands:
@@ -155,6 +185,12 @@ class TestDeterminism:
         _, a, _ = run(capsys, "report", "--all", "--format", "structured")
         _, b, _ = run(capsys, "report", "--all", "--format", "structured")
         assert a == b
+
+    def test_structured_report_is_pinned(self, capsys):
+        # the published table: any change to a certificate, a transcript or the row order shows here
+        _, out, _ = run(capsys, "report", "--all", "--format", "structured")
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == "7b161385d3507c5b3e87f54f386bc14ebac06696d02b6e8fff799b3945ab8e9d"
 
     def test_check_byte_identical(self, capsys):
         _, a, _ = run(capsys, "check", "CII", "--m", "5", "--n", "5", "--format", "structured")

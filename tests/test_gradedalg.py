@@ -1,5 +1,6 @@
 """Core graded-commutative arithmetic, Hilbert functions, serialization."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from loopcomm.gradedalg import (
     print_presentation,
     quadratic_terms,
 )
+from loopcomm.gradedalg import _ideal_rows, _rank
 
 QQ = FieldSpec(0)
 
@@ -250,6 +252,58 @@ class TestIndecomposables:
         assert indecomposable_dimension(pres, 6) == 0
 
 
+def _indecomposables_by_enumeration(pres, degree):
+    """Reference: every monomial of the degree, modulo the ideal slice and all decomposables."""
+    if degree <= 0:
+        return 0
+    alg = pres.algebra
+    basis = alg.monomials_of_degree(degree)
+    index = {m: i for i, m in enumerate(basis)}
+    rows = _ideal_rows(pres, degree, index)
+    zero, one = alg.field.normalize(0), alg.field.normalize(1)
+    for m in basis:
+        if sum(m) >= 2:
+            row = [zero] * len(basis)
+            row[index[m]] = one
+            rows.append(row)
+    return len(basis) - _rank(rows, pres.field)
+
+
+def _random_presentation(rng, field):
+    gens = []
+    for i in range(rng.randint(1, 4)):
+        d = rng.randint(1, 6)
+        sqz = (d % 2 == 1 and field.characteristic != 2) or rng.random() < 0.3
+        gens.append(Generator(f"g{i}", d, sqz))
+    alg = Algebra(field, gens)
+    relations = []
+    for _ in range(rng.randint(0, 3)):
+        # relations in generator degrees often carry a linear part
+        degree = rng.choice(alg.degrees) if rng.random() < 0.6 else rng.randint(0, 8)
+        body = alg.zero()
+        for m in alg.monomials_of_degree(degree):
+            if rng.random() < 0.5:
+                body = body + alg.monomial(m, rng.randint(-3, 3))
+        relations.append(Relation(degree, "explicit", body))
+    return Presentation(alg, tuple(relations))
+
+
+class TestIndecomposablesDifferential:
+    @pytest.mark.parametrize("field", [QQ, FieldSpec(2), FieldSpec(3), FieldSpec(5)], ids=str)
+    def test_closed_form_matches_enumeration(self, field):
+        rng = random.Random(field.characteristic + 17)
+        for _ in range(100):
+            pres = _random_presentation(rng, field)
+            for d in range(11):
+                assert indecomposable_dimension(pres, d) == _indecomposables_by_enumeration(pres, d), (
+                    print_presentation(pres), d)
+
+    def test_unit_relation_kills_everything(self):
+        alg = q_algebra(Generator("x2", 2))
+        pres = Presentation(alg, (Relation(0, "explicit", alg.unit()),))
+        assert indecomposable_dimension(pres, 2) == _indecomposables_by_enumeration(pres, 2) == 0
+
+
 class TestCompleteIntersection:
     def test_accepts_truncated_polynomial(self):
         alg = q_algebra(Generator("x2", 2))
@@ -286,7 +340,9 @@ class TestCompleteIntersection:
         rel = Relation(8, "explicit", alg.monomial((4,)))
         assert is_complete_intersection(Presentation(alg, (rel,), formal_dimension=6))
         # a wrong recorded formal dimension is detected, not trusted
-        assert not is_complete_intersection(Presentation(alg, (rel,), formal_dimension=4))
+        for wrong in (4, 8):
+            with pytest.raises(HypothesisViolation, match=f"{wrong}.*6"):
+                is_complete_intersection(Presentation(alg, (rel,), formal_dimension=wrong))
 
     def test_palindromic_dimensions(self):
         alg = q_algebra(Generator("x4", 4), Generator("x6", 6), Generator("x8", 8))
