@@ -39,9 +39,7 @@ from .steenrod import (
     char_class_operation,
     check_steenrod_criterion,
     evaluate_on_suspension,
-    express_symmetric,
     torus_model,
-    total_operation_on_torus,
 )
 from .catalog import check, instantiate, report, route
 

@@ -34,7 +34,6 @@ from .gradedalg import (
     Algebra,
     FieldSpec,
     Generator,
-    Poly,
     Presentation,
     Relation,
     is_complete_intersection,
@@ -45,12 +44,13 @@ from .gradedalg import (
 )
 from .steenrod import (
     ClassifyingCrossCheck,
-    hook_component_e_top,
     SteenrodCriterionInstance,
     SteenrodOp,
     char_class_operation,
     check_steenrod_criterion,
     class_algebra,
+    restrict,
+    suspended_coefficient,
     suspension_moore,
     suspension_quasi_projective,
     suspension_rp,
@@ -292,29 +292,6 @@ def _cp_mod2_data(N: int) -> ExteriorActionData:
     return ExteriorActionData(pres, table, citation="total square of the projective-space generator")
 
 
-def _restricted_action(model, class_name, op, images, target_alg) -> Poly:
-    """One operation component of a classifying-space class pushed through a restriction table."""
-    component = char_class_operation(model, class_name, op)
-    calg = component.algebra
-    out = target_alg.zero()
-    for exps, coeff in component.terms.items():
-        term = target_alg.unit().scale(coeff)
-        for i, e in enumerate(exps):
-            if e == 0:
-                continue
-            img = images.get(calg.generators[i].name)
-            if img is None:
-                raise DataIncomplete(
-                    f"restriction image of {calg.generators[i].name} is not recorded"
-                )
-            for _ in range(e):
-                term = term * img
-            if term.is_zero:
-                break
-        out = out + term
-    return out
-
-
 def _power_candidates(n: int) -> list:
     """Operation degrees to try for the orthogonal-type criterion at rank n."""
     first = 2 if n % 4 in (0, 3) else 3
@@ -343,13 +320,15 @@ def _wu_steps(n: int, space: str, pres: Presentation, prefix: str, restriction="
     steps = []
     for b in _power_candidates(n):
         op = SteenrodOp("Sq", b, 2)
+        action, unresolved = restrict(char_class_operation(so, f"w{n}", op), images, pres)
+        if unresolved:
+            raise DataIncomplete(f"restriction images are not recorded for {', '.join(unresolved)}")
         criterion = SteenrodCriterionInstance(
             space=space,
             presentation=pres,
-            action={top: _restricted_action(so, f"w{n}", op, images, alg)},
+            action={top: action},
             action_provenance="derived",
             action_citation=_WU_CITE + " in BSO(n)" + restriction,
-            prime=2,
             op=op,
             a=top,
             b=f"{prefix}{b}",
@@ -422,29 +401,28 @@ def _cii_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
         citation="the classifying map CII(m,n) -> BSp(n) is a (4n+2)-equivalence for m >= n",
     )
     if p is not None:
-        prime, op, b_index, diagonal = p, SteenrodOp("P", 1, p), (p - 1) // 2, False
+        prime, op, b_index = p, SteenrodOp("P", 1, p), (p - 1) // 2
         label = f"Steenrod P^1 (p={p}) on BSp({n})"
     elif n >= 2:
-        prime, op, b_index, diagonal = 2, SteenrodOp("Sq", 4, 2), 1, False
+        prime, op, b_index = 2, SteenrodOp("Sq", 4, 2), 1
         label = f"Steenrod Sq^4 on BSp({n})"
     else:
         # n = 1: the mod-2 instance would need a = b, which condition (2) forbids;
         # the diagonal odd-primary instance at p = 3 satisfies condition (3) instead.
-        prime, op, b_index, diagonal = 3, SteenrodOp("P", 1, 3), 1, True
+        prime, op, b_index = 3, SteenrodOp("P", 1, 3), 1
         label = "Steenrod P^1 (p=3) on BSp(1)"
     model = torus_model("sp", n)
     alg = class_algebra(model, prime)
     pres = Presentation(alg)
     action = {f"q{n}": char_class_operation(model, f"q{n}", op)}
     source_a = suspension_quasi_projective(n, prime)
-    source_b = source_a if diagonal and b_index == n else suspension_quasi_projective(b_index, prime)
+    source_b = source_a if b_index == n else suspension_quasi_projective(b_index, prime)
     criterion = SteenrodCriterionInstance(
         space=f"BSp({n})",
         presentation=pres,
         action=action,
         action_provenance="derived",
         action_citation="mod-p " + _WU_CITE + " in BSp(n)",
-        prime=prime,
         op=op,
         a=f"q{n}",
         b=f"q{b_index}",
@@ -453,7 +431,6 @@ def _cii_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
         source_b=source_b,
         pullback_a={f"q{i}": f"sx{i}" for i in range(1, n + 1)},
         pullback_b={f"q{i}": (f"sx{i}" if i <= b_index else None) for i in range(1, n + 1)},
-        diagonal=diagonal,
         pullback_citation="quasi-projective restriction g*(q_i) = Sigma x_i (James)",
     )
     return CriterionPlan((SteenrodStep(criterion, lift=lift, label=label),))
@@ -484,7 +461,6 @@ def _bottom_cell_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
         action={gen: alg.gen(gen) + parse_poly(rec["value"], alg)},
         action_provenance="asserted",
         action_citation=rec["cite"],
-        prime=int(rec["prime"]),
         op=op,
         a=gen,
         b=gen,
@@ -493,7 +469,6 @@ def _bottom_cell_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
         source_b=sphere,
         pullback_a=dict(table),
         pullback_b=dict(table),
-        diagonal=True,
         pullback_citation=f"bottom cell S^8 -> {space} detecting {gen}",
     )
     return CriterionPlan((SteenrodStep(criterion, crosscheck=cc, label=f"Steenrod {op.label} on {space}"),))
@@ -505,16 +480,16 @@ def _g_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     images = {}
     for rec in ds.find("pullback", space="G"):
         images[rec["class"]] = parse_poly(rec["value"], alg)
-    so4 = torus_model("so", 4)
     op = SteenrodOp("Sq", 2, 2)
-    action = {"x3": _restricted_action(so4, "w3", op, images, alg)}
+    action, unresolved = restrict(char_class_operation(torus_model("so", 4), "w3", op), images, pres)
+    if unresolved:
+        raise DataIncomplete(f"restriction images are not recorded for {', '.join(unresolved)}")
     criterion = SteenrodCriterionInstance(
         space="G",
         presentation=pres,
-        action=action,
+        action={"x3": action},
         action_provenance="derived",
         action_citation=_WU_CITE + " in BSO(4), restricted along x_i = iota^*(w_i) (Borel-Hirzebruch)",
-        prime=2,
         op=op,
         a="x3",
         b="x2",
@@ -538,11 +513,12 @@ def _aii_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     for k in range(1, n):
         total = alg.gen(f"x{4 * k + 1}")
         for r in range(1, n - k):
-            # x_{4k+1} corresponds to c_{2k+1}; the suspension keeps only the
-            # linear coefficient of c_{2(k+r)+1} in Sq^{4r} c_{2k+1}
-            gamma = hook_component_e_top(2 * k + 1, 2 * r) % 2
-            if gamma:
-                total = total + alg.gen(f"x{4 * (k + r) + 1}").scale(gamma)
+            # x_{4k+1} suspends c_{2k+1}, and Sq^{4r} keeps the coefficient of
+            # c_{2(k+r)+1}; it does not depend on the rank, so read it at that class
+            top = 2 * (k + r) + 1
+            op = SteenrodOp("Sq", 4 * r, 2)
+            if suspended_coefficient(torus_model("su", top), f"c{2 * k + 1}", op, f"c{top}"):
+                total = total + alg.gen(f"x{4 * (k + r) + 1}")
         table[f"x{4 * k + 1}"] = total
     gm = ds.one("generating-map", space="AII")
     data = ExteriorActionData(

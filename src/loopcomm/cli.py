@@ -135,6 +135,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    if args.max is not None and args.max < 0:
+        raise ParameterError(f"--max must be a non-negative parameter cap, got {args.max}")
     rep = report(families=args.family, max_param=args.max)
     _emit(rep.to_dict(), rep.render_text(), args.format)
     return EXIT_OK
@@ -184,12 +186,8 @@ def _cmd_steenrod(args) -> int:
     op_family = "Sq" if m.group(1).lower() == "sq" else "P"
     k = int(m.group(2))
     prime = args.prime if args.prime is not None else 2
-    if op_family == "Sq" and prime != 2:
-        raise ParameterError("sq operations live at the prime 2")
-    if op_family == "P" and prime == 2:
-        raise ParameterError("p operations need an odd --prime")
-    model = torus_model(args.group, args.rank)
-    result = char_class_operation(model, getattr(args, "class"), SteenrodOp(op_family, k, prime))
+    op = SteenrodOp(op_family, k, prime)
+    result = char_class_operation(torus_model(args.group, args.rank), getattr(args, "class"), op)
     text = poly_to_text(result)
     payload = {
         "schema_version": 1,

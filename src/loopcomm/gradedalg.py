@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional
 
 
@@ -416,25 +417,20 @@ def _ideal_rows(pres: Presentation, degree: int, basis_index: dict) -> list:
 
 
 def hilbert_function(pres: Presentation, up_to: int) -> tuple:
-    """Dimension of each graded piece of the quotient, degrees 0..up_to.
+    """Dimension of each graded piece of the quotient, degrees 0..up_to."""
+    if not pres.all_explicit:
+        raise UnsupportedPresentation("hilbert_function requires explicit relations")
+    return tuple(graded_dimension(pres, d) for d in range(up_to + 1))
+
+
+@lru_cache(maxsize=None)
+def graded_dimension(pres: Presentation, degree: int) -> int:
+    """Dimension of a single graded piece of the quotient.
 
     Exact degreewise linear algebra: the degree-d basis is the set of canonical
     monomials of degree d, and the ideal slice is spanned by all products
     m * rho with deg(m * rho) = d.
     """
-    if not pres.all_explicit:
-        raise UnsupportedPresentation("hilbert_function requires explicit relations")
-    dims = []
-    for d in range(up_to + 1):
-        basis = pres.algebra.monomials_of_degree(d)
-        index = {m: i for i, m in enumerate(basis)}
-        rows = _ideal_rows(pres, d, index)
-        dims.append(len(basis) - _rank(rows, pres.field))
-    return tuple(dims)
-
-
-def graded_dimension(pres: Presentation, degree: int) -> int:
-    """Dimension of a single graded piece of the quotient."""
     if not pres.all_explicit:
         raise UnsupportedPresentation("graded dimension requires explicit relations")
     basis = pres.algebra.monomials_of_degree(degree)

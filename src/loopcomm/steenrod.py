@@ -12,7 +12,6 @@ and the six-condition criterion consumes both.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -57,120 +56,10 @@ def binomial(m: int, t: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# torus polynomials: dict exponent-tuple -> int
-
-
-def tp_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, 0) + ca * cb
-    return {e: c for e, c in out.items() if c}
-
-
-def tp_unit(nvars: int) -> dict:
-    return {(0,) * nvars: 1}
-
-
-def elementary(nvars: int, k: int, power: int = 1) -> dict:
-    """Elementary symmetric polynomial e_k(t_1^power, ..., t_n^power)."""
-    if k < 0 or k > nvars:
-        return {}
-    out = {}
-    for subset in itertools.combinations(range(nvars), k):
-        exps = [0] * nvars
-        for j in subset:
-            exps[j] = power
-        out[tuple(exps)] = 1
-    return out
-
-
-def total_operation_on_torus(poly: dict, family: str, prime: int, var_degree: int) -> dict:
-    """Multiplicative extension of t -> t + t^prime, exact integer coefficients.
-
-    Sq requires prime 2 (variables of degree 1 or 2); P requires an odd prime
-    and degree-2 variables.
-    """
-    if family == "Sq":
-        if prime != 2:
-            raise ContractViolation("Sq operations live at the prime 2")
-    elif family == "P":
-        if prime == 2 or var_degree != 2:
-            raise ContractViolation("power operations require an odd prime and degree-2 variables")
-    else:
-        raise ContractViolation(f"unknown operation family {family!r}")
-    if var_degree not in (1, 2):
-        raise ContractViolation("torus variables must have degree 1 or 2")
-    out: dict = {}
-    for exps, coeff in poly.items():
-        # expand prod_j (t_j + t_j^p)^{e_j} one variable at a time
-        partial = {exps: coeff}
-        for j, e in enumerate(exps):
-            if e == 0:
-                continue
-            nxt: dict = {}
-            for pe, pc in partial.items():
-                for c in range(e + 1):
-                    b = binomial(e, c)
-                    ne = list(pe)
-                    ne[j] = e + c * (prime - 1)
-                    ne = tuple(ne)
-                    nxt[ne] = nxt.get(ne, 0) + pc * b
-            partial = nxt
-        for e, c in partial.items():
-            out[e] = out.get(e, 0) + c
-    return {e: c for e, c in out.items() if c}
-
-
-def symmetry_violation(poly: dict, nvars: int) -> Optional[tuple]:
-    """The first adjacent transposition under which the polynomial moves, if any."""
-    for i in range(nvars - 1):
-        swapped = {}
-        for e, c in poly.items():
-            se = list(e)
-            se[i], se[i + 1] = se[i + 1], se[i]
-            swapped[tuple(se)] = c
-        if swapped != poly:
-            return (i, i + 1)
-    return None
-
-
-# ---------------------------------------------------------------------------
 # symmetric polynomials in the partition basis: dict partition -> int, the
 # coefficient of the monomial symmetric polynomial m_lambda.  A partition is a
 # non-increasing tuple of positive parts, () being the constant 1; tuple order
 # on partitions is the lex order on their zero-padded exponent vectors.
-
-
-def _orbit_size(exps: tuple) -> int:
-    """Number of distinct permutations of an exponent vector."""
-    out = math.factorial(len(exps))
-    for mult in Counter(exps).values():
-        out //= math.factorial(mult)
-    return out
-
-
-def _partition_coefficients(poly: dict, nvars: int) -> dict:
-    """The m_lambda coefficients of a symmetric torus polynomial.
-
-    A polynomial is symmetric exactly when every term carries the coefficient
-    of its sorted exponent vector and every orbit is complete, so one pass
-    decides it; the transposition search runs only to name a violation.
-    """
-    poly = {e: c for e, c in poly.items() if c}
-    orbits: Counter = Counter()
-    symmetric = True
-    for e, c in poly.items():
-        key = tuple(sorted(e, reverse=True))
-        if poly.get(key) != c:
-            symmetric = False
-            break
-        orbits[key] += 1
-    if not symmetric or any(n != _orbit_size(key) for key, n in orbits.items()):
-        bad = symmetry_violation(poly, nvars)
-        raise ContractViolation(f"input not symmetric: moves under transposition {bad}")
-    return {tuple(x for x in key if x): poly[key] for key in orbits}
 
 
 def _pieri(lam: tuple, k: int, nvars: int) -> list:
@@ -256,32 +145,6 @@ def _e_coefficients(mcoeffs: dict, nvars: int, prime: int = 0) -> dict:
             else:
                 work.pop(nu, None)
     return out
-
-
-def express_symmetric(poly: dict, nvars: int) -> dict:
-    """Unique expression of a symmetric polynomial in e_1..e_n.
-
-    Eliminates on the m_lambda coefficients, one per orbit of exponent
-    vectors.  Raises naming a violating transposition when the input is not
-    symmetric.
-    """
-    return _e_coefficients(_partition_coefficients(poly, nvars), nvars)
-
-
-@lru_cache(maxsize=None)
-def hook_component_e_top(j: int, c: int) -> int:
-    """Coefficient of e_{j+c} in the e-expansion of m_{(2^c, 1^{j-c})}.
-
-    This is the linear (indecomposable) coefficient of the weight-(j+c)
-    component of the total operation on e_j; it is stable in the number of
-    variables, so it is computed at the minimal rank j+c.
-    """
-    if c > j:
-        return 0  # at most j factors of e_j can be squared
-    n = j + c
-    e_terms = _e_coefficients({(2,) * c + (1,) * (j - c): 1}, n)
-    top = tuple(1 if k == n - 1 else 0 for k in range(n))
-    return e_terms.get(top, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -386,19 +249,10 @@ def class_algebra(model: TorusModel, prime: int) -> Algebra:
 
 
 def _classes_from_e(model: TorusModel, e_terms: dict, prime: int) -> Poly:
-    alg = class_algebra(model, prime)
-    names = model.class_names()
-    offset = 2 if model.kill_e1 else 1
-    out = alg.zero()
-    for e_exps, coeff in e_terms.items():
-        if model.kill_e1 and e_exps[0]:
-            continue  # w1 = 0
-        exps = [0] * len(names)
-        for k, mult in enumerate(e_exps, start=1):
-            if mult and k >= offset:
-                exps[k - offset] = mult
-        out = out + alg.monomial(tuple(exps), coeff)
-    return out
+    skip = 1 if model.kill_e1 else 0  # w1 = 0
+    return class_algebra(model, prime).poly(
+        {e_exps[skip:]: c for e_exps, c in e_terms.items() if not (skip and e_exps[0])}
+    )
 
 
 def _op_compatible(model: TorusModel, op: SteenrodOp) -> None:
@@ -455,18 +309,6 @@ def char_class_operation(model: TorusModel, class_name: str, op: SteenrodOp) -> 
     return _classes_from_e(model, _e_coefficients(mcoeffs, model.rank, op.prime), op.prime)
 
 
-@lru_cache(maxsize=None)
-def total_char_class_operation(model: TorusModel, class_name: str, family: str, prime: int) -> Poly:
-    """Full total operation of a characteristic class: the sum of its components."""
-    _op_compatible(model, SteenrodOp(family, 0, prime))
-    i = model.class_index(class_name)
-    total = class_algebra(model, prime).zero()
-    for raise_by in range(model.class_power * i + 1):
-        k = raise_by * model.var_degree if family == "Sq" else raise_by
-        total = total + char_class_operation(model, class_name, SteenrodOp(family, k, prime))
-    return total
-
-
 # ---------------------------------------------------------------------------
 # suspension models
 
@@ -503,32 +345,32 @@ def suspension_rp(m: int) -> SuspensionModel:
     return SuspensionModel(f"Sigma RP^{m}", classes, actions, citation="Cartan iteration of Sq u = u + u^2")
 
 
+def suspended_coefficient(model: TorusModel, class_name: str, op: SteenrodOp, target: str) -> int:
+    """Coefficient of the class `target` alone in one operation component.
+
+    The cohomology suspension kills decomposables, so this linear coefficient
+    is all of the component that survives on a suspension.
+    """
+    component = char_class_operation(model, class_name, op)
+    return int(component.coefficient(tuple(int(g.name == target) for g in component.algebra.generators)))
+
+
 @lru_cache(maxsize=None)
 def suspension_quasi_projective(m: int, prime: int) -> SuspensionModel:
     """Sigma Q_m: classes Sigma x_i (degree 4i); actions induced from BSp(m)."""
     classes = [(f"sx{i}", 4 * i) for i in range(1, m + 1)]
     actions = {}
     model = torus_model("sp", m)
+    family, unit = ("Sq", 4) if prime == 2 else ("P", 1)
     for i in range(1, m + 1):
-        if prime == 2:
-            for c in range(1, m - i + 1):
-                coeff = char_class_operation(model, f"q{i}", SteenrodOp("Sq", 4 * c, 2))
-                gamma = coeff.coefficient(
-                    tuple(1 if j == i + c - 1 else 0 for j in range(m))
-                )
-                if gamma:
-                    actions[(f"sx{i}", "Sq", 4 * c)] = ((int(gamma), f"sx{i + c}"),)
-        else:
-            half = (prime - 1) // 2
-            kmax = (m - i) // half if half else 0
-            for k in range(1, kmax + 1):
-                coeff = char_class_operation(model, f"q{i}", SteenrodOp("P", k, prime))
-                tgt = i + k * half
-                gamma = coeff.coefficient(
-                    tuple(1 if j == tgt - 1 else 0 for j in range(m))
-                )
-                if gamma:
-                    actions[(f"sx{i}", "P", k)] = ((int(gamma), f"sx{tgt}"),)
+        for k in range(unit, unit * (m - i) + 1, unit):
+            op = SteenrodOp(family, k, prime)
+            tgt = i + op.shift // 4
+            if tgt > m:
+                break
+            gamma = suspended_coefficient(model, f"q{i}", op, f"q{tgt}")
+            if gamma:
+                actions[(f"sx{i}", family, k)] = ((gamma, f"sx{tgt}"),)
     return SuspensionModel(
         f"Sigma Q_{m}",
         classes,
@@ -608,8 +450,7 @@ class SteenrodCriterionInstance:
     """Everything the six-condition Whitehead-product check consumes.
 
     a is detected by the first map (table pullback_a, source source_a) and b by
-    the second; `diagonal` records that the two maps, sources and classes are
-    literally equal (the odd-primary equal-degree case).
+    the second; the operation fixes the prime.
     """
 
     space: str
@@ -617,7 +458,6 @@ class SteenrodCriterionInstance:
     action: dict  # generator name -> Poly holding the component of degree |x| + shift
     action_provenance: str
     action_citation: str
-    prime: int
     op: SteenrodOp
     a: str
     b: str
@@ -626,7 +466,6 @@ class SteenrodCriterionInstance:
     source_b: SuspensionModel
     pullback_a: dict  # generator name -> suspension class name, or None for zero
     pullback_b: dict
-    diagonal: bool = False
     pullback_citation: str = ""
 
 
@@ -656,35 +495,40 @@ def _product_monomial(pres: Presentation, a: str, b: str):
     return tuple(exps)
 
 
+def restrict(poly: Poly, images: dict, target: Presentation) -> tuple:
+    """Push a class-algebra polynomial through a restriction table.
+
+    `images` maps class names to polynomials on the target.  Returns the image
+    of the terms whose classes all restrict, and the texts of the terms with a
+    class that does not; a class of a degree in which the target is zero
+    restricts to zero whether or not its image is recorded.
+    """
+    alg, zero = poly.algebra, target.algebra.zero()
+    image, unresolved = zero, []
+    for exps, coeff in sorted(poly.terms.items()):
+        term = target.algebra.unit().scale(coeff)
+        for gen, e in zip(alg.generators, exps):
+            if not e:
+                continue
+            img = images.get(gen.name)
+            if img is None and graded_dimension(target, gen.degree) == 0:
+                img = zero
+            if img is None:
+                text = monomial_text(alg, exps)
+                unresolved.append(text if coeff == 1 else f"{coeff}*{text}")
+                break
+            for _ in range(e):
+                term = term * img
+        else:
+            image = image + term
+    return image, unresolved
+
+
 def _run_crosscheck(inst: SteenrodCriterionInstance, cc: ClassifyingCrossCheck, theta_x: Poly):
     """Compare the recorded action against the splitting-principle computation."""
     entries = []
     computed = char_class_operation(cc.model, cc.class_name, inst.op)
-    calg = computed.algebra
-    space_alg = inst.presentation.algebra
-    resolved = space_alg.zero()
-    surfaced = []
-    for exps, coeff in sorted(computed.terms.items()):
-        image = space_alg.unit().scale(coeff)
-        status = "resolved"
-        for i, e in enumerate(exps):
-            if e == 0:
-                continue
-            cname = calg.generators[i].name
-            img = cc.pullback.get(cname)
-            if img is None:
-                cdeg = calg.generators[i].degree
-                if graded_dimension(inst.presentation, cdeg) == 0:
-                    img = space_alg.zero()  # restriction killed by an empty degree
-                else:
-                    status = "unresolved"
-                    break
-            for _ in range(e):
-                image = image * img
-        if status == "unresolved":
-            surfaced.append(monomial_text(calg, exps) if coeff == 1 else f"{coeff}*{monomial_text(calg, exps)}")
-        else:
-            resolved = resolved + image
+    resolved, surfaced = restrict(computed, cc.pullback, inst.presentation)
     entries.append(
         TranscriptEntry(
             MACHINE,
@@ -736,8 +580,6 @@ def check_steenrod_criterion(
         raise ContractViolation(
             f"degree mismatch: |theta(x)| = {dx + inst.op.shift} but |a| + |b| = {da + db}"
         )
-    if inst.op.prime != inst.prime:
-        raise ContractViolation("operation prime differs from the instance prime")
     transcript = [
         TranscriptEntry(
             MACHINE,
@@ -772,7 +614,7 @@ def check_steenrod_criterion(
     )
 
     # (2) at p = 2 the second map must kill a
-    if inst.prime == 2:
+    if inst.op.prime == 2:
         if inst.pullback_b.get(inst.a) is not None:
             return refuse("2", f"{inst.a} does not pull back to zero on {inst.source_b.base}")
         transcript.append(
@@ -780,8 +622,9 @@ def check_steenrod_criterion(
         )
 
     # (3) equal odd-primary degrees force the diagonal instance
-    if inst.prime != 2 and da == db:
-        if not inst.diagonal:
+    if inst.op.prime != 2 and da == db:
+        diagonal = inst.a == inst.b and inst.source_a is inst.source_b and inst.pullback_a == inst.pullback_b
+        if not diagonal:
             return refuse("3", "|a| = |b| at an odd prime requires equal sources, maps and classes")
         transcript.append(
             TranscriptEntry(

@@ -29,10 +29,9 @@ from loopcomm.steenrod import (
     class_algebra,
     suspension_rp,
     torus_model,
-    total_operation_on_torus,
-    tp_mul,
 )
 from loopcomm.sullivan import build_formal_model, check_d_squared
+from torus_reference import total_operation_on_torus, tp_mul
 
 
 def _line(num, name, ok):

@@ -98,7 +98,8 @@ class TestRouting:
     def test_cii_rank_one_diagonal(self):
         plan = route(instantiate("CII", (3, 1)))
         inst = plan.steps[0].instance
-        assert inst.diagonal and inst.prime == 3
+        assert inst.op.prime == 3 and inst.a == inst.b
+        assert inst.source_a is inst.source_b and inst.pullback_a == inst.pullback_b
 
     def test_cp3_plan_carries_exception(self):
         plan = route(instantiate("AIII", (1, 3)))

@@ -41,6 +41,12 @@ class TestExitCodes:
         code, _, err = run(capsys, "report", "--family", "XYZ")
         assert code == 1
 
+    def test_negative_report_cap_is_one(self, capsys):
+        code, out, err = run(capsys, "report", "--max", "-1")
+        assert code == 1
+        assert out == ""
+        assert "--max" in err
+
     def test_ai_64_certifies(self, capsys):
         # condition (4) reads one degree of the indecomposables, not every monomial of it
         code, out, _ = run(capsys, "check", "AI", "--n", "64")

@@ -1,13 +1,12 @@
 """Splitting-principle engine, Wu oracle, suspension models, criterion checker."""
 
-import functools
 import itertools
 import math
 import random
-import re
 
 import pytest
 
+from loopcomm.catalog import instantiate, route
 from loopcomm.cli import main as cli_main
 from loopcomm.criteria import Certificate, DataIncomplete, Refusal
 from loopcomm.gradedalg import (
@@ -16,6 +15,7 @@ from loopcomm.gradedalg import (
     FieldSpec,
     Generator,
     Presentation,
+    Relation,
     poly_to_text,
 )
 from loopcomm.steenrod import (
@@ -24,22 +24,28 @@ from loopcomm.steenrod import (
     ClassifyingCrossCheck,
     SteenrodCriterionInstance,
     SteenrodOp,
+    SuspensionModel,
+    _e_coefficients,
     binomial,
     char_class_operation,
     check_steenrod_criterion,
     class_algebra,
-    elementary,
     evaluate_on_suspension,
-    express_symmetric,
-    hook_component_e_top,
     product_slice_vanishes,
+    restrict,
+    suspended_coefficient,
     suspension_moore,
     suspension_quasi_projective,
     suspension_rp,
     suspension_sphere,
-    symmetry_violation,
     torus_model,
-    total_char_class_operation,
+)
+from torus_reference import (
+    elementary,
+    m_coefficients,
+    ref_express_symmetric,
+    ref_hook_component_e_top,
+    ref_total_char_class_operation,
     total_operation_on_torus,
     tp_mul,
     tp_unit,
@@ -102,19 +108,18 @@ class TestTotalOperation:
 
 
 class TestExpressSymmetric:
+    """Re-expression of partition-basis input over e_1..e_n by `_e_coefficients`."""
+
     def test_power_sum_two_vars(self):
-        # t1^2 + t2^2 = e1^2 - 2 e2
-        poly = {(2, 0): 1, (0, 2): 1}
-        assert express_symmetric(poly, 2) == {(2, 0): 1, (0, 1): -2}
+        # t1^2 + t2^2 = m_(2) = e1^2 - 2 e2
+        assert _e_coefficients({(2,): 1}, 2) == {(2, 0): 1, (0, 1): -2}
 
     def test_elementary_fixed_point(self):
-        e3 = elementary(4, 3)
-        assert express_symmetric(e3, 4) == {(0, 0, 1, 0): 1}
+        assert _e_coefficients(m_coefficients(elementary(4, 3)), 4) == {(0, 0, 1, 0): 1}
 
     def test_power_sum_three_vars(self):
         # t1^3 + t2^3 + t3^3 = e1^3 - 3 e1 e2 + 3 e3
-        poly = {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1}
-        assert express_symmetric(poly, 3) == {(3, 0, 0): 1, (1, 1, 0): -3, (0, 0, 1): 3}
+        assert _e_coefficients({(3,): 1}, 3) == {(3, 0, 0): 1, (1, 1, 0): -3, (0, 0, 1): 3}
 
     def test_numeric_evaluation_oracle(self):
         rng = random.Random(11)
@@ -126,7 +131,7 @@ class TestExpressSymmetric:
             c = rng.randint(1, 5)
             for perm in set(itertools.permutations(shape)):
                 sym[perm] = sym.get(perm, 0) + c
-        e_terms = express_symmetric(sym, n)
+        e_terms = _e_coefficients(m_coefficients(sym), n)
         for _ in range(5):
             vals = [rng.randint(-3, 3) for _ in range(n)]
             lhs = sum(c * prod(v**e for v, e in zip(vals, exps)) for exps, c in sym.items())
@@ -136,10 +141,6 @@ class TestExpressSymmetric:
             ]
             rhs = sum(c * prod(es[k + 1] ** m for k, m in enumerate(exps)) for exps, c in e_terms.items())
             assert lhs == rhs
-
-    def test_non_symmetric_rejected_with_transposition(self):
-        with pytest.raises(ContractViolation, match=r"\(0, 1\)"):
-            express_symmetric({(2, 0): 1}, 2)
 
     def test_inverse_of_substitution_on_e_polynomials(self):
         # expanding an e-polynomial and re-expressing it is the identity
@@ -163,11 +164,7 @@ class TestExpressSymmetric:
                 for m, v in term.items():
                     expanded[m] = expanded.get(m, 0) + v * c
             expanded = {k: v for k, v in expanded.items() if v}
-            assert express_symmetric(expanded, n) == e_poly
-
-    def test_symmetry_violation_detection(self):
-        assert symmetry_violation({(1, 1): 1}, 2) is None
-        assert symmetry_violation({(2, 1): 1}, 2) == (0, 1)
+            assert _e_coefficients(m_coefficients(expanded), n) == e_poly
 
 
 def prod(it):
@@ -272,12 +269,17 @@ class TestCharClassOperations:
             char_class_operation(torus_model("so", 4), "w4", SteenrodOp("P", 1, 3))
 
     def test_hook_coefficient_matches_unitary_model(self):
-        for j, c in [(2, 1), (3, 1), (3, 2), (4, 2), (5, 2), (5, 4)]:
-            full = char_class_operation(
-                torus_model("su", j + c), f"c{j}", SteenrodOp("Sq", 2 * c, 2)
-            )
-            exps = tuple(1 if i == j + c - 1 else 0 for i in range(j + c))
-            assert int(full.coefficient(exps)) == hook_component_e_top(j, c) % 2
+        # the AII table: Sq^{4r} x_{4k+1} has x_{4(k+r)+1} exactly when the linear
+        # coefficient of c_{2(k+r)+1} in Sq^{4r} c_{2k+1} is odd
+        n = 5
+        table = route(instantiate("AII", (n,))).steps[0].data.sq_table
+        alg = table["x5"].algebra
+        for k in range(1, n):
+            want = alg.gen(f"x{4 * k + 1}")
+            for r in range(1, n - k):
+                if ref_hook_component_e_top(2 * k + 1, 2 * r) % 2:
+                    want = want + alg.gen(f"x{4 * (k + r) + 1}")
+            assert table[f"x{4 * k + 1}"] == want, k
 
 
 class TestPropertySuite:
@@ -330,73 +332,7 @@ def _monomials(n, d):
 
 # ---------------------------------------------------------------------------
 # differential checks of the partition-basis, degree-targeted engine against
-# a full expansion over torus monomials
-
-
-def ref_express_symmetric(poly, nvars):
-    """Leading-term elimination over torus monomials, with e-products built by tp_mul."""
-    work = dict(poly)
-    out = {}
-    while work:
-        lam = max(work)
-        padded = list(lam) + [0]
-        e_exps = tuple(padded[k] - padded[k + 1] for k in range(nvars))
-        c = work[lam]
-        out[e_exps] = out.get(e_exps, 0) + c
-        prod_ = tp_unit(nvars)
-        for k, mult in enumerate(e_exps, start=1):
-            for _ in range(mult):
-                prod_ = tp_mul(prod_, elementary(nvars, k))
-        for e, pc in prod_.items():
-            v = work.get(e, 0) - c * pc
-            if v:
-                work[e] = v
-            else:
-                work.pop(e, None)
-    return {e: c for e, c in out.items() if c}
-
-
-@functools.lru_cache(maxsize=None)
-def ref_total_char_class_operation(model, class_name, family, prime):
-    """The whole total operation, expanded over every torus monomial, in classes."""
-    i = model.class_index(class_name)
-    f = elementary(model.rank, i, power=model.class_power)
-    total = total_operation_on_torus(f, family, prime, model.var_degree)
-    if model.class_power == 2:
-        total = {e: c % prime for e, c in total.items() if c % prime}
-        assert all(x % 2 == 0 for e in total for x in e)
-        total = {tuple(x // 2 for x in e): c for e, c in total.items()}
-    alg = class_algebra(model, prime)
-    offset = 2 if model.kill_e1 else 1
-    out = alg.zero()
-    for e_exps, coeff in ref_express_symmetric(total, model.rank).items():
-        if model.kill_e1 and e_exps[0]:
-            continue
-        exps = [0] * len(alg.generators)
-        for k, mult in enumerate(e_exps, start=1):
-            if mult and k >= offset:
-                exps[k - offset] = mult
-        out = out + alg.monomial(tuple(exps), coeff)
-    return out
-
-
-def ref_hook_component_e_top(j, c):
-    """Monomial-enumeration version: expand every monomial of m_(2^c, 1^(j-c))."""
-    if c > j:
-        return 0
-    n = j + c
-    mono = {}
-    for twos in itertools.combinations(range(n), c):
-        rest = [i for i in range(n) if i not in twos]
-        for ones in itertools.combinations(rest, j - c):
-            exps = [0] * n
-            for i in twos:
-                exps[i] = 2
-            for i in ones:
-                exps[i] = 1
-            mono[tuple(exps)] = 1
-    top = tuple(1 if k == n - 1 else 0 for k in range(n))
-    return ref_express_symmetric(mono, n).get(top, 0)
+# a full expansion over torus monomials (tests/torus_reference.py)
 
 
 def _random_symmetric(rng, n):
@@ -419,34 +355,40 @@ def _ops_for(model):
     return ops
 
 
+def _hook_read(j, c):
+    """The AII read: coefficient of c_{j+c} alone in Sq^{2c} c_j, at rank j + c."""
+    op = SteenrodOp("Sq", 2 * c, 2)
+    return suspended_coefficient(torus_model("su", j + c), f"c{j}", op, f"c{j + c}")
+
+
+def ref_quasi_projective_actions(m, prime):
+    """The stable action table of Sigma Q_m, read off the full torus expansion.
+
+    The coefficient of q_t alone in an operation on q_i does not depend on the
+    rank, so it is read at rank t, from the weight-t component.
+    """
+    family, step = ("Sq", 1) if prime == 2 else ("P", 2 * (prime - 1))
+    actions = {}
+    for t in range(2, m + 1):
+        model = torus_model("sp", t)
+        for i in range(1, t):
+            shift = 4 * (t - i)
+            if shift % step:
+                continue
+            full = ref_total_char_class_operation(model, f"q{i}", family, prime, weight=t)
+            gamma = int(full.coefficient(tuple(int(g == t - 1) for g in range(t))))
+            if gamma:
+                actions[(f"sx{i}", family, shift // step)] = ((gamma, f"sx{t}"),)
+    return actions
+
+
 class TestPartitionEngineDifferential:
     def test_express_symmetric_on_random_symmetric_inputs(self):
         rng = random.Random(31)
         for _ in range(60):
             n = rng.randint(1, 5)
             poly = _random_symmetric(rng, n)
-            assert express_symmetric(poly, n) == ref_express_symmetric(poly, n)
-
-    def test_non_symmetric_inputs_rejected_naming_the_transposition(self):
-        rng = random.Random(37)
-        cases = [
-            {(0, 2): 1},  # sorted representative absent
-            {(2, 0, 0): 1, (0, 2, 0): 1},  # equal coefficients, incomplete orbit
-            {(1, 0): 1, (0, 1): 2},  # complete orbit, unequal coefficients
-        ]
-        for _ in range(30):
-            n = rng.randint(2, 5)
-            poly = _random_symmetric(rng, n)
-            moved = sorted(e for e in poly if len(set(e)) > 1)
-            if moved:
-                poly[moved[rng.randrange(len(moved))]] += rng.choice((-1, 1))
-                cases.append({e: c for e, c in poly.items() if c})
-        for poly in cases:
-            n = len(next(iter(poly)))
-            bad = symmetry_violation(poly, n)
-            assert bad is not None
-            with pytest.raises(ContractViolation, match=re.escape(str(bad))):
-                express_symmetric(poly, n)
+            assert _e_coefficients(m_coefficients(poly), n) == ref_express_symmetric(poly, n)
 
     @pytest.mark.parametrize("group", sorted(_GROUPS))
     def test_char_class_operation_matches_full_expansion(self, group):
@@ -459,14 +401,11 @@ class TestPartitionEngineDifferential:
                     full = ref_total_char_class_operation(model, name, op.family, op.prime)
                     want = full.degree_component(model.class_degree(i) + op.shift)
                     assert char_class_operation(model, name, op) == want, (group, rank, name, op)
-                for family, prime in {(op.family, op.prime) for op in _ops_for(model)}:
-                    full = ref_total_char_class_operation(model, name, family, prime)
-                    assert total_char_class_operation(model, name, family, prime) == full
 
     def test_hook_component_matches_monomial_enumeration(self):
-        for j in range(0, 9):
+        for j in range(1, 9):
             for c in range(0, 9 - j):
-                assert hook_component_e_top(j, c) == ref_hook_component_e_top(j, c), (j, c)
+                assert _hook_read(j, c) == ref_hook_component_e_top(j, c) % 2, (j, c)
 
     def test_hook_component_matches_closed_form_at_larger_ranks(self):
         # modulo decomposables m_lambda = (-1)^(n-l) n (l-1)! / prod_v mult_v! e_n,
@@ -477,7 +416,12 @@ class TestPartitionEngineDifferential:
                 want = (-1) ** c * n * math.factorial(j - 1) // (
                     math.factorial(c) * math.factorial(j - c)
                 )
-                assert hook_component_e_top(j, c) == want, (j, c)
+                assert _hook_read(j, c) == want % 2, (j, c)
+
+    @pytest.mark.parametrize("prime", [2, 3, 5, 7])
+    def test_quasi_projective_actions_match_full_expansion(self, prime):
+        for m in range(1, 9):
+            assert suspension_quasi_projective(m, prime).actions == ref_quasi_projective_actions(m, prime), m
 
 
 class TestSuspensionModels:
@@ -554,17 +498,8 @@ def _ai_instance(n, b, mutate_source_b=None):
     gens = [Generator(f"v{i}", i, squares_to_zero=True) for i in range(2, n + 1)]
     alg = Algebra(FieldSpec(2), gens)
     pres = Presentation(alg)
-    model = torus_model("so", n)
-    total = total_char_class_operation(model, f"w{n}", "Sq", 2)
-    calg = total.algebra
-    action = alg.zero()
-    for exps, coeff in total.terms.items():
-        term = alg.unit().scale(coeff)
-        for i, e in enumerate(exps):
-            name = "v" + calg.generators[i].name[1:]
-            for _ in range(e):
-                term = term * alg.gen(name)
-        action = action + term
+    component = char_class_operation(torus_model("so", n), f"w{n}", SteenrodOp("Sq", b, 2))
+    action, _ = restrict(component, {f"w{i}": alg.gen(f"v{i}") for i in range(2, n + 1)}, pres)
     source_b = mutate_source_b or suspension_rp(b - 1)
     return SteenrodCriterionInstance(
         space=f"AI({n})",
@@ -572,7 +507,6 @@ def _ai_instance(n, b, mutate_source_b=None):
         action={f"v{n}": action},
         action_provenance="derived",
         action_citation="splitting principle",
-        prime=2,
         op=SteenrodOp("Sq", b, 2),
         a=f"v{n}",
         b=f"v{b}",
@@ -582,6 +516,40 @@ def _ai_instance(n, b, mutate_source_b=None):
         pullback_a={f"v{i}": f"su{i - 1}" for i in range(2, n + 1)},
         pullback_b={f"v{i}": (f"su{i - 1}" if i - 1 <= b - 1 else None) for i in range(2, n + 1)},
         pullback_citation="reflection restriction",
+    )
+
+
+def _ei_instance(square, citation):
+    """Diagonal bottom-cell instance at p = 5 with P^1 x8 = square(algebra)."""
+    alg = Algebra(
+        FieldSpec(5),
+        [Generator("x8", 8), Generator("x9", 9, True), Generator("x17", 17, True)],
+    )
+    pres = Presentation(alg, (Relation(24, "explicit", alg.monomial((3, 0, 0))),))
+    sphere = suspension_sphere(8)
+    return SteenrodCriterionInstance(
+        space="EI",
+        presentation=pres,
+        action={"x8": alg.gen("x8") + square(alg)},
+        action_provenance="asserted",
+        action_citation=citation,
+        op=SteenrodOp("P", 1, 5),
+        a="x8",
+        b="x8",
+        x="x8",
+        source_a=sphere,
+        source_b=sphere,
+        pullback_a={"x8": "s8", "x9": None, "x17": None},
+        pullback_b={"x8": "s8", "x9": None, "x17": None},
+    )
+
+
+def _ei_crosscheck(inst):
+    return ClassifyingCrossCheck(
+        model=torus_model("psp4", 4),
+        class_name="q2",
+        pullback={"q2": inst.presentation.algebra.gen("x8")},
+        citation="degree argument",
     )
 
 
@@ -622,39 +590,8 @@ class TestCriterionChecker:
 
     def test_crosscheck_surfaces_unrecorded_terms(self):
         # EI-style: P^1 q2 has a q4 term whose restriction image is unrecorded
-        alg = Algebra(
-            FieldSpec(5),
-            [Generator("x8", 8), Generator("x9", 9, True), Generator("x17", 17, True)],
-        )
-        from loopcomm.gradedalg import Relation
-
-        pres = Presentation(alg, (Relation(24, "explicit", alg.monomial((3, 0, 0))),))
-        total = alg.gen("x8") + alg.monomial((2, 0, 0))
-        sphere = suspension_sphere(8)
-        inst = SteenrodCriterionInstance(
-            space="EI",
-            presentation=pres,
-            action={"x8": total},
-            action_provenance="asserted",
-            action_citation="recorded restriction",
-            prime=5,
-            op=SteenrodOp("P", 1, 5),
-            a="x8",
-            b="x8",
-            x="x8",
-            source_a=sphere,
-            source_b=sphere,
-            pullback_a={"x8": "s8", "x9": None, "x17": None},
-            pullback_b={"x8": "s8", "x9": None, "x17": None},
-            diagonal=True,
-        )
-        cc = ClassifyingCrossCheck(
-            model=torus_model("psp4", 4),
-            class_name="q2",
-            pullback={"q2": alg.gen("x8")},
-            citation="degree argument",
-        )
-        result = check_steenrod_criterion(inst, cc)
+        inst = _ei_instance(lambda alg: alg.monomial((2, 0, 0)), "recorded restriction")
+        result = check_steenrod_criterion(inst, _ei_crosscheck(inst))
         assert isinstance(result, Certificate)
         surfaced = [e for e in result.transcript if "surfaced unresolved" in e.description]
         assert surfaced and "3*q4" in surfaced[0].description
@@ -664,39 +601,17 @@ class TestCriterionChecker:
     def test_crosscheck_discrepancy_reported_not_resolved(self):
         # a corrupted recorded action disagrees with the resolved cross-check image;
         # the discrepancy is reported in the transcript, never silently fixed
-        alg = Algebra(
-            FieldSpec(5),
-            [Generator("x8", 8), Generator("x9", 9, True), Generator("x17", 17, True)],
-        )
-        from loopcomm.gradedalg import Relation
-
-        pres = Presentation(alg, (Relation(24, "explicit", alg.monomial((3, 0, 0))),))
-        corrupted = alg.gen("x8") + alg.monomial((2, 0, 0), 2)  # claims P^1 x8 = 2 x8^2
-        sphere = suspension_sphere(8)
-        inst = SteenrodCriterionInstance(
-            space="EI",
-            presentation=pres,
-            action={"x8": corrupted},
-            action_provenance="asserted",
-            action_citation="corrupted for the test",
-            prime=5,
-            op=SteenrodOp("P", 1, 5),
-            a="x8",
-            b="x8",
-            x="x8",
-            source_a=sphere,
-            source_b=sphere,
-            pullback_a={"x8": "s8", "x9": None, "x17": None},
-            pullback_b={"x8": "s8", "x9": None, "x17": None},
-            diagonal=True,
-        )
-        cc = ClassifyingCrossCheck(
-            model=torus_model("psp4", 4),
-            class_name="q2",
-            pullback={"q2": alg.gen("x8")},
-            citation="degree argument",
-        )
-        result = check_steenrod_criterion(inst, cc)
+        inst = _ei_instance(lambda alg: alg.monomial((2, 0, 0), 2), "corrupted for the test")  # P^1 x8 = 2 x8^2
+        result = check_steenrod_criterion(inst, _ei_crosscheck(inst))
         assert isinstance(result, Certificate)
         reported = [e for e in result.transcript if "discrepancy reported" in e.description]
         assert reported and reported[0].outcome == "fail"
+
+    def test_condition_three_refuses_distinct_sources(self):
+        # |a| = |b| at an odd prime needs the diagonal instance: a second sphere
+        # with equal classes and tables is still a different source
+        inst = _ei_instance(lambda alg: alg.monomial((2, 0, 0)), "recorded restriction")
+        other = SuspensionModel("S^8", [("s8", 8)], {})
+        bad = SteenrodCriterionInstance(**{**inst.__dict__, "source_b": other})
+        result = check_steenrod_criterion(bad)
+        assert isinstance(result, Refusal) and "condition (3)" in result.failed
