@@ -9,9 +9,12 @@ in characteristic 0 and canonical residues 0..p-1 in characteristic p.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from operator import add
 from typing import Iterable, Optional
 
 
@@ -57,9 +60,16 @@ class FieldSpec:
         return "rational" if self.characteristic == 0 else "prime-field"
 
     def normalize(self, c):
-        if self.characteristic == 0:
+        """The canonical element for c; over F_p a fraction a/b is a * b^-1."""
+        p = self.characteristic
+        if p == 0:
             return Fraction(c)
-        return int(c) % self.characteristic
+        if isinstance(c, int):
+            return c % p
+        c = Fraction(c)
+        if c.denominator % p == 0:
+            raise ValueError(f"coefficient {c} is not defined over {self}: {p} divides its denominator")
+        return c.numerator * pow(c.denominator, -1, p) % p
 
     def inv(self, c):
         if self.characteristic == 0:
@@ -67,10 +77,17 @@ class FieldSpec:
         return pow(int(c), self.characteristic - 2, self.characteristic)
 
     def parse(self, text: str):
-        return self.normalize(Fraction(text))
+        return self.normalize(_fraction(text))
 
     def __str__(self) -> str:
         return "Q" if self.characteristic == 0 else f"F{self.characteristic}"
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"coefficient {text!r} has a zero denominator") from None
 
 
 QQ = FieldSpec(0)
@@ -95,26 +112,29 @@ class Generator:
         return "odd" if self.degree % 2 else "even"
 
 
+def _check_generator(field: FieldSpec, g: Generator, earlier: Iterable[Generator]) -> None:
+    """Raise StructuralError unless g may follow `earlier` in an algebra over field."""
+    if any(h.name == g.name for h in earlier):
+        raise StructuralError(f"generator names must be distinct; {g.name} repeats")
+    if field.characteristic != 2 and g.degree % 2 == 1 and not g.squares_to_zero:
+        raise StructuralError(f"odd generator {g.name} must square to zero over {field}")
+
+
 class Algebra:
     """Free graded-commutative algebra on an ordered generator list."""
 
     def __init__(self, field: FieldSpec, generators: Iterable[Generator]):
         gens = tuple(generators)
-        names = [g.name for g in gens]
-        if len(set(names)) != len(names):
-            raise StructuralError("generator names must be distinct")
-        if field.characteristic != 2:
-            for g in gens:
-                if g.degree % 2 == 1 and not g.squares_to_zero:
-                    raise StructuralError(
-                        f"odd generator {g.name} must square to zero over {field}"
-                    )
+        for i, g in enumerate(gens):
+            _check_generator(field, g, gens[:i])
         self.field = field
         self.generators = gens
         self.index = {g.name: i for i, g in enumerate(gens)}
         self.degrees = tuple(g.degree for g in gens)
         self.odd = tuple(g.degree % 2 == 1 for g in gens)
         self.sqz = tuple(g.squares_to_zero for g in gens)
+        self.odd_at = tuple(i for i, odd in enumerate(self.odd) if odd)
+        self.sqz_at = tuple(i for i, sqz in enumerate(self.sqz) if sqz)
 
     def __eq__(self, other) -> bool:
         return (
@@ -276,32 +296,38 @@ class Poly:
         return poly_to_text(self)
 
 
+def _monomial_product(alg: Algebra, ea: tuple, eb: tuple):
+    """(exponents, sign) of the monomial product ea * eb, or None when it vanishes.
+
+    A squares-to-zero generator raised to a power >= 2 kills the product; the
+    Koszul sign counts the odd generators of eb that pass odd generators of ea.
+    """
+    exps = tuple(map(add, ea, eb))
+    for i in alg.sqz_at:
+        if exps[i] >= 2:
+            return None
+    crossings = later = 0
+    for i in reversed(alg.odd_at):
+        crossings += eb[i] * later
+        later += ea[i]
+    return exps, -1 if crossings % 2 else 1
+
+
 def mul(a: Poly, b: Poly) -> Poly:
     """Graded-commutative product with Koszul signs and square annihilation."""
     if a.algebra != b.algebra:
         raise StructuralError("operands over different generator tables")
     alg = a.algebra
     f = alg.field
-    n = len(alg.generators)
     out: dict = {}
     for ea, ca in a.terms.items():
         for eb, cb in b.terms.items():
-            exps = tuple(x + y for x, y in zip(ea, eb))
-            dead = False
-            for i in range(n):
-                if exps[i] >= 2 and alg.sqz[i]:
-                    dead = True
-                    break
-            if dead:
+            prod = _monomial_product(alg, ea, eb)
+            if prod is None:
                 continue
-            crossings = 0
-            for i in range(n):
-                if alg.odd[i] and eb[i]:
-                    for j in range(i + 1, n):
-                        if alg.odd[j] and ea[j]:
-                            crossings += eb[i] * ea[j]
+            exps, sign = prod
             c = ca * cb
-            if crossings % 2:
+            if sign < 0:
                 c = -c
             s = f.normalize(out.get(exps, 0) + c)
             if s:
@@ -377,42 +403,79 @@ class Presentation:
         return all(r.explicit for r in self.relations)
 
 
-def _rank(rows: list, field: FieldSpec) -> int:
-    """Rank of a list of coefficient vectors, by exact Gaussian elimination."""
-    pivots: dict = {}  # column -> reduced row
-    rank = 0
+def _rank(rows: Iterable[dict], field: FieldSpec) -> int:
+    """Rank of sparse rows {column: coefficient}, by exact fraction-free elimination.
+
+    Pivots are keyed by their leading (least) column.  Only a row's leading
+    entry is cleared, against the pivot of that column, until the row leads in
+    a column without a pivot or vanishes.  Over Q every row is scaled once to
+    integers, combined as a*row - b*pivot and divided by its content; over F_p
+    the entries are residues and each pivot is made monic with one inverse.
+    """
+    p = field.characteristic
+    pivots: dict = {}  # leading column -> row
     for row in rows:
-        row = list(row)
-        for col in sorted(pivots):
-            c = row[col]
-            if c:
-                prow = pivots[col]
-                for j in range(len(row)):
-                    row[j] = field.normalize(row[j] - c * prow[j])
-        lead = next((j for j, c in enumerate(row) if c), None)
-        if lead is None:
-            continue
-        inv = field.inv(row[lead])
-        pivots[lead] = [field.normalize(c * inv) for c in row]
-        rank += 1
-    return rank
+        if p:
+            row = {j: c % p for j, c in row.items() if c % p}
+        else:
+            den = lcm(*(c.denominator for c in row.values()))
+            row = _primitive({j: c.numerator * (den // c.denominator) for j, c in row.items() if c})
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                if p:
+                    inv = pow(row[lead], -1, p)
+                    row = {j: c * inv % p for j, c in row.items()}
+                pivots[lead] = row
+                break
+            b = row[lead]
+            if p:
+                for j, c in pivot.items():
+                    v = (row.get(j, 0) - b * c) % p
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+                continue
+            a = pivot[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                row = {j: a * c for j, c in row.items()}
+            for j, c in pivot.items():
+                v = row.get(j, 0) - b * c
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+            row = _primitive(row)
+    return len(pivots)
+
+
+def _primitive(row: dict) -> dict:
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return row if g == 1 else {j: c // g for j, c in row.items()}
 
 
 def _ideal_rows(pres: Presentation, degree: int, basis_index: dict) -> list:
+    """Sparse rows of the products m * rho that span the ideal in one degree."""
     alg = pres.algebra
-    zero = alg.field.normalize(0)
     rows = []
     for rel in pres.relations:
         if rel.degree > degree:
             continue
+        terms = rel.terms.terms.items()
         for m in alg.monomials_of_degree(degree - rel.degree):
-            prod = alg.monomial(m) * rel.terms
-            if prod.is_zero:
-                continue
-            row = [zero] * len(basis_index)
-            for e, c in prod.terms.items():
-                row[basis_index[e]] = c
-            rows.append(row)
+            row = {}
+            for e, c in terms:
+                prod = _monomial_product(alg, m, e)
+                if prod is not None:
+                    exps, sign = prod
+                    row[basis_index[exps]] = c if sign > 0 else -c
+            if row:
+                rows.append(row)
     return rows
 
 
@@ -453,7 +516,11 @@ def indecomposable_dimension(pres: Presentation, degree: int) -> int:
     alg = pres.algebra
     cols = [i for i, d in enumerate(alg.degrees) if d == degree]
     gen_exps = [tuple(int(j == i) for j in range(len(alg.degrees))) for i in cols]
-    rows = [[rel.terms.coefficient(e) for e in gen_exps] for rel in pres.relations if rel.degree == degree]
+    rows = [
+        {k: rel.terms.terms[e] for k, e in enumerate(gen_exps) if e in rel.terms.terms}
+        for rel in pres.relations
+        if rel.degree == degree
+    ]
     return len(cols) - _rank(rows, pres.field)
 
 
@@ -584,7 +651,7 @@ def parse_poly(text: str, alg: Algebra) -> Poly:
                 expect_factor = True
                 continue
             if re.fullmatch(r"[0-9]+(/[0-9]+)?", tok):
-                coeff *= Fraction(tok)
+                coeff *= _fraction(tok)
                 i += 1
                 expect_factor = False
                 continue
@@ -594,6 +661,8 @@ def parse_poly(text: str, alg: Algebra) -> Poly:
                 e = 1
                 i += 1
                 if i < len(tokens) and tokens[i] == "^":
+                    if i + 1 == len(tokens) or not tokens[i + 1].isdigit():
+                        raise ValueError(f"exponent expected after {tok}^")
                     e = int(tokens[i + 1])
                     i += 2
                 exps[alg.index[tok]] += e
@@ -651,17 +720,28 @@ def print_presentation(pres: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
+@contextmanager
+def _at_line(lineno: int):
+    """Re-raise a ValueError or IndexError from inside as a ValueError naming the line."""
+    try:
+        yield
+    except (IndexError, ValueError) as exc:
+        raise ValueError(f"presentation line {lineno}: {exc}") from exc
+
+
 def parse_presentation(text: str) -> Presentation:
+    """Parse the presentation grammar; every rejection names the line it concerns."""
     field: Optional[FieldSpec] = None
     formal_dimension: Optional[int] = None
-    gens: list = []
-    rel_specs: list = []  # (degree, kind, asserted, [(coeff_text, exps)])
+    gens: list = []  # (lineno, Generator)
+    rel_specs: list = []  # (lineno, degree, kind, asserted, [(lineno, coeff_text, exps)])
+    lineno = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         words = line.split()
-        try:
+        with _at_line(lineno):
             if words[0] == "field":
                 if words[1] == "rational":
                     field = FieldSpec(0)
@@ -672,29 +752,45 @@ def parse_presentation(text: str) -> Presentation:
             elif words[0] == "formal-dimension":
                 formal_dimension = int(words[1])
             elif words[0] == "generator":
+                _only_flags(words[3:], ("squares-to-zero",))
                 sqz = "squares-to-zero" in words[3:]
-                gens.append(Generator(words[1], int(words[2]), sqz))
+                gens.append((lineno, Generator(words[1], int(words[2]), sqz)))
             elif words[0] == "relation":
                 kind = words[2]
+                _only_flags(words[3:], ("decomposable",) if kind == "partial" else ())
                 asserted = "decomposable" in words[3:]
-                rel_specs.append((int(words[1]), kind, asserted, []))
+                rel_specs.append((lineno, int(words[1]), kind, asserted, []))
             elif words[0] == "term":
                 if not rel_specs:
                     raise ValueError("term before any relation")
-                rel_specs[-1][3].append((words[1], tuple(int(w) for w in words[2:])))
+                rel_specs[-1][4].append((lineno, words[1], tuple(int(w) for w in words[2:])))
             elif words[0] == "end":
                 break
             else:
                 raise ValueError(f"unknown record {words[0]!r}")
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"presentation line {lineno}: {exc}") from exc
     if field is None:
-        raise ValueError("presentation missing field record")
-    alg = Algebra(field, gens)
+        raise ValueError(f"presentation line {max(lineno, 1)}: no field record before the end")
+    for i, (gen_line, g) in enumerate(gens):
+        with _at_line(gen_line):
+            _check_generator(field, g, (h for _, h in gens[:i]))
+    alg = Algebra(field, [g for _, g in gens])
     relations = []
-    for degree, kind, asserted, terms in rel_specs:
+    for rel_line, degree, kind, asserted, terms in rel_specs:
         body = alg.zero()
-        for coeff_text, exps in terms:
-            body = body + alg.monomial(exps, field.parse(coeff_text))
-        relations.append(Relation(degree, kind, body, decomposable_asserted=asserted))
+        for term_line, coeff_text, exps in terms:
+            with _at_line(term_line):
+                term = alg.monomial(exps, field.parse(coeff_text))
+                if alg.monomial_degree(exps) != degree:
+                    raise ContractViolation(
+                        f"term of degree {alg.monomial_degree(exps)} in a degree-{degree} relation"
+                    )
+            body = body + term
+        with _at_line(rel_line):
+            relations.append(Relation(degree, kind, body, decomposable_asserted=asserted))
     return Presentation(alg, tuple(relations), formal_dimension)
+
+
+def _only_flags(words: list, allowed: tuple) -> None:
+    for w in words:
+        if w not in allowed:
+            raise ValueError(f"unexpected word {w!r}")

@@ -149,6 +149,17 @@ class TestFileCommands:
         assert out == ""
         assert "--up-to" in err
 
+    def test_zero_denominator_is_one(self, capsys, tmp_path):
+        f = tmp_path / "bad.pres"
+        f.write_text(
+            "field rational\ngenerator x2 2\nrelation 8 explicit\nterm 1/0 4\nend\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "hilbert", "--file", str(f), "--up-to", "4")
+        assert code == 1
+        assert out == ""
+        assert "line 4" in err and "1/0" in err
+
     def test_missing_file_is_one(self, capsys, tmp_path):
         code, _, err = run(capsys, "hilbert", "--file", str(tmp_path / "nope"), "--up-to", "4")
         assert code == 1

@@ -1,7 +1,10 @@
 """Core graded-commutative arithmetic, Hilbert functions, serialization."""
 
 import random
+import re
 from fractions import Fraction
+from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -64,6 +67,27 @@ class TestFieldSpec:
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             FieldSpec(6)
+
+    def test_fraction_over_prime_field_is_a_quotient(self):
+        # 1/2 = 3 in F_5 and -1/2 = 1 in F_3
+        assert FieldSpec(5).parse("1/2") == 3
+        assert FieldSpec(3).parse("-1/2") == 1
+        assert FieldSpec(7).normalize(Fraction(3, 4)) == 6
+        alg = Algebra(FieldSpec(5), [Generator("x8", 8)])
+        assert parse_poly("1/2*x8", alg) == alg.monomial((1,), 3)
+
+    def test_denominator_divisible_by_p_is_rejected(self):
+        with pytest.raises(ValueError, match="1/5"):
+            FieldSpec(5).parse("1/5")
+        with pytest.raises(ValueError, match="2/9"):
+            FieldSpec(3).normalize(Fraction(2, 9))
+
+    def test_zero_denominator_is_a_value_error(self):
+        for field in (QQ, FieldSpec(5)):
+            with pytest.raises(ValueError, match="1/0"):
+                field.parse("1/0")
+        with pytest.raises(ValueError, match="1/0"):
+            parse_poly("1/0", q_algebra(Generator("x2", 2)))
 
 
 class TestMul:
@@ -260,12 +284,10 @@ def _indecomposables_by_enumeration(pres, degree):
     basis = alg.monomials_of_degree(degree)
     index = {m: i for i, m in enumerate(basis)}
     rows = _ideal_rows(pres, degree, index)
-    zero, one = alg.field.normalize(0), alg.field.normalize(1)
+    one = alg.field.normalize(1)
     for m in basis:
         if sum(m) >= 2:
-            row = [zero] * len(basis)
-            row[index[m]] = one
-            rows.append(row)
+            rows.append({index[m]: one})
     return len(basis) - _rank(rows, pres.field)
 
 
@@ -302,6 +324,113 @@ class TestIndecomposablesDifferential:
         alg = q_algebra(Generator("x2", 2))
         pres = Presentation(alg, (Relation(0, "explicit", alg.unit()),))
         assert indecomposable_dimension(pres, 2) == _indecomposables_by_enumeration(pres, 2) == 0
+
+
+def _dense_rank(rows: list, field: FieldSpec) -> int:
+    """Reference: rank of dense coefficient vectors by Gauss-Jordan elimination over the field."""
+    pivots: dict = {}  # column -> reduced row
+    rank = 0
+    for row in rows:
+        row = [field.normalize(c) for c in row]
+        for col in sorted(pivots):
+            c = row[col]
+            if c:
+                prow = pivots[col]
+                for j in range(len(row)):
+                    row[j] = field.normalize(row[j] - c * prow[j])
+        lead = next((j for j, c in enumerate(row) if c), None)
+        if lead is None:
+            continue
+        inv = field.inv(row[lead])
+        pivots[lead] = [field.normalize(c * inv) for c in row]
+        rank += 1
+    return rank
+
+
+def _random_sparse_matrix(rng, field):
+    """Rows {column: entry} with zero rows, duplicates and dependent combinations."""
+    width = rng.randint(1, 10)
+
+    def entry():
+        if field.characteristic:
+            return rng.randint(-2 * field.characteristic, 2 * field.characteristic)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    rows = []
+    for _ in range(rng.randint(0, 12)):
+        shape = rng.random()
+        if shape < 0.1:
+            rows.append({} if rng.random() < 0.5 else {rng.randrange(width): 0})
+        elif shape < 0.25 and rows:
+            rows.append(dict(rng.choice(rows)))
+        elif shape < 0.45 and rows:
+            a, b, r1, r2 = entry(), entry(), rng.choice(rows), rng.choice(rows)
+            cols = set(r1) | set(r2)
+            rows.append({j: a * r1.get(j, 0) + b * r2.get(j, 0) for j in cols})
+        else:
+            rows.append({j: entry() for j in rng.sample(range(width), rng.randint(1, width))})
+    return rows, width
+
+
+class TestRank:
+    @pytest.mark.parametrize("field", [QQ, FieldSpec(2), FieldSpec(3), FieldSpec(5), FieldSpec(7)], ids=str)
+    def test_sparse_matches_dense_reference(self, field):
+        rng = random.Random(field.characteristic + 101)
+        for _ in range(300):
+            rows, width = _random_sparse_matrix(rng, field)
+            dense = [[row.get(j, 0) for j in range(width)] for row in rows]
+            before = [dict(row) for row in rows]
+            assert _rank(rows, field) == _dense_rank(dense, field), (rows, field)
+            assert rows == before  # the input rows are left as they were
+
+    def test_rank_over_q_is_not_a_modular_rank(self):
+        # [[1, 1], [1, 3]] has rank 2 over Q and rank 1 over F_2
+        rows = [{0: 1, 1: 1}, {0: 1, 1: 3}]
+        assert _rank(rows, QQ) == 2
+        assert _rank(rows, FieldSpec(2)) == 1
+
+
+def _grassmannian(k, n, seed):
+    """Sign-flipped presentation of H*(Gr_k(C^n); Q) = Q[c_1..c_k]/(h_{n-k+1}, ..., h_n).
+
+    h_j = -(c_1 h_{j-1} + ... + c_k h_{j-k}); the seed substitutes c_i -> +-c_i
+    and scales each relation by +-1, graded automorphisms of the presentation.
+    """
+    rng = random.Random(seed)
+    flips = [rng.choice((1, -1)) for _ in range(k)]
+    alg = q_algebra(*[Generator(f"c{i}", 2 * i) for i in range(1, k + 1)])
+    h = [alg.unit()]
+    for j in range(1, n + 1):
+        h.append(-sum((alg.gen(f"c{i}") * h[j - i] for i in range(1, min(j, k) + 1)), alg.zero()))
+    relations = []
+    for j in range(n - k + 1, n + 1):
+        terms = {e: c * rng.choice((1, -1)) for e, c in h[j].terms.items()}
+        terms = {e: c * prod(s**x for s, x in zip(flips, e)) for e, c in terms.items()}
+        relations.append(Relation(2 * j, "explicit", alg.poly(terms)))
+    return Presentation(alg, tuple(relations))
+
+
+def _gaussian_binomial(n, k):
+    """Coefficients of [n choose k]_q, lowest degree first, by q-Pascal."""
+    if k in (0, n):
+        return [1]
+    out = [0] * (k * (n - k) + 1)
+    for d, c in enumerate(_gaussian_binomial(n - 1, k - 1)):
+        out[d] += c
+    for d, c in enumerate(_gaussian_binomial(n - 1, k)):
+        out[d + k] += c
+    return out
+
+
+class TestGrassmannians:
+    @pytest.mark.parametrize("k, n", [(2, 6), (3, 8), (4, 8)])
+    def test_poincare_polynomial_and_complete_intersection(self, k, n):
+        pres = _grassmannian(k, n, seed=10 * k + n)
+        expected = [0] * (2 * k * (n - k) + 1)
+        for d, c in enumerate(_gaussian_binomial(n, k)):
+            expected[2 * d] = c
+        assert list(hilbert_function(pres, 2 * k * (n - k))) == expected
+        assert is_complete_intersection(pres)
 
 
 class TestCompleteIntersection:
@@ -390,6 +519,84 @@ class TestSerialization:
     def test_missing_field_rejected(self):
         with pytest.raises(ValueError, match="field"):
             parse_presentation("generator x2 2\nend\n")
+
+    @pytest.mark.parametrize(
+        "term, message",
+        [
+            ("term 1 2 0", "length"),
+            ("term 1 -4", "negative"),
+            ("term 1 3", "degree 6"),
+            ("term x 4", "'x'"),
+            ("term 1/0 4", "1/0"),
+        ],
+    )
+    def test_term_errors_name_their_line(self, term, message):
+        text = f"field rational\ngenerator x2 2\nrelation 8 explicit\n{term}\nend\n"
+        with pytest.raises(ValueError, match=f"line 4: .*{message}"):
+            parse_presentation(text)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("field rational\nrelation 4 bogus\nend\n", 2),
+            ("field rational\ngenerator x2 2\nrelation 4 explicit decomposable\nend\n", 3),
+            ("field rational\ngenerator x2 2\ngenerator x2 4\nend\n", 3),
+            ("generator y3 3\nfield rational\nend\n", 1),
+            ("field prime 5\ngenerator x2 2\nrelation 4 explicit\nterm 1/10 2\nend\n", 4),
+        ],
+    )
+    def test_record_errors_name_their_line(self, text, line):
+        with pytest.raises(ValueError, match=f"line {line}:"):
+            parse_presentation(text)
+
+
+_CATALOG_PRESENTATIONS = sorted(
+    (Path(__file__).parent.parent / "src" / "loopcomm" / "data" / "presentations").glob("*.pres")
+)
+_MUTATION_TOKENS = (
+    "x", "0", "1", "-1", "2", "17", "1/0", "1/2", "-3/4", "1/5", "bogus", "explicit", "partial",
+    "decomposable", "squares-to-zero", "rational", "prime", "term", "relation", "generator", "end",
+)
+
+
+def _mutate_one_line(rng, lines):
+    """The lines with one of them edited: a token dropped, replaced or inserted, or the line dropped or doubled."""
+    lines = list(lines)
+    i = rng.randrange(len(lines))
+    words = lines[i].split()
+    how = rng.randrange(5)
+    if how == 0 and words:
+        del words[rng.randrange(len(words))]
+    elif how == 1 and words:
+        words[rng.randrange(len(words))] = rng.choice(_MUTATION_TOKENS)
+    elif how == 2:
+        words.insert(rng.randint(0, len(words)), rng.choice(_MUTATION_TOKENS))
+    elif how == 3:
+        del lines[i]
+        return lines
+    else:
+        lines.insert(i, lines[i])
+        return lines
+    lines[i] = " ".join(words)
+    return lines
+
+
+class TestParserFailsClosed:
+    @pytest.mark.parametrize("path", _CATALOG_PRESENTATIONS, ids=lambda p: p.stem)
+    def test_one_line_mutants_round_trip_or_name_a_line(self, path):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        rng = random.Random(path.stem)
+        for _ in range(30):
+            text = "\n".join(_mutate_one_line(rng, lines)) + "\n"
+            try:
+                pres = parse_presentation(text)
+            except ValueError as exc:
+                assert re.match(r"presentation line \d+: ", str(exc)), (text, exc)
+                continue
+            printed = print_presentation(pres)
+            back = parse_presentation(printed)
+            assert back == pres, text
+            assert print_presentation(back) == printed, text
 
 
 class TestPolyText:
