@@ -13,7 +13,6 @@ from .gradedalg import (
     mul,
     parse_presentation,
     print_presentation,
-    quadratic_terms,
 )
 from .sullivan import (
     RationalWitness,
@@ -38,7 +37,6 @@ from .steenrod import (
     TorusModel,
     char_class_operation,
     check_steenrod_criterion,
-    evaluate_on_suspension,
     torus_model,
 )
 from .catalog import check, instantiate, report, route

@@ -13,6 +13,7 @@ import os
 import shlex
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 from typing import Callable, Optional
 
 from .criteria import (
@@ -59,6 +60,7 @@ from .steenrod import (
 )
 from .sullivan import (
     build_formal_model,
+    certified_parts_are_cocycles,
     find_rational_witness,
     pretty_model,
     transfer_witness,
@@ -82,13 +84,14 @@ DATA_ENV = "LOOPCOMM_DATA_DIR"
 _REQUIRED_KEYS = {
     "presentation": {"space", "file", "cite"},
     "fibration": {"space", "aux", "aux-label", "threshold", "cite"},
-    "pullback": {"space", "model", "prime", "class", "value", "cite"},
+    "pullback": {"space", "model", "class", "value", "cite"},
     "action": {"space", "gen", "family", "k", "prime", "value", "cite"},
-    "generating-map": {"space", "source-template", "cite"},
+    "generating-map": {"space", "cite"},
     "sq-table": {"space", "gen", "value", "cite"},
     "external": {"family", "cite"},
     "exception": {"space", "cite"},
 }
+_INTEGER_KEYS = ("threshold", "k", "prime")  # loaded as int
 
 
 class DataSet:
@@ -118,24 +121,6 @@ class DataSet:
         return recs[0]
 
 
-def _data_root():
-    override = os.environ.get(DATA_ENV)
-    if override:
-        return override
-    return resources.files("loopcomm") / "data"
-
-
-def _read_text(root, *parts) -> str:
-    if isinstance(root, str):
-        path = os.path.join(root, *parts)
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    node = root
-    for p in parts:
-        node = node / p
-    return node.read_text(encoding="utf-8")
-
-
 _DATASET_CACHE: dict = {}
 
 
@@ -144,10 +129,10 @@ def load_dataset() -> DataSet:
     key = os.environ.get(DATA_ENV, "")
     if key in _DATASET_CACHE:
         return _DATASET_CACHE[key]
-    root = _data_root()
+    root = Path(key) if key else resources.files("loopcomm") / "data"
     facts = []
     presentations = {}
-    text = _read_text(root, "facts.txt")
+    text = (root / "facts.txt").read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -168,16 +153,21 @@ def load_dataset() -> DataSet:
         missing = _REQUIRED_KEYS[kind] - set(rec)
         if missing:
             raise CatalogDataError(f"facts.txt line {lineno}: missing keys {sorted(missing)}")
+        for name in _INTEGER_KEYS:
+            if name in rec:
+                if not (rec[name].isascii() and rec[name].isdigit()):
+                    raise CatalogDataError(f"facts.txt line {lineno}: {name}={rec[name]!r} is not an integer")
+                rec[name] = int(rec[name])
         facts.append((kind, rec))
-    for kind, rec in facts:
-        if kind != "presentation":
-            continue
-        body = _read_text(root, "presentations", rec["file"])
-        try:
-            pres = parse_presentation(body)
-        except ValueError as exc:
-            raise CatalogDataError(f"{rec['file']}: {exc}") from exc
-        presentations[rec["space"]] = (pres, rec["cite"])
+        if kind == "presentation":
+            try:
+                body = (root / "presentations" / rec["file"]).read_text(encoding="utf-8")
+            except OSError as exc:
+                raise CatalogDataError(f"facts.txt line {lineno}: {exc}") from exc
+            try:
+                presentations[rec["space"]] = (parse_presentation(body), rec["cite"])
+            except ValueError as exc:
+                raise CatalogDataError(f"{rec['file']}: {exc}") from exc
     ds = DataSet(presentations, facts)
     _DATASET_CACHE[key] = ds
     return ds
@@ -443,7 +433,7 @@ def _bottom_cell_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     alg = pres.algebra
     rec = ds.one("action", space=space)
     gen = rec["gen"]
-    op = SteenrodOp(rec["family"], int(rec["k"]), int(rec["prime"]))
+    op = SteenrodOp(rec["family"], rec["k"], rec["prime"])
     pb = ds.one("pullback", space=space)
     cc = ClassifyingCrossCheck(
         model=torus_model(pb["model"], 4),
@@ -591,7 +581,7 @@ def _rational_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     if ds.find("fibration", space=space):
         fib = ds.one("fibration", space=space)
         space, label = fib["aux"], fib["aux-label"]
-        transfer = TransferStep(int(fib["threshold"]), inst.label, fib["cite"])
+        transfer = TransferStep(fib["threshold"], inst.label, fib["cite"])
     step = RationalStep(label, ds.presentation(space), ds.presentation_cite(space), transfer)
     return CriterionPlan((step,))
 
@@ -733,6 +723,8 @@ def _run_rational(step: RationalStep):
             )
         )
     model = build_formal_model(pres)
+    if not certified_parts_are_cocycles(model):
+        return Refusal(space, RATIONAL, "a stored differential is not a cocycle", tuple(transcript))
     transcript.append(
         TranscriptEntry(
             MACHINE,
@@ -765,7 +757,7 @@ def _run_rational(step: RationalStep):
     final_space = space
     if step.transfer is not None:
         t = step.transfer
-        witness = transfer_witness(witness, t.threshold, t.target, t.citation)
+        witness = transfer_witness(witness, t.threshold, t.target)
         transcript.append(
             TranscriptEntry(
                 MACHINE,
@@ -803,6 +795,11 @@ def _run_steenrod(step: SteenrodStep):
             f"{lift.target} -> {lift.base} is a {lift.threshold}-equivalence",
             citation=lift.citation,
         ),
+    )
+    if lift.source_dim > lift.threshold:
+        failed = f"source dimension {lift.source_dim} > {lift.threshold}: the maps need not lift"
+        return Refusal(lift.target, STEENROD, failed, transcript)
+    transcript += (
         TranscriptEntry(
             MACHINE,
             "pass",

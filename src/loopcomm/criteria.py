@@ -75,7 +75,6 @@ class Refusal:
 
 @dataclass(frozen=True)
 class Conclusion:
-    space: str
     statement: str
     certificate: Certificate
 
@@ -93,7 +92,6 @@ def conclude_noncommutative(cert) -> Conclusion:
     )
     enriched = Certificate(cert.space, cert.criterion, cert.witness, cert.transcript + (step,))
     return Conclusion(
-        space=cert.space,
         statement=f"Omega({cert.space}) is not homotopy commutative",
         certificate=enriched,
     )
@@ -125,11 +123,6 @@ class GeneratingMapWitness:
     target: str
     cell_degrees: tuple
     citation: str
-    is_suspension: bool = True
-
-    def __post_init__(self):
-        if not self.is_suspension:
-            raise ContractViolation("generating-map witnesses require a suspension source")
 
 
 def validate_sq_action(data: ExteriorActionData) -> list:

@@ -55,10 +55,6 @@ class FieldSpec:
         if self.characteristic != 0 and not _is_prime(self.characteristic):
             raise ValueError(f"characteristic must be 0 or a prime, got {self.characteristic}")
 
-    @property
-    def kind(self) -> str:
-        return "rational" if self.characteristic == 0 else "prime-field"
-
     def normalize(self, c):
         """The canonical element for c; over F_p a fraction a/b is a * b^-1."""
         p = self.characteristic
@@ -70,11 +66,6 @@ class FieldSpec:
         if c.denominator % p == 0:
             raise ValueError(f"coefficient {c} is not defined over {self}: {p} divides its denominator")
         return c.numerator * pow(c.denominator, -1, p) % p
-
-    def inv(self, c):
-        if self.characteristic == 0:
-            return Fraction(1) / Fraction(c)
-        return pow(int(c), self.characteristic - 2, self.characteristic)
 
     def parse(self, text: str):
         return self.normalize(_fraction(text))
@@ -90,11 +81,6 @@ def _fraction(text: str) -> Fraction:
         raise ValueError(f"coefficient {text!r} has a zero denominator") from None
 
 
-QQ = FieldSpec(0)
-F2 = FieldSpec(2)
-F5 = FieldSpec(5)
-
-
 @dataclass(frozen=True)
 class Generator:
     name: str
@@ -106,10 +92,6 @@ class Generator:
             raise ValueError(f"generator degree must be positive, got {self.degree}")
         if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", self.name):
             raise ValueError(f"bad generator name {self.name!r}")
-
-    @property
-    def parity(self) -> str:
-        return "odd" if self.degree % 2 else "even"
 
 
 def _check_generator(field: FieldSpec, g: Generator, earlier: Iterable[Generator]) -> None:
@@ -131,9 +113,8 @@ class Algebra:
         self.generators = gens
         self.index = {g.name: i for i, g in enumerate(gens)}
         self.degrees = tuple(g.degree for g in gens)
-        self.odd = tuple(g.degree % 2 == 1 for g in gens)
         self.sqz = tuple(g.squares_to_zero for g in gens)
-        self.odd_at = tuple(i for i, odd in enumerate(self.odd) if odd)
+        self.odd_at = tuple(i for i, g in enumerate(gens) if g.degree % 2 == 1)
         self.sqz_at = tuple(i for i, sqz in enumerate(self.sqz) if sqz)
 
     def __eq__(self, other) -> bool:
@@ -371,19 +352,6 @@ class Relation:
         return self.kind == "explicit"
 
 
-def quadratic_terms(rel: Relation) -> list:
-    """Word-length-2 monomials of a relation body as ((Generator, Generator), coeff)."""
-    alg = rel.terms.algebra
-    out = []
-    for exps, coeff in rel.terms.terms.items():
-        if sum(exps) != 2:
-            continue
-        idx = [i for i, e in enumerate(exps) for _ in range(e)]
-        out.append(((alg.generators[idx[0]], alg.generators[idx[1]]), coeff))
-    out.sort(key=lambda t: (alg.index[t[0][0].name], alg.index[t[0][1].name]))
-    return out
-
-
 @dataclass(frozen=True)
 class Presentation:
     algebra: Algebra
@@ -580,10 +548,6 @@ def is_complete_intersection(pres: Presentation) -> bool:
 # canonical text form
 
 
-def _coeff_text(c) -> str:
-    return str(c)
-
-
 def monomial_text(alg: Algebra, exps: tuple) -> str:
     parts = []
     for i, e in enumerate(exps):
@@ -605,11 +569,11 @@ def poly_to_text(p: Poly) -> str:
         neg = alg.field.characteristic == 0 and coeff < 0
         mag = -coeff if neg else coeff
         if mono == "1":
-            body = _coeff_text(mag)
+            body = str(mag)
         elif mag == alg.field.normalize(1):
             body = mono
         else:
-            body = f"{_coeff_text(mag)}*{mono}"
+            body = f"{mag}*{mono}"
         if not pieces:
             pieces.append(("-" if neg else "") + body)
         else:
@@ -715,7 +679,7 @@ def print_presentation(pres: Presentation) -> str:
             head += " decomposable"
         lines.append(head)
         for exps, coeff in sorted(rel.terms.terms.items()):
-            lines.append("term " + _coeff_text(coeff) + " " + " ".join(str(e) for e in exps))
+            lines.append("term " + str(coeff) + " " + " ".join(str(e) for e in exps))
     lines.append("end")
     return "\n".join(lines) + "\n"
 

@@ -320,12 +320,11 @@ class SuspensionModel:
     absent keys act by zero, and the k = 0 component is the identity.
     """
 
-    def __init__(self, base: str, classes, actions: dict, citation: str = ""):
+    def __init__(self, base: str, classes, actions: dict):
         self.base = base
         self.classes = tuple(classes)
         self.degree = dict(self.classes)
         self.actions = dict(actions)
-        self.citation = citation
 
     def act(self, class_name: str, family: str, k: int) -> tuple:
         if k == 0:
@@ -342,7 +341,7 @@ def suspension_rp(m: int) -> SuspensionModel:
         for k in range(1, m - j + 1):
             if binomial(j, k) % 2:
                 actions[(f"su{j}", "Sq", k)] = ((1, f"su{j + k}"),)
-    return SuspensionModel(f"Sigma RP^{m}", classes, actions, citation="Cartan iteration of Sq u = u + u^2")
+    return SuspensionModel(f"Sigma RP^{m}", classes, actions)
 
 
 def suspended_coefficient(model: TorusModel, class_name: str, op: SteenrodOp, target: str) -> int:
@@ -371,34 +370,17 @@ def suspension_quasi_projective(m: int, prime: int) -> SuspensionModel:
             gamma = suspended_coefficient(model, f"q{i}", op, f"q{tgt}")
             if gamma:
                 actions[(f"sx{i}", family, k)] = ((gamma, f"sx{tgt}"),)
-    return SuspensionModel(
-        f"Sigma Q_{m}",
-        classes,
-        actions,
-        citation="stable action transported from mod-p operations on symplectic classes",
-    )
+    return SuspensionModel(f"Sigma Q_{m}", classes, actions)
 
 
 @lru_cache(maxsize=None)
 def suspension_sphere(k: int) -> SuspensionModel:
-    return SuspensionModel(f"S^{k}", [(f"s{k}", k)], {}, citation="single cell")
+    return SuspensionModel(f"S^{k}", [(f"s{k}", k)], {})
 
 
 def suspension_moore() -> SuspensionModel:
     """Sigma RP^2 = S^2 cup_2 e^3: bottom Bockstein is the only action."""
-    return SuspensionModel(
-        "S^2 cup_2 e^3",
-        [("u2", 2), ("u3", 3)],
-        {("u2", "Sq", 1): ((1, "u3"),)},
-        citation="Bockstein of the mod-2 Moore space",
-    )
-
-
-def evaluate_on_suspension(model: SuspensionModel, class_name: str, op: SteenrodOp) -> tuple:
-    """Stable action of one operation component; () means zero."""
-    if class_name not in model.degree:
-        return ()
-    return model.act(class_name, op.family, op.k)
+    return SuspensionModel("S^2 cup_2 e^3", [("u2", 2), ("u3", 3)], {("u2", "Sq", 1): ((1, "u3"),)})
 
 
 def product_slice_vanishes(

@@ -8,14 +8,12 @@ a non-trivial rational Whitehead pairing on homotopy in degrees (|y|, |z|).
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .gradedalg import (
     Algebra,
     ContractViolation,
-    FieldSpec,
     Generator,
     HypothesisViolation,
     Poly,
@@ -23,7 +21,6 @@ from .gradedalg import (
     UnsupportedPresentation,
     is_complete_intersection,
     is_decomposable,
-    parse_poly,
     poly_to_text,
 )
 
@@ -95,16 +92,15 @@ def build_formal_model(pres: Presentation) -> SullivanModel:
             f"relation count {len(pres.relations)} != generator count {len(pres.generators)}"
         )
     for rel in pres.relations:
-        if rel.explicit:
-            if not is_decomposable(rel.terms):
-                raise HypothesisViolation(f"relation of degree {rel.degree} is not decomposable")
-        elif not rel.decomposable_asserted:
+        if not rel.explicit and not rel.decomposable_asserted:
             raise HypothesisViolation(
                 f"partial relation of degree {rel.degree} lacks a decomposability assertion"
             )
-        if rel.terms and not is_decomposable(rel.terms):
+        if not is_decomposable(rel.terms):
             raise HypothesisViolation(
-                f"certified terms of the degree-{rel.degree} relation are not decomposable"
+                f"relation of degree {rel.degree} is not decomposable"
+                if rel.explicit
+                else f"certified terms of the degree-{rel.degree} relation are not decomposable"
             )
     if pres.all_explicit and pres.relations:
         if not is_complete_intersection(pres):
@@ -167,7 +163,6 @@ class RationalWitness:
     target: int
     relation_index: int
     pair: tuple
-    provenance: tuple = field(default=())
 
     def __post_init__(self):
         if self.target != self.m + self.n - 1:
@@ -178,18 +173,14 @@ def find_rational_witness(model: SullivanModel, space: str = "") -> Optional[Rat
     """First decomposable differential with a quadratic monomial, if any.
 
     Tie-break: generators in declaration order, then the quadratic pair with
-    the lexicographically smallest (i, j) index pair.
+    the lexicographically smallest (i, j) index pair.  The relation index is
+    read from `model.origin`, which `build_formal_model` fills.
     """
     alg = model.algebra
-    fallback_index = 0
     for g in alg.generators:
         dg = model.differential[g.name]
-        origin = model.origin.get(g.name, fallback_index)
         if dg.is_zero:
-            if g.name in model.partial and g.name in model.origin:
-                fallback_index += 1
             continue
-        fallback_index += 1
         if g.name not in model.partial and not is_decomposable(dg):
             continue
         quads = sorted(
@@ -208,28 +199,20 @@ def find_rational_witness(model: SullivanModel, space: str = "") -> Optional[Rat
             m=y.degree,
             n=z.degree,
             target=y.degree + z.degree - 1,
-            relation_index=origin,
+            relation_index=model.origin[g.name],
             pair=(y.name, z.name),
         )
     return None
 
 
-def transfer_witness(
-    w: RationalWitness, threshold: int, target_space: str, citation: str = ""
-) -> RationalWitness:
+def transfer_witness(w: RationalWitness, threshold: int, target_space: str) -> RationalWitness:
     """Re-attribute a witness along a recorded rational equivalence above a threshold."""
     for d in (w.m, w.n, w.target):
         if d < threshold:
             raise TransferNotJustified(
                 f"witness degree {d} is below the equivalence threshold {threshold}"
             )
-    note = (
-        f"transferred from {w.space or 'source space'} to {target_space} along a rational "
-        f"homotopy equivalence in degrees >= {threshold}"
-    )
-    if citation:
-        note += f" ({citation})"
-    return replace(w, space=target_space, provenance=w.provenance + (note,))
+    return replace(w, space=target_space)
 
 
 # ---------------------------------------------------------------------------
@@ -261,32 +244,3 @@ def pretty_model(model: SullivanModel) -> str:
         ds.append(f"d {g.name} = {body}")
     return f"Λ({gens}); " + "; ".join(ds) if ds else f"Λ({gens})"
 
-
-_HEADER = re.compile(r"Λ\((.*)\)\s*$")
-
-
-def parse_model(text: str) -> SullivanModel:
-    """Parse the explicit-model grammar emitted by print_model."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    m = _HEADER.match(lines[0].strip())
-    if not m:
-        raise ValueError("model text must start with a Λ(...) header")
-    gens = []
-    for part in m.group(1).split(","):
-        part = part.strip()
-        if not part:
-            continue
-        name, degree = part.split(":")
-        degree = int(degree)
-        gens.append(Generator(name.strip(), degree, squares_to_zero=bool(degree % 2)))
-    alg = Algebra(FieldSpec(0), gens)
-    differential = {}
-    for ln in lines[1:]:
-        ln = ln.strip()
-        if not ln.startswith("d "):
-            raise ValueError(f"bad model line {ln!r}")
-        name, body = ln[2:].split("=", 1)
-        if "…" in body:
-            raise ValueError("cannot parse a partial model")
-        differential[name.strip()] = parse_poly(body.strip(), alg)
-    return SullivanModel(alg, differential)

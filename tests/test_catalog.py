@@ -1,9 +1,16 @@
 """Catalog routing, per-family certificates, data validation, invariants."""
 
+import dataclasses
 import json
+import random
+import re
+import shlex
+import shutil
+from pathlib import Path
 
 import pytest
 
+from loopcomm import catalog
 from loopcomm.catalog import (
     FAMILIES,
     CatalogDataError,
@@ -19,7 +26,10 @@ from loopcomm.catalog import (
     report,
     route,
 )
+from loopcomm.cli import _USAGE_ERRORS
 from loopcomm.criteria import ASSERTED, Certificate, DataIncomplete, Refusal
+from loopcomm.gradedalg import Algebra, FieldSpec, Generator
+from loopcomm.sullivan import SullivanModel
 
 
 class TestInstantiate:
@@ -183,6 +193,25 @@ class TestChecks:
         assert any("4-equivalence" in t for t in texts)
         assert any("source dimension 4 <= 4" in t for t in texts)
 
+    def test_lift_beyond_threshold_refuses(self, monkeypatch):
+        plan = route(instantiate("BDI", (7, 4)))
+        steps = tuple(
+            dataclasses.replace(s, lift=dataclasses.replace(s.lift, source_dim=5)) for s in plan.steps
+        )
+        monkeypatch.setattr("loopcomm.catalog.route", lambda instance: CriterionPlan(steps))
+        result = check(instantiate("BDI", (7, 4)))
+        assert isinstance(result, Refusal)
+        assert result.failed == "source dimension 5 > 4: the maps need not lift"
+
+    def test_rational_model_must_be_cocycles(self, monkeypatch):
+        # dz6 = x2^2*y3 with dy3 = x2^2 gives d(dz6) = x2^4 != 0
+        alg = Algebra(FieldSpec(0), [Generator("x2", 2), Generator("y3", 3, True), Generator("z6", 6)])
+        model = SullivanModel(alg, {"y3": alg.monomial((2, 0, 0)), "z6": alg.monomial((2, 1, 0))})
+        monkeypatch.setattr("loopcomm.catalog.build_formal_model", lambda pres: model)
+        result = check(instantiate("EII"))
+        assert isinstance(result, Refusal)
+        assert result.failed == "a stored differential is not a cocycle"
+
     @pytest.mark.parametrize(
         "family,params,op",
         [
@@ -234,6 +263,30 @@ class TestChecks:
         assert "x2*x3" in fives[0].description
 
 
+_DATA = Path(catalog.__file__).parent / "data"
+_FACT_KINDS = tuple(catalog._REQUIRED_KEYS) + ("bogus",)
+_FACT_JUNK = ("", "x", "0", "-1", "17", "1/2", "x8^2", "q2", "so", "Sq", "EI", "bogus.pres")
+
+
+def _mutate_fact_line(rng, lines):
+    """The lines with one record edited: a key dropped, a value replaced, the kind changed, or the line blanked."""
+    lines = list(lines)
+    i = rng.choice([j for j, line in enumerate(lines) if line and not line.startswith("#")])
+    words = shlex.split(lines[i])
+    how = rng.randrange(4)
+    if how == 0:
+        del words[rng.randrange(1, len(words))]
+    elif how == 1:
+        j = rng.randrange(1, len(words))
+        words[j] = words[j].partition("=")[0] + "=" + rng.choice(_FACT_JUNK)
+    elif how == 2:
+        words[0] = rng.choice(_FACT_KINDS)
+    else:
+        words = []
+    lines[i] = shlex.join(words)
+    return lines
+
+
 class TestDataset:
     def test_loads_and_validates(self):
         ds = load_dataset()
@@ -241,8 +294,6 @@ class TestDataset:
         assert ds.one("exception", space="CP3")["cite"]
 
     def test_rejects_malformed_records(self, tmp_path, monkeypatch):
-        from loopcomm import catalog
-
         (tmp_path / "presentations").mkdir()
         (tmp_path / "facts.txt").write_text("bogus-kind space=X\n", encoding="utf-8")
         monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(tmp_path))
@@ -252,8 +303,6 @@ class TestDataset:
         catalog._DATASET_CACHE.clear()
 
     def test_rejects_missing_keys(self, tmp_path, monkeypatch):
-        from loopcomm import catalog
-
         (tmp_path / "presentations").mkdir()
         (tmp_path / "facts.txt").write_text("external cite=x\n", encoding="utf-8")
         monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(tmp_path))
@@ -263,8 +312,6 @@ class TestDataset:
         catalog._DATASET_CACHE.clear()
 
     def test_rejects_bad_presentation(self, tmp_path, monkeypatch):
-        from loopcomm import catalog
-
         (tmp_path / "presentations").mkdir()
         (tmp_path / "presentations" / "bad.pres").write_text(
             "field rational\ngenerator\nend\n", encoding="utf-8"
@@ -277,6 +324,37 @@ class TestDataset:
         with pytest.raises(CatalogDataError):
             load_dataset()
         catalog._DATASET_CACHE.clear()
+
+    def test_rejects_non_integer_key(self, tmp_path, monkeypatch):
+        (tmp_path / "facts.txt").write_text(
+            'action space=EI gen=x8 family=P k=x prime=5 value="x8^2" cite="c"\n', encoding="utf-8"
+        )
+        monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(tmp_path))
+        monkeypatch.setattr(catalog, "_DATASET_CACHE", {})
+        with pytest.raises(CatalogDataError, match="facts.txt line 1: k='x' is not an integer"):
+            load_dataset()
+
+    def test_one_line_mutants_load_or_name_a_line(self, tmp_path, monkeypatch):
+        data = tmp_path / "data"
+        shutil.copytree(_DATA, data)
+        monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(data))
+        lines = (_DATA / "facts.txt").read_text(encoding="utf-8").splitlines()
+        rng = random.Random("facts.txt")
+        for _ in range(100):
+            text = "\n".join(_mutate_fact_line(rng, lines)) + "\n"
+            (data / "facts.txt").write_text(text, encoding="utf-8")
+            monkeypatch.setattr(catalog, "_DATASET_CACHE", {})
+            try:
+                load_dataset()
+            except CatalogDataError as exc:
+                assert re.match(r"facts\.txt line \d+: ", str(exc)), (text, exc)
+                continue
+            for fam in FAMILIES:
+                params = fam.default_range[0] if fam.default_range else (fam.least,) * fam.arity
+                try:
+                    check(instantiate(fam.id, params))
+                except _USAGE_ERRORS:
+                    pass
 
 
 class TestReport:

@@ -135,8 +135,7 @@ class TestFileCommands:
         )
         code, out, _ = run(capsys, "model", "--file", str(f))
         assert code == 0
-        assert "d y7 = x2^4" in out
-        assert "d^2 = 0: True" in out
+        assert out == "Λ(x2:2, y7:7)\nd x2 = 0\nd y7 = x2^4\nd^2 = 0: True\n"
 
     def test_negative_hilbert_bound_is_one(self, capsys, tmp_path):
         f = tmp_path / "cp3.pres"

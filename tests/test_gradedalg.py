@@ -30,7 +30,6 @@ from loopcomm.gradedalg import (
     parse_presentation,
     poly_to_text,
     print_presentation,
-    quadratic_terms,
 )
 from loopcomm.gradedalg import _ideal_rows, _rank
 
@@ -54,15 +53,10 @@ def mixed():
 
 class TestFieldSpec:
     def test_rational(self):
-        f = FieldSpec(0)
-        assert f.kind == "rational"
-        assert f.normalize(2) == Fraction(2)
+        assert FieldSpec(0).normalize(2) == Fraction(2)
 
     def test_prime(self):
-        f = FieldSpec(5)
-        assert f.kind == "prime-field"
-        assert f.normalize(7) == 2
-        assert f.inv(2) == 3
+        assert FieldSpec(5).normalize(7) == 2
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
@@ -197,27 +191,7 @@ class TestDecomposable:
         assert is_decomposable(mixed.zero())
 
 
-class TestQuadraticTerms:
-    def test_partial_with_square(self):
-        alg = q_algebra(Generator("x4", 4), Generator("x6", 6), Generator("x8", 8))
-        rel = Relation(16, "partial", alg.monomial((0, 0, 2)), decomposable_asserted=True)
-        [(pair, coeff)] = quadratic_terms(rel)
-        assert (pair[0].name, pair[1].name) == ("x8", "x8")
-        assert coeff == 1
-
-    def test_quartic_has_none(self):
-        alg = q_algebra(Generator("x2", 2))
-        rel = Relation(8, "explicit", alg.monomial((4,)))
-        assert quadratic_terms(rel) == []
-
-    def test_only_length_two_reported(self):
-        alg = q_algebra(Generator("x2", 2), Generator("x4", 4), Generator("x6", 6))
-        body = alg.monomial((0, 1, 1)) + alg.monomial((5, 0, 0))
-        rel = Relation(10, "explicit", body)
-        [(pair, coeff)] = quadratic_terms(rel)
-        assert (pair[0].name, pair[1].name) == ("x4", "x6")
-        assert coeff == 1
-
+class TestRelation:
     def test_relation_degree_enforced(self):
         alg = q_algebra(Generator("x2", 2))
         with pytest.raises(ContractViolation):
@@ -341,7 +315,7 @@ def _dense_rank(rows: list, field: FieldSpec) -> int:
         lead = next((j for j, c in enumerate(row) if c), None)
         if lead is None:
             continue
-        inv = field.inv(row[lead])
+        inv = field.normalize(Fraction(1, row[lead]))
         pivots[lead] = [field.normalize(c * inv) for c in row]
         rank += 1
     return rank

@@ -21,9 +21,7 @@ from loopcomm.sullivan import (
     check_d_squared,
     derivation,
     find_rational_witness,
-    parse_model,
     pretty_model,
-    print_model,
     transfer_witness,
 )
 
@@ -254,10 +252,9 @@ class TestTransfer:
             Relation(24, "partial", alg.zero(), decomposable_asserted=True),
         )
         w = find_rational_witness(build_formal_model(Presentation(alg, rels)), "aux")
-        t = transfer_witness(w, 5, "FI", citation="rationally trivial fiber")
+        t = transfer_witness(w, 5, "FI")
         assert (t.m, t.n, t.target) == (w.m, w.n, w.target)
         assert t.space == "FI"
-        assert t.provenance and "FI" in t.provenance[0]
 
     def test_below_threshold_rejected(self, even_sphere):
         w = find_rational_witness(build_formal_model(even_sphere), "S2")
@@ -274,15 +271,6 @@ class TestTransfer:
 
 
 class TestModelText:
-    def test_round_trip_explicit(self, cp3):
-        model = build_formal_model(cp3)
-        text = print_model(model)
-        back = parse_model(text)
-        assert [g.name for g in back.generators] == [g.name for g in model.generators]
-        for g in model.generators:
-            assert back.differential[g.name] == model.differential[g.name]
-        assert print_model(back) == text
-
     def test_pretty_form(self):
         gens = [Generator("x4", 4), Generator("x6", 6), Generator("x8", 8)]
         alg = Algebra(QQ, gens)
@@ -295,7 +283,3 @@ class TestModelText:
         pretty = pretty_model(model)
         assert pretty.startswith("Λ(x4, x6, x8, y15, y17, y23)")
         assert "d y15 = x8^2 + …" in pretty
-
-    def test_partial_not_parseable(self):
-        with pytest.raises(ValueError):
-            parse_model("Λ(x2:2)\nd x2 = x2 + …\n")
