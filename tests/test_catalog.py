@@ -325,13 +325,26 @@ class TestDataset:
             load_dataset()
         catalog._DATASET_CACHE.clear()
 
-    def test_rejects_non_integer_key(self, tmp_path, monkeypatch):
-        (tmp_path / "facts.txt").write_text(
-            'action space=EI gen=x8 family=P k=x prime=5 value="x8^2" cite="c"\n', encoding="utf-8"
-        )
+    @pytest.mark.parametrize(
+        "record,message",
+        [
+            ('action space=EI gen=x8 family=P k=x prime=5 value="x8^2" cite="c"', "k='x'"),
+            ('action space=EI gen=x8 family=P k=1 prime=-5 value="x8^2" cite="c"', "prime='-5'"),
+            ('fibration space=FI aux=FI-aux aux-label=L threshold=5.0 cite="c"', "threshold='5.0'"),
+        ],
+    )
+    def test_rejects_non_integer_key(self, tmp_path, monkeypatch, record, message):
+        (tmp_path / "facts.txt").write_text(f"# header\n{record}\n", encoding="utf-8")
         monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(tmp_path))
         monkeypatch.setattr(catalog, "_DATASET_CACHE", {})
-        with pytest.raises(CatalogDataError, match="facts.txt line 1: k='x' is not an integer"):
+        with pytest.raises(CatalogDataError, match=re.escape(f"facts.txt line 2: {message} is not an integer")):
+            load_dataset()
+
+    def test_missing_presentation_file_names_line(self, tmp_path, monkeypatch):
+        (tmp_path / "facts.txt").write_text('presentation space=X file=absent.pres cite="c"\n', encoding="utf-8")
+        monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(tmp_path))
+        monkeypatch.setattr(catalog, "_DATASET_CACHE", {})
+        with pytest.raises(CatalogDataError, match=r"facts\.txt line 1: .*absent\.pres"):
             load_dataset()
 
     def test_one_line_mutants_load_or_name_a_line(self, tmp_path, monkeypatch):
