@@ -59,6 +59,7 @@ from .steenrod import (
     torus_model,
 )
 from .sullivan import (
+    TransferNotJustified,
     build_formal_model,
     certified_parts_are_cocycles,
     find_rational_witness,
@@ -757,7 +758,18 @@ def _run_rational(step: RationalStep):
     final_space = space
     if step.transfer is not None:
         t = step.transfer
-        witness = transfer_witness(witness, t.threshold, t.target)
+        try:
+            witness = transfer_witness(witness, t.threshold, t.target)
+        except TransferNotJustified as exc:
+            transcript.append(
+                TranscriptEntry(
+                    MACHINE,
+                    "fail",
+                    f"witness degrees ({witness.m},{witness.n},{witness.target}) "
+                    f"not all >= threshold {t.threshold}",
+                )
+            )
+            return Refusal(space, RATIONAL, str(exc), tuple(transcript))
         transcript.append(
             TranscriptEntry(
                 MACHINE,

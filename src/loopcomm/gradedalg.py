@@ -371,23 +371,31 @@ class Presentation:
         return all(r.explicit for r in self.relations)
 
 
-def _rank(rows: Iterable[dict], field: FieldSpec) -> int:
+# Rank mod this prime is a lower bound for the rank over Q of integer rows.  It
+# is small enough that FieldSpec's trial-division primality check is instant.
+_CHECK_FIELD = FieldSpec(32003)
+
+
+def _rank(rows: Iterable[dict], field: FieldSpec, ncols: Optional[int] = None) -> int:
     """Rank of sparse rows {column: coefficient}, by exact fraction-free elimination.
 
     Pivots are keyed by their leading (least) column.  Only a row's leading
     entry is cleared, against the pivot of that column, until the row leads in
     a column without a pivot or vanishes.  Over Q every row is scaled once to
     integers, combined as a*row - b*pivot and divided by its content; over F_p
-    the entries are residues and each pivot is made monic with one inverse.
+    the entries are residues (integers are reduced) and each pivot is made
+    monic with one inverse.  Given the column count, elimination stops once
+    every column has a pivot, since later rows cannot raise the rank.
     """
     p = field.characteristic
     pivots: dict = {}  # leading column -> row
     for row in rows:
+        if len(pivots) == ncols:
+            break
         if p:
             row = {j: c % p for j, c in row.items() if c % p}
         else:
-            den = lcm(*(c.denominator for c in row.values()))
-            row = _primitive({j: c.numerator * (den // c.denominator) for j, c in row.items() if c})
+            row = _primitive(_integer_row(row))
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
@@ -421,6 +429,12 @@ def _rank(rows: Iterable[dict], field: FieldSpec) -> int:
     return len(pivots)
 
 
+def _integer_row(row: dict) -> dict:
+    """A row of rationals times the lcm of its denominators: integers with the same span over Q."""
+    den = lcm(*(c.denominator for c in row.values()))
+    return {j: c.numerator * (den // c.denominator) for j, c in row.items() if c}
+
+
 def _primitive(row: dict) -> dict:
     """An integer row divided by the gcd of its entries."""
     g = gcd(*row.values())
@@ -448,9 +462,19 @@ def _ideal_rows(pres: Presentation, degree: int, basis_index: dict) -> list:
 
 
 def hilbert_function(pres: Presentation, up_to: int) -> tuple:
-    """Dimension of each graded piece of the quotient, degrees 0..up_to."""
+    """Dimension of each graded piece of the quotient, degrees 0..up_to.
+
+    Read off the series prod(1 - t^{|rho_i|}) / prod(1 - t^{|x_j|}) when
+    up_to reaches its degree D and the relations form a regular sequence
+    (see _regular_sequence); otherwise eliminated degree by degree, so a small
+    up_to never pays for the window above D.
+    """
     if not pres.all_explicit:
         raise UnsupportedPresentation("hilbert_function requires explicit relations")
+    if up_to >= _series_degree(pres) and _regular_sequence(pres):
+        return tuple(
+            _series_quotient([r.degree for r in pres.relations], pres.algebra.degrees, up_to)
+        )
     return tuple(graded_dimension(pres, d) for d in range(up_to + 1))
 
 
@@ -466,7 +490,46 @@ def graded_dimension(pres: Presentation, degree: int) -> int:
         raise UnsupportedPresentation("graded dimension requires explicit relations")
     basis = pres.algebra.monomials_of_degree(degree)
     index = {m: i for i, m in enumerate(basis)}
-    return len(basis) - _rank(_ideal_rows(pres, degree, index), pres.field)
+    return len(basis) - _rank(_ideal_rows(pres, degree, index), pres.field, len(basis))
+
+
+def _series_degree(pres: Presentation) -> int:
+    """D = sum(|rho_i|) - sum(|x_j|), the degree of the complete-intersection series."""
+    return sum(r.degree for r in pres.relations) - sum(pres.algebra.degrees)
+
+
+@lru_cache(maxsize=None)
+def _regular_sequence(pres: Presentation) -> bool:
+    """Whether n relations of positive degree on n polynomial generators have a finite quotient.
+
+    A finite quotient makes them a regular sequence, because a polynomial ring
+    is Cohen-Macaulay (Bruns-Herzog, Cohen-Macaulay Rings), so its Hilbert
+    series is prod(1 - t^{|rho_i|}) / prod(1 - t^{|x_j|}), of degree D.  The
+    quotient is generated in degrees <= w, the largest generator degree, so it
+    is finite exactly when the window of degrees D+1..D+w vanishes.  Over Q a
+    window degree is first eliminated mod _CHECK_FIELD: integer rows have rank
+    mod p at most their rank over Q, so full rank there proves the degree
+    vanishes.  Otherwise, and over F_p, it is eliminated over the field itself.
+    """
+    alg = pres.algebra
+    if (
+        len(pres.relations) != len(alg.generators)
+        or any(d % 2 or sqz for d, sqz in zip(alg.degrees, alg.sqz))
+        or any(r.degree <= 0 for r in pres.relations)
+    ):
+        return False
+    D = _series_degree(pres)
+    if D < 0:
+        return False
+    for degree in range(D + 1, D + max(alg.degrees, default=0) + 1):
+        basis = alg.monomials_of_degree(degree)
+        n = len(basis)
+        rows = _ideal_rows(pres, degree, {m: i for i, m in enumerate(basis)})
+        if pres.field.characteristic == 0 and _rank(map(_integer_row, rows), _CHECK_FIELD, n) == n:
+            continue
+        if _rank(rows, pres.field, n) < n:
+            return False
+    return True
 
 
 def indecomposable_dimension(pres: Presentation, degree: int) -> int:
@@ -508,16 +571,21 @@ def _series_quotient(rel_degrees: list, gen_degrees: list, up_to: int) -> list:
 
 
 def is_complete_intersection(pres: Presentation) -> bool:
-    """Whether the relations cut the dimensions predicted by the series formula.
+    """Whether the relations form a regular sequence on even polynomial generators.
 
-    Compares hilbert_function with prod(1 - t^{|rho_i|}) / prod(1 - t^{|x_j|})
-    up to the formal dimension D = sum(|rho_i| - |x_j|) and checks vanishing in
-    a window above D wide enough to force vanishing in all higher degrees.  A
-    recorded formal dimension that differs from D is a hypothesis violation.
+    With as many decomposable relations as generators this holds exactly when
+    the quotient is finite, and then its dimensions are the coefficients of
+    prod(1 - t^{|rho_i|}) / prod(1 - t^{|x_j|}), of degree D = sum(|rho_i| - |x_j|);
+    see _regular_sequence.  A recorded formal dimension that differs from D is
+    a hypothesis violation.
     """
     for g in pres.generators:
         if g.degree % 2 == 1:
             raise HypothesisViolation("odd generator present; series formula requires even generators")
+        if g.squares_to_zero:
+            raise HypothesisViolation(
+                f"generator {g.name} squares to zero; series formula requires polynomial generators"
+            )
     for rel in pres.relations:
         if not rel.explicit:
             raise HypothesisViolation("partial relation present; complete-intersection check needs explicit bodies")
@@ -527,21 +595,12 @@ def is_complete_intersection(pres: Presentation) -> bool:
         raise HypothesisViolation(
             f"relation count {len(pres.relations)} != generator count {len(pres.generators)}"
         )
-    rel_degrees = [r.degree for r in pres.relations]
-    gen_degrees = [g.degree for g in pres.generators]
-    D = sum(rel_degrees) - sum(gen_degrees)
+    D = _series_degree(pres)
     if pres.formal_dimension is not None and pres.formal_dimension != D:
         raise HypothesisViolation(
             f"recorded formal dimension {pres.formal_dimension} differs from the series degree {D}"
         )
-    if D < 0:
-        return False
-    window = max(gen_degrees, default=0)
-    series = _series_quotient(rel_degrees, gen_degrees, D)
-    dims = hilbert_function(pres, D + window)
-    if list(dims[: D + 1]) != series:
-        return False
-    return all(x == 0 for x in dims[D + 1 :])
+    return _regular_sequence(pres)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from loopcomm.catalog import (
     report,
     route,
 )
-from loopcomm.cli import _USAGE_ERRORS
+from loopcomm.cli import _USAGE_ERRORS, main as cli_main
 from loopcomm.criteria import ASSERTED, Certificate, DataIncomplete, Refusal
 from loopcomm.gradedalg import Algebra, FieldSpec, Generator
 from loopcomm.sullivan import SullivanModel
@@ -368,6 +368,24 @@ class TestDataset:
                     check(instantiate(fam.id, params))
                 except _USAGE_ERRORS:
                     pass
+
+    def test_threshold_above_the_witness_is_a_refusal(self, tmp_path, monkeypatch, capsys):
+        # FI's witness lives in degrees (8, 8, 15); threshold 17 does not let it transfer
+        data = tmp_path / "data"
+        shutil.copytree(_DATA, data)
+        facts = (_DATA / "facts.txt").read_text(encoding="utf-8")
+        record = 'fibration space=FI aux=FI-aux aux-label="F4/(Sp(3)xS1)" threshold=5 '
+        assert record in facts
+        (data / "facts.txt").write_text(facts.replace(record, record.replace("=5 ", "=17 ")), encoding="utf-8")
+        monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(data))
+        monkeypatch.setattr(catalog, "_DATASET_CACHE", {})
+        assert cli_main(["check", "FI"]) == 2
+        out = capsys.readouterr().out
+        assert "failed: witness degree 8 is below the equivalence threshold 17" in out
+        assert "[machine-verified] fail: witness degrees (8,8,15) not all >= threshold 17" in out
+        assert cli_main(["report", "--all"]) == 0
+        row = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("FI "))
+        assert "no conclusion" in row
 
 
 class TestReport:

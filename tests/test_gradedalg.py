@@ -31,7 +31,7 @@ from loopcomm.gradedalg import (
     poly_to_text,
     print_presentation,
 )
-from loopcomm.gradedalg import _ideal_rows, _rank
+from loopcomm.gradedalg import _CHECK_FIELD, _ideal_rows, _rank, graded_dimension
 
 QQ = FieldSpec(0)
 
@@ -355,6 +355,7 @@ class TestRank:
             dense = [[row.get(j, 0) for j in range(width)] for row in rows]
             before = [dict(row) for row in rows]
             assert _rank(rows, field) == _dense_rank(dense, field), (rows, field)
+            assert _rank(rows, field, width) == _dense_rank(dense, field), (rows, field)
             assert rows == before  # the input rows are left as they were
 
     def test_rank_over_q_is_not_a_modular_rank(self):
@@ -461,6 +462,106 @@ class TestCompleteIntersection:
         D = (8 - 4) + (12 - 6) + (16 - 8)
         dims = hilbert_function(pres, D)
         assert dims == dims[::-1]
+
+
+def _series_by_division(rel_degrees, gen_degrees, up_to):
+    """Reference: coefficients of prod(1 - t^r) / prod(1 - t^d) by power-series long division."""
+    num = [1] + [0] * up_to
+    for r in rel_degrees:
+        num = [c - (num[k - r] if k >= r else 0) for k, c in enumerate(num)]
+    den = [1] + [0] * up_to
+    for d in gen_degrees:
+        den = [c - (den[k - d] if k >= d else 0) for k, c in enumerate(den)]
+    out = []
+    for k in range(up_to + 1):
+        out.append(num[k] - sum(den[j] * out[k - j] for j in range(1, k + 1)))
+    return out
+
+
+def _ci_by_series_comparison(pres):
+    """Reference: the per-degree rule, series match up to D and a vanishing window above it."""
+    rel_degrees = [r.degree for r in pres.relations]
+    D = sum(rel_degrees) - sum(pres.algebra.degrees)
+    if D < 0:
+        return False
+    w = max(pres.algebra.degrees, default=0)
+    dims = [graded_dimension(pres, d) for d in range(D + w + 1)]
+    return dims[: D + 1] == _series_by_division(rel_degrees, pres.algebra.degrees, D) and not any(dims[D + 1 :])
+
+
+def _random_square_presentation(rng, field):
+    """n relations on n even generators: often a complete intersection, often not.
+
+    A relation in a generator degree may carry a linear part, which
+    hilbert_function accepts and is_complete_intersection rejects.
+    """
+    n = rng.randint(1, 3)
+    alg = Algebra(field, [Generator(f"x{i}", rng.choice((2, 4))) for i in range(n)])
+
+    def coeff():
+        if field.characteristic:
+            return rng.randint(1, field.characteristic - 1)
+        return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+
+    relations = []
+    for i in range(n):
+        degree = rng.choice(alg.degrees) * rng.randint(2, 3)
+        linear = rng.random() < 0.2
+        body = alg.zero()
+        if rng.random() < 0.6 and degree % alg.degrees[i] == 0:
+            # a pure power keeps a chance of finiteness
+            body = alg.monomial(tuple(degree // alg.degrees[i] if j == i else 0 for j in range(n)), coeff())
+        for m in alg.monomials_of_degree(degree):
+            if (sum(m) >= 2 or linear) and rng.random() < 0.3:
+                body = body + alg.monomial(m, coeff())
+        relations.append(Relation(degree, "explicit", body))
+    return Presentation(alg, tuple(relations))
+
+
+class TestSeriesFromTheWindow:
+    @pytest.mark.parametrize("field", [QQ, FieldSpec(2), FieldSpec(3), FieldSpec(5)], ids=str)
+    def test_matches_per_degree_elimination(self, field):
+        rng = random.Random(field.characteristic + 7)
+        verdicts = set()
+        for _ in range(60):
+            pres = _random_square_presentation(rng, field)
+            D = sum(r.degree for r in pres.relations) - sum(pres.algebra.degrees)
+            top = D + max(pres.algebra.degrees)
+            full = hilbert_function(pres, top)
+            assert full == tuple(graded_dimension(pres, d) for d in range(top + 1)), print_presentation(pres)
+            if all(is_decomposable(r.terms) for r in pres.relations):
+                verdict = is_complete_intersection(pres)
+                assert verdict == _ci_by_series_comparison(pres), print_presentation(pres)
+                verdicts.add(verdict)
+            for d in range(top + 1):
+                assert hilbert_function(pres, d) == full[: d + 1]
+        assert verdicts == {True, False}
+
+    def test_singular_mod_the_check_prime_falls_back_to_q(self):
+        # the x^2 relation vanishes mod the check prime, but not over Q
+        p = _CHECK_FIELD.characteristic
+        alg = q_algebra(Generator("x", 2), Generator("y", 4))
+        pres = Presentation(
+            alg,
+            (Relation(4, "explicit", alg.monomial((2, 0), p)), Relation(8, "explicit", alg.monomial((0, 2)))),
+        )
+        assert is_complete_intersection(pres)
+        assert hilbert_function(pres, 8) == (1, 0, 1, 0, 1, 0, 1, 0, 0)
+
+    def test_denominator_divisible_by_the_check_prime(self):
+        # x^2 + y^2/p and xy: cleared of denominators, the first relation is p*x^2 + y^2
+        p = _CHECK_FIELD.characteristic
+        alg = q_algebra(Generator("x", 2), Generator("y", 2))
+        r1 = alg.monomial((2, 0)) + alg.monomial((0, 2), Fraction(1, p))
+        pres = Presentation(alg, (Relation(4, "explicit", r1), Relation(4, "explicit", alg.monomial((1, 1)))))
+        assert is_complete_intersection(pres)
+        assert hilbert_function(pres, 6) == (1, 0, 2, 0, 1, 0, 0)
+        assert hilbert_function(pres, 6) == tuple(graded_dimension(pres, d) for d in range(7))
+
+    def test_truncated_generator_is_a_hypothesis_violation(self):
+        alg = q_algebra(Generator("x2", 2, True))
+        with pytest.raises(HypothesisViolation, match="squares to zero"):
+            is_complete_intersection(Presentation(alg, (Relation(4, "explicit", alg.zero()),)))
 
 
 class TestSerialization:

@@ -417,6 +417,21 @@ class TestPartitionEngineDifferential:
                 )
                 assert _hook_read(j, c) == want % 2, (j, c)
 
+    def test_linear_coefficient_matches_newton_at_random_ranks(self):
+        # P^k c_i restricts to m_(p^k, 1^(i-k)), whose e_N coefficient modulo
+        # decomposables is C(i,k) N / i, N = i + k(p-1) (Sq^2k at p = 2).  Larger
+        # k at p = 5, 7 cost the engine seconds per case, so k is capped there.
+        max_k = {2: 20, 3: 8, 5: 2, 7: 1}
+        rng = random.Random(2309)
+        for _ in range(60):
+            p = rng.choice(sorted(max_k))
+            k = rng.randint(1, max_k[p])
+            i = rng.randint(k, 40 - k * (p - 1))
+            n = i + k * (p - 1)
+            op = SteenrodOp("Sq", 2 * k, 2) if p == 2 else SteenrodOp("P", k, p)
+            want = math.comb(i, k) * n // i % p
+            assert suspended_coefficient(torus_model("su", n), f"c{i}", op, f"c{n}") == want, (i, k, p)
+
     @pytest.mark.parametrize("prime", [2, 3, 5, 7])
     def test_quasi_projective_actions_match_full_expansion(self, prime):
         for m in range(1, 9):
