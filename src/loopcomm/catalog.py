@@ -35,10 +35,9 @@ from .gradedalg import (
     Algebra,
     FieldSpec,
     Generator,
+    HypothesisViolation,
     Presentation,
     Relation,
-    is_complete_intersection,
-    is_decomposable,
     parse_poly,
     parse_presentation,
     poly_to_text,
@@ -682,6 +681,10 @@ _BY_ID = {f.id: f for f in FAMILIES}
 def _run_rational(step: RationalStep):
     pres = step.presentation
     space = step.space
+    try:
+        model = build_formal_model(pres)
+    except HypothesisViolation as exc:
+        return Refusal(space, RATIONAL, str(exc), (TranscriptEntry(MACHINE, "fail", str(exc)),))
     transcript = [
         TranscriptEntry(
             MACHINE,
@@ -693,8 +696,6 @@ def _run_rational(step: RationalStep):
     ]
     for i, rel in enumerate(pres.relations):
         if rel.explicit:
-            if not is_decomposable(rel.terms):
-                return Refusal(space, RATIONAL, f"relation {i} is not decomposable", tuple(transcript))
             transcript.append(
                 TranscriptEntry(MACHINE, "pass", f"relation {i} (degree {rel.degree}) is decomposable")
             )
@@ -709,10 +710,13 @@ def _run_rational(step: RationalStep):
                 )
             )
     if pres.all_explicit and pres.relations:
-        if not is_complete_intersection(pres):
-            return Refusal(space, RATIONAL, "relations are not a complete intersection", tuple(transcript))
         transcript.append(
-            TranscriptEntry(MACHINE, "pass", "relations form a complete intersection (series comparison)")
+            TranscriptEntry(
+                MACHINE,
+                "pass",
+                "relations form a complete intersection: the quotient vanishes in the window of "
+                "degrees above the formal dimension, so the relations are a regular sequence",
+            )
         )
     elif pres.relations:
         transcript.append(
@@ -723,7 +727,6 @@ def _run_rational(step: RationalStep):
                 citation=step.citation,
             )
         )
-    model = build_formal_model(pres)
     if not certified_parts_are_cocycles(model):
         return Refusal(space, RATIONAL, "a stored differential is not a cocycle", tuple(transcript))
     transcript.append(

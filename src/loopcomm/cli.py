@@ -13,19 +13,14 @@ import sys
 
 from .catalog import (
     DATA_ENV,
-    CatalogDataError,
     ParameterError,
     check,
     family,
     instantiate,
     report,
 )
-from .criteria import Certificate, DataIncomplete, Refusal, conclude_noncommutative
+from .criteria import Certificate, Refusal, conclude_noncommutative
 from .gradedalg import (
-    ContractViolation,
-    HypothesisViolation,
-    StructuralError,
-    UnsupportedPresentation,
     hilbert_function,
     is_complete_intersection,
     parse_presentation,
@@ -38,18 +33,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NO_CONCLUSION = 2
 
-_USAGE_ERRORS = (
-    ParameterError,
-    CatalogDataError,
-    DataIncomplete,
-    ContractViolation,
-    HypothesisViolation,
-    StructuralError,
-    UnsupportedPresentation,
-    LookupError,
-    ValueError,
-    OSError,
-)
+_USAGE_ERRORS = (ValueError, LookupError, OSError)
 
 
 def _emit(payload: dict, text: str, fmt: str) -> None:

@@ -55,6 +55,8 @@ class Certificate:
         for e in self.transcript:
             if e.status not in (MACHINE, ASSERTED):
                 raise ValueError(f"bad transcript status {e.status!r}")
+            if e.outcome == "fail":
+                raise ValueError(f"a certificate cannot carry a failed entry: {e.description}")
         if self.criterion != RECORDED and not any(
             e.status == MACHINE for e in self.transcript
         ):

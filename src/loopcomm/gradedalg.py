@@ -478,7 +478,6 @@ def hilbert_function(pres: Presentation, up_to: int) -> tuple:
     return tuple(graded_dimension(pres, d) for d in range(up_to + 1))
 
 
-@lru_cache(maxsize=None)
 def graded_dimension(pres: Presentation, degree: int) -> int:
     """Dimension of a single graded piece of the quotient.
 
@@ -570,36 +569,49 @@ def _series_quotient(rel_degrees: list, gen_degrees: list, up_to: int) -> list:
     return coeffs
 
 
-def is_complete_intersection(pres: Presentation) -> bool:
-    """Whether the relations form a regular sequence on even polynomial generators.
+def check_even_hypotheses(pres: Presentation) -> None:
+    """Raise HypothesisViolation naming the first even-complete-intersection hypothesis that fails.
 
-    With as many decomposable relations as generators this holds exactly when
-    the quotient is finite, and then its dimensions are the coefficients of
-    prod(1 - t^{|rho_i|}) / prod(1 - t^{|x_j|}), of degree D = sum(|rho_i| - |x_j|);
-    see _regular_sequence.  A recorded formal dimension that differs from D is
-    a hypothesis violation.
+    The generators are even and polynomial, there are as many relations as
+    generators, every relation is decomposable (a partial one through its
+    decomposability assertion and its certified terms), and a recorded formal
+    dimension equals the series degree D = sum(|rho_i|) - sum(|x_j|).
     """
     for g in pres.generators:
         if g.degree % 2 == 1:
-            raise HypothesisViolation("odd generator present; series formula requires even generators")
+            raise HypothesisViolation(f"odd generator {g.name} in input")
         if g.squares_to_zero:
-            raise HypothesisViolation(
-                f"generator {g.name} squares to zero; series formula requires polynomial generators"
-            )
-    for rel in pres.relations:
-        if not rel.explicit:
-            raise HypothesisViolation("partial relation present; complete-intersection check needs explicit bodies")
-        if not is_decomposable(rel.terms):
-            raise HypothesisViolation(f"relation of degree {rel.degree} is not decomposable")
+            raise HypothesisViolation(f"generator {g.name} squares to zero; polynomial generators are required")
     if len(pres.relations) != len(pres.generators):
         raise HypothesisViolation(
             f"relation count {len(pres.relations)} != generator count {len(pres.generators)}"
         )
+    for rel in pres.relations:
+        if not rel.explicit and not rel.decomposable_asserted:
+            raise HypothesisViolation(f"partial relation of degree {rel.degree} lacks a decomposability assertion")
+        if not is_decomposable(rel.terms):
+            raise HypothesisViolation(
+                f"relation of degree {rel.degree} is not decomposable"
+                if rel.explicit
+                else f"certified terms of the degree-{rel.degree} relation are not decomposable"
+            )
     D = _series_degree(pres)
     if pres.formal_dimension is not None and pres.formal_dimension != D:
         raise HypothesisViolation(
             f"recorded formal dimension {pres.formal_dimension} differs from the series degree {D}"
         )
+
+
+def is_complete_intersection(pres: Presentation) -> bool:
+    """Whether explicit relations form a regular sequence on even polynomial generators.
+
+    Given check_even_hypotheses, this holds exactly when the quotient is
+    finite, and then its dimensions are the coefficients of
+    prod(1 - t^{|rho_i|}) / prod(1 - t^{|x_j|}); see _regular_sequence.
+    """
+    if not pres.all_explicit:
+        raise HypothesisViolation("partial relation present; complete-intersection check needs explicit bodies")
+    check_even_hypotheses(pres)
     return _regular_sequence(pres)
 
 

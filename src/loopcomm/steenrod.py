@@ -507,7 +507,12 @@ def restrict(poly: Poly, images: dict, target: Presentation) -> tuple:
 
 
 def _run_crosscheck(inst: SteenrodCriterionInstance, cc: ClassifyingCrossCheck, theta_x: Poly):
-    """Compare the recorded action against the splitting-principle computation."""
+    """Compare the recorded action against the splitting-principle computation.
+
+    Returns the transcript entries and, when every computed term restricts and
+    the image still differs from the recorded action, the contradiction.  With
+    terms surfaced unresolved a difference is inconclusive.
+    """
     entries = []
     computed = char_class_operation(cc.model, cc.class_name, inst.op)
     resolved, surfaced = restrict(computed, cc.pullback, inst.presentation)
@@ -539,17 +544,21 @@ def _run_crosscheck(inst: SteenrodCriterionInstance, cc: ClassifyingCrossCheck, 
                 citation=cc.citation,
             )
         )
-    else:
+        return entries, None
+    difference = f"resolved image {poly_to_text(resolved)} differs from recorded action {poly_to_text(theta_x)}"
+    if surfaced:
         entries.append(
             TranscriptEntry(
                 MACHINE,
-                "fail",
-                f"cross-check discrepancy reported: resolved image {poly_to_text(resolved)} "
-                f"differs from recorded action {poly_to_text(theta_x)}",
+                "info",
+                f"cross-check discrepancy reported: {difference}; inconclusive, since the surfaced "
+                "terms may account for it",
                 citation=cc.citation,
             )
         )
-    return entries
+        return entries, None
+    entries.append(TranscriptEntry(MACHINE, "fail", f"cross-check contradiction: {difference}", citation=cc.citation))
+    return entries, f"cross-check: {difference}"
 
 
 def check_steenrod_criterion(
@@ -679,7 +688,10 @@ def check_steenrod_criterion(
     )
 
     if crosscheck is not None:
-        transcript.extend(_run_crosscheck(inst, crosscheck, theta_x))
+        entries, contradiction = _run_crosscheck(inst, crosscheck, theta_x)
+        transcript.extend(entries)
+        if contradiction:
+            return Refusal(inst.space, STEENROD, contradiction, tuple(transcript))
 
     witness = (
         ("operation", inst.op.label),

@@ -19,6 +19,7 @@ from .gradedalg import (
     Poly,
     Presentation,
     UnsupportedPresentation,
+    check_even_hypotheses,
     is_complete_intersection,
     is_decomposable,
     poly_to_text,
@@ -84,27 +85,10 @@ def build_formal_model(pres: Presentation) -> SullivanModel:
     """Minimal model of an even complete intersection: dx_i = 0, dy_i = rho_i."""
     if pres.field.characteristic != 0:
         raise HypothesisViolation("formal model construction requires rational coefficients")
-    for g in pres.generators:
-        if g.degree % 2 == 1:
-            raise HypothesisViolation(f"odd generator {g.name} in input")
-    if len(pres.relations) != len(pres.generators):
-        raise HypothesisViolation(
-            f"relation count {len(pres.relations)} != generator count {len(pres.generators)}"
-        )
-    for rel in pres.relations:
-        if not rel.explicit and not rel.decomposable_asserted:
-            raise HypothesisViolation(
-                f"partial relation of degree {rel.degree} lacks a decomposability assertion"
-            )
-        if not is_decomposable(rel.terms):
-            raise HypothesisViolation(
-                f"relation of degree {rel.degree} is not decomposable"
-                if rel.explicit
-                else f"certified terms of the degree-{rel.degree} relation are not decomposable"
-            )
-    if pres.all_explicit and pres.relations:
-        if not is_complete_intersection(pres):
-            raise HypothesisViolation("relations do not form a complete intersection")
+    if not pres.all_explicit:
+        check_even_hypotheses(pres)
+    elif not is_complete_intersection(pres):
+        raise HypothesisViolation("relations do not form a complete intersection")
 
     used = {g.name for g in pres.generators}
     model_gens = list(pres.generators)

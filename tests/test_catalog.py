@@ -245,6 +245,23 @@ class TestChecks:
         surfaced = [e for e in cert.transcript if "surfaced unresolved" in e.description]
         assert surfaced and "3*q4" in surfaced[0].description
 
+    def test_inconclusive_crosscheck_is_info(self, tmp_path, monkeypatch, capsys):
+        # a recorded P^1 x8 = 2*x8^2 differs from the resolved image x8^2, but
+        # the surfaced 3*q4 may account for the difference
+        data = tmp_path / "data"
+        shutil.copytree(_DATA, data)
+        facts = (_DATA / "facts.txt").read_text(encoding="utf-8")
+        record = 'action space=EI gen=x8 family=P k=1 prime=5 value="x8^2"'
+        assert record in facts
+        (data / "facts.txt").write_text(facts.replace(record, record.replace('"x8^2"', '"2*x8^2"')), encoding="utf-8")
+        monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(data))
+        monkeypatch.setattr(catalog, "_DATASET_CACHE", {})
+        assert cli_main(["check", "EI", "--format", "structured"]) == 0
+        transcript = json.loads(capsys.readouterr().out)["transcript"]
+        assert all(e["outcome"] != "fail" for e in transcript)
+        reported = [e for e in transcript if "discrepancy reported" in e["description"]]
+        assert reported and reported[0]["outcome"] == "info"
+
     def test_fii_crosscheck_surfaces_p4(self):
         cert = check(instantiate("FII"))
         surfaced = [e for e in cert.transcript if "surfaced unresolved" in e.description]
@@ -383,6 +400,40 @@ class TestDataset:
         out = capsys.readouterr().out
         assert "failed: witness degree 8 is below the equivalence threshold 17" in out
         assert "[machine-verified] fail: witness degrees (8,8,15) not all >= threshold 17" in out
+        assert cli_main(["report", "--all"]) == 0
+        row = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("FI "))
+        assert "no conclusion" in row
+
+    @pytest.mark.parametrize(
+        "old,new,failed",
+        [
+            ("relation 24 partial decomposable", "relation 24 partial",
+             "partial relation of degree 24 lacks a decomposability assertion"),
+            ("end", "relation 12 partial decomposable\nend", "relation count 3 != generator count 2"),
+            ("field rational", "field prime 5", "formal model construction requires rational coefficients"),
+            ("generator x2 2", "generator x3 3 squares-to-zero", "odd generator x3 in input"),
+            ("relation 16 partial decomposable\nterm 1 0 2\nrelation 24 partial decomposable",
+             "relation 8 explicit\nterm 1 0 1\nrelation 16 explicit\nterm 1 0 2",
+             "relation of degree 8 is not decomposable"),
+            # x2^8 lies in the ideal of x2^4, so x8 survives in every even degree
+            ("relation 16 partial decomposable\nterm 1 0 2\nrelation 24 partial decomposable",
+             "relation 8 explicit\nterm 1 4 0\nrelation 16 explicit\nterm 1 8 0",
+             "relations do not form a complete intersection"),
+        ],
+    )
+    def test_rational_hypothesis_violation_is_a_refusal(self, tmp_path, monkeypatch, capsys, old, new, failed):
+        data = tmp_path / "data"
+        shutil.copytree(_DATA, data)
+        pres = data / "presentations" / "FI-aux.pres"
+        text = pres.read_text(encoding="utf-8")
+        assert old in text
+        pres.write_text(text.replace(old, new), encoding="utf-8")
+        monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(data))
+        monkeypatch.setattr(catalog, "_DATASET_CACHE", {})
+        assert cli_main(["check", "FI", "--format", "structured"]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["failed"] == failed
+        assert [(e["outcome"], e["description"]) for e in out["transcript"]] == [("fail", failed)]
         assert cli_main(["report", "--all"]) == 0
         row = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("FI "))
         assert "no conclusion" in row

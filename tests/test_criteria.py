@@ -196,6 +196,15 @@ class TestCertificates:
                 (TranscriptEntry(ASSERTED, "pass", "only asserted"),),
             )
 
+    def test_failed_entry_is_rejected(self):
+        with pytest.raises(ValueError, match="failed entry: contradicted"):
+            Certificate(
+                "X",
+                "Steenrod",
+                (),
+                (TranscriptEntry(MACHINE, "pass", "verified"), TranscriptEntry(MACHINE, "fail", "contradicted")),
+            )
+
     def test_recorded_may_be_purely_asserted(self):
         cert = Certificate(
             "X",

@@ -1,5 +1,6 @@
 """Splitting-principle engine, Wu oracle, suspension models, criterion checker."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -432,6 +433,17 @@ class TestPartitionEngineDifferential:
             want = math.comb(i, k) * n // i % p
             assert suspended_coefficient(torus_model("su", n), f"c{i}", op, f"c{n}") == want, (i, k, p)
 
+    def test_linear_coefficient_matches_wu_at_random_ranks(self):
+        # the w_{i+b} term of Sq^b w_i in BSO(n) is the t = b term of the Wu
+        # formula, C(i-1, b) w_0 w_{i+b}; b > i is covered (instability: 0)
+        rng = random.Random(5)
+        for _ in range(60):
+            n = rng.randint(3, 64)
+            i = rng.randint(2, n - 1)
+            b = rng.randint(1, n - i)
+            got = suspended_coefficient(torus_model("so", n), f"w{i}", SteenrodOp("Sq", b, 2), f"w{i + b}")
+            assert got == math.comb(i - 1, b) % 2, (n, i, b)
+
     @pytest.mark.parametrize("prime", [2, 3, 5, 7])
     def test_quasi_projective_actions_match_full_expansion(self, prime):
         for m in range(1, 9):
@@ -590,6 +602,46 @@ class TestCriterionChecker:
         result = check_steenrod_criterion(bad)
         assert isinstance(result, Refusal) and "condition (2)" in result.failed
 
+    @pytest.mark.parametrize(
+        "field,value,failed",
+        [
+            ("pullback_a", {"v7": None}, "condition (1): v7 pulls back to zero on Sigma RP^6"),
+            ("pullback_a", {"v7": "su1"}, "condition (1): pullback table sends v7 to su1 of the wrong degree"),
+            ("pullback_b", {"v2": None}, "condition (1): v2 pulls back to zero on Sigma RP^1"),
+            ("pullback_b", {"v2": "su2"}, "condition (1): pullback table sends v2 to su2 of the wrong degree"),
+        ],
+    )
+    def test_condition_one_refusals(self, field, value, failed):
+        bad = dataclasses.replace(_ai_instance(7, 2), **{field: value})
+        result = check_steenrod_criterion(bad)
+        assert isinstance(result, Refusal)
+        assert result.failed == failed
+        assert result.transcript[-1].outcome == "fail"
+
+    def test_condition_four_refusal(self):
+        # a linear relation kills the indecomposable v7
+        inst = _ai_instance(7, 2)
+        alg = inst.presentation.algebra
+        pres = Presentation(alg, (Relation(7, "explicit", alg.gen("v7")),))
+        result = check_steenrod_criterion(dataclasses.replace(inst, presentation=pres))
+        assert isinstance(result, Refusal)
+        assert result.failed == "condition (4): indecomposable quotient has dimension 0 != 1 in degree 7"
+
+    def test_condition_five_refuses_an_indecomposable_action(self):
+        # P^1 x8 recorded with a linear term in degree 16
+        inst = _ei_instance(lambda alg: alg.monomial((2, 0, 0)), "recorded restriction")
+        wide = Algebra(FieldSpec(5), inst.presentation.generators + (Generator("y16", 16),))
+        action = {"x8": wide.gen("x8") + wide.gen("y16")}
+        result = check_steenrod_criterion(dataclasses.replace(inst, action=action))
+        assert isinstance(result, Refusal)
+        assert result.failed == "condition (5): P^1 (p=5) x8 = y16 is not decomposable"
+
+    def test_condition_five_refuses_a_missing_product_term(self):
+        inst = _ei_instance(lambda alg: alg.zero(), "corrupted for the test")
+        result = check_steenrod_criterion(inst)
+        assert isinstance(result, Refusal)
+        assert result.failed == "condition (5): P^1 (p=5) x8 = 0 has no x8*x8 term"
+
     def test_missing_action_is_data_error(self):
         inst = _ai_instance(7, 2)
         bad = SteenrodCriterionInstance(**{**inst.__dict__, "action": {}})
@@ -615,11 +667,28 @@ class TestCriterionChecker:
     def test_crosscheck_discrepancy_reported_not_resolved(self):
         # a corrupted recorded action disagrees with the resolved cross-check image;
         # the discrepancy is reported in the transcript, never silently fixed
+        # it is inconclusive while terms are surfaced unresolved, so it is recorded as info
         inst = _ei_instance(lambda alg: alg.monomial((2, 0, 0), 2), "corrupted for the test")  # P^1 x8 = 2 x8^2
         result = check_steenrod_criterion(inst, _ei_crosscheck(inst))
         assert isinstance(result, Certificate)
         reported = [e for e in result.transcript if "discrepancy reported" in e.description]
-        assert reported and reported[0].outcome == "fail"
+        assert reported and reported[0].outcome == "info"
+        assert "inconclusive" in reported[0].description
+
+    def test_crosscheck_contradiction_refuses(self):
+        # with q4 recorded to restrict to zero nothing is surfaced, so the
+        # computed image x8^2 contradicts a recorded 2*x8^2
+        inst = _ei_instance(lambda alg: alg.monomial((2, 0, 0), 2), "corrupted for the test")
+        zero = inst.presentation.algebra.zero()
+        cc = dataclasses.replace(_ei_crosscheck(inst), pullback={**_ei_crosscheck(inst).pullback, "q4": zero})
+        result = check_steenrod_criterion(inst, cc)
+        assert isinstance(result, Refusal)
+        assert result.failed == "cross-check: resolved image x8^2 differs from recorded action 2*x8^2"
+        assert result.transcript[-1].outcome == "fail"
+        good = _ei_instance(lambda alg: alg.monomial((2, 0, 0)), "recorded restriction")
+        result = check_steenrod_criterion(good, cc)
+        assert isinstance(result, Certificate)
+        assert not any("surfaced" in e.description for e in result.transcript)
 
     def test_condition_three_refuses_distinct_sources(self):
         # |a| = |b| at an odd prime needs the diagonal instance: a second sphere

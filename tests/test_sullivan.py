@@ -110,6 +110,17 @@ class TestBuildFormalModel:
             build_formal_model(pres)
 
 
+    def test_partial_presentation_checks_the_formal_dimension(self):
+        # D = 16 + 24 - (2 + 8) = 30; partial relations go through the same gate
+        alg = Algebra(QQ, [Generator("x2", 2), Generator("x8", 8)])
+        rels = (
+            Relation(16, "partial", alg.monomial((0, 2)), decomposable_asserted=True),
+            Relation(24, "partial", alg.zero(), decomposable_asserted=True),
+        )
+        assert build_formal_model(Presentation(alg, rels, formal_dimension=30)).partial == {"y15", "y23"}
+        with pytest.raises(HypothesisViolation, match="formal dimension 28 differs from the series degree 30"):
+            build_formal_model(Presentation(alg, rels, formal_dimension=28))
+
 class TestDerivation:
     def test_leibniz_on_product(self, even_sphere):
         model = build_formal_model(even_sphere)
