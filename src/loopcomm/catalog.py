@@ -316,7 +316,7 @@ def _wu_steps(n: int, space: str, pres: Presentation, prefix: str, restriction="
         criterion = SteenrodCriterionInstance(
             space=space,
             presentation=pres,
-            action={top: action},
+            theta=action,
             action_provenance="derived",
             action_citation=_WU_CITE + " in BSO(n)" + restriction,
             op=op,
@@ -402,23 +402,18 @@ def _cii_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
         prime, op, b_index = 3, SteenrodOp("P", 1, 3), 1
         label = "Steenrod P^1 (p=3) on BSp(1)"
     model = torus_model("sp", n)
-    alg = class_algebra(model, prime)
-    pres = Presentation(alg)
-    action = {f"q{n}": char_class_operation(model, f"q{n}", op)}
-    source_a = suspension_quasi_projective(n, prime)
-    source_b = source_a if b_index == n else suspension_quasi_projective(b_index, prime)
     criterion = SteenrodCriterionInstance(
         space=f"BSp({n})",
-        presentation=pres,
-        action=action,
+        presentation=Presentation(class_algebra(model, prime)),
+        theta=char_class_operation(model, f"q{n}", op),
         action_provenance="derived",
         action_citation="mod-p " + _WU_CITE + " in BSp(n)",
         op=op,
         a=f"q{n}",
         b=f"q{b_index}",
         x=f"q{n}",
-        source_a=source_a,
-        source_b=source_b,
+        source_a=suspension_quasi_projective(n),
+        source_b=suspension_quasi_projective(b_index),
         pullback_a={f"q{i}": f"sx{i}" for i in range(1, n + 1)},
         pullback_b={f"q{i}": (f"sx{i}" if i <= b_index else None) for i in range(1, n + 1)},
         pullback_citation="quasi-projective restriction g*(q_i) = Sigma x_i (James)",
@@ -448,7 +443,7 @@ def _bottom_cell_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     criterion = SteenrodCriterionInstance(
         space=space,
         presentation=pres,
-        action={gen: alg.gen(gen) + parse_poly(rec["value"], alg)},
+        theta=parse_poly(rec["value"], alg),
         action_provenance="asserted",
         action_citation=rec["cite"],
         op=op,
@@ -467,17 +462,19 @@ def _bottom_cell_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
 def _g_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     pres = ds.presentation("G")
     alg = pres.algebra
-    images = {}
-    for rec in ds.find("pullback", space="G"):
-        images[rec["class"]] = parse_poly(rec["value"], alg)
+    records = ds.find("pullback", space="G")
+    models = sorted({rec["model"] for rec in records})
+    if len(models) != 1:
+        raise DataIncomplete(f"pullback records for G must name one torus model, not {models}")
+    images = {rec["class"]: parse_poly(rec["value"], alg) for rec in records}
     op = SteenrodOp("Sq", 2, 2)
-    action, unresolved = restrict(char_class_operation(torus_model("so", 4), "w3", op), images, pres)
+    action, unresolved = restrict(char_class_operation(torus_model(models[0], 4), "w3", op), images, pres)
     if unresolved:
         raise DataIncomplete(f"restriction images are not recorded for {', '.join(unresolved)}")
     criterion = SteenrodCriterionInstance(
         space="G",
         presentation=pres,
-        action={"x3": action},
+        theta=action,
         action_provenance="derived",
         action_citation=_WU_CITE + " in BSO(4), restricted along x_i = iota^*(w_i) (Borel-Hirzebruch)",
         op=op,

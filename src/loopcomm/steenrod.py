@@ -6,8 +6,8 @@ multiplicative substitution t -> t + t^p, and the answer is re-expressed in
 elementary symmetric polynomials with rank truncation.  Only the degree
 component an operation asks for is expanded, and symmetric polynomials are
 kept in the partition basis, one coefficient per orbit of torus monomials.
-Suspension models carry stable action tables derived from the same engine,
-and the six-condition criterion consumes both.
+Suspension models answer the stable actions the criterion reads from the same
+engine, and the six-condition criterion consumes both.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .criteria import (
     MACHINE,
     STEENROD,
     Certificate,
-    DataIncomplete,
     Refusal,
     TranscriptEntry,
 )
@@ -316,32 +315,39 @@ def char_class_operation(model: TorusModel, class_name: str, op: SteenrodOp) -> 
 class SuspensionModel:
     """Cohomology of a suspension: graded classes, zero products, stable actions.
 
-    `actions` maps (class, family, k) to a tuple of (coeff, class) pairs; all
-    absent keys act by zero, and the k = 0 component is the identity.
+    Every model here has at most one class per degree, so an operation sends a
+    class to a multiple of the class op.shift degrees higher.  `act` asks
+    `coefficient(degree, op)` for that multiple only when the higher class
+    exists; without a coefficient every positive component acts by zero.
     """
 
-    def __init__(self, base: str, classes, actions: dict):
+    def __init__(self, base: str, classes, coefficient=None):
         self.base = base
         self.classes = tuple(classes)
         self.degree = dict(self.classes)
-        self.actions = dict(actions)
+        self.class_in = {d: name for name, d in self.classes}
+        if len(self.class_in) != len(self.classes):
+            raise ContractViolation(f"two classes of {base} share a degree")
+        self.coefficient = coefficient
 
-    def act(self, class_name: str, family: str, k: int) -> tuple:
-        if k == 0:
+    def act(self, class_name: str, op: SteenrodOp) -> tuple:
+        if op.k == 0:
             return ((1, class_name),)
-        return self.actions.get((class_name, family, k), ())
+        degree = self.degree[class_name]
+        target = self.class_in.get(degree + op.shift)
+        if target is None or self.coefficient is None:
+            return ()
+        c = self.coefficient(degree, op) % op.prime
+        return ((c, target),) if c else ()
 
 
 @lru_cache(maxsize=None)
 def suspension_rp(m: int) -> SuspensionModel:
     """Sigma RP^m: classes Sigma u^j (degree j+1), Sq^k Sigma u^j = C(j,k) Sigma u^{j+k}."""
     classes = [(f"su{j}", j + 1) for j in range(1, m + 1)]
-    actions = {}
-    for j in range(1, m + 1):
-        for k in range(1, m - j + 1):
-            if binomial(j, k) % 2:
-                actions[(f"su{j}", "Sq", k)] = ((1, f"su{j + k}"),)
-    return SuspensionModel(f"Sigma RP^{m}", classes, actions)
+    return SuspensionModel(
+        f"Sigma RP^{m}", classes, lambda degree, op: binomial(degree - 1, op.k) if op.family == "Sq" else 0
+    )
 
 
 def suspended_coefficient(model: TorusModel, class_name: str, op: SteenrodOp, target: str) -> int:
@@ -355,32 +361,24 @@ def suspended_coefficient(model: TorusModel, class_name: str, op: SteenrodOp, ta
 
 
 @lru_cache(maxsize=None)
-def suspension_quasi_projective(m: int, prime: int) -> SuspensionModel:
+def suspension_quasi_projective(m: int) -> SuspensionModel:
     """Sigma Q_m: classes Sigma x_i (degree 4i); actions induced from BSp(m)."""
-    classes = [(f"sx{i}", 4 * i) for i in range(1, m + 1)]
-    actions = {}
     model = torus_model("sp", m)
-    family, unit = ("Sq", 4) if prime == 2 else ("P", 1)
-    for i in range(1, m + 1):
-        for k in range(unit, unit * (m - i) + 1, unit):
-            op = SteenrodOp(family, k, prime)
-            tgt = i + op.shift // 4
-            if tgt > m:
-                break
-            gamma = suspended_coefficient(model, f"q{i}", op, f"q{tgt}")
-            if gamma:
-                actions[(f"sx{i}", family, k)] = ((gamma, f"sx{tgt}"),)
-    return SuspensionModel(f"Sigma Q_{m}", classes, actions)
+
+    def coefficient(degree: int, op: SteenrodOp) -> int:
+        return suspended_coefficient(model, f"q{degree // 4}", op, f"q{(degree + op.shift) // 4}")
+
+    return SuspensionModel(f"Sigma Q_{m}", [(f"sx{i}", 4 * i) for i in range(1, m + 1)], coefficient)
 
 
 @lru_cache(maxsize=None)
 def suspension_sphere(k: int) -> SuspensionModel:
-    return SuspensionModel(f"S^{k}", [(f"s{k}", k)], {})
+    return SuspensionModel(f"S^{k}", [(f"s{k}", k)])
 
 
 def suspension_moore() -> SuspensionModel:
-    """Sigma RP^2 = S^2 cup_2 e^3: bottom Bockstein is the only action."""
-    return SuspensionModel("S^2 cup_2 e^3", [("u2", 2), ("u3", 3)], {("u2", "Sq", 1): ((1, "u3"),)})
+    """Sigma RP^2 = S^2 cup_2 e^3: the bottom Bockstein Sq^1 u2 = u3 is the only action."""
+    return SuspensionModel("S^2 cup_2 e^3", [("u2", 2), ("u3", 3)], lambda degree, op: 1)
 
 
 def product_slice_vanishes(
@@ -408,11 +406,11 @@ def product_slice_vanishes(
             if na == "1":
                 left = ((1, "1"),) if j == 0 else ()
             else:
-                left = model_a.act(na, op.family, j)
+                left = model_a.act(na, SteenrodOp(op.family, j, op.prime))
             if nb == "1":
                 right = ((1, "1"),) if op.k - j == 0 else ()
             else:
-                right = model_b.act(nb, op.family, op.k - j)
+                right = model_b.act(nb, SteenrodOp(op.family, op.k - j, op.prime))
             for c1, n1 in left:
                 for c2, n2 in right:
                     key = (n1, n2)
@@ -437,7 +435,7 @@ class SteenrodCriterionInstance:
 
     space: str
     presentation: Presentation
-    action: dict  # generator name -> Poly holding the component of degree |x| + shift
+    theta: Poly  # the operation on x, over the presentation's algebra, of degree |x| + shift
     action_provenance: str
     action_citation: str
     op: SteenrodOp
@@ -506,7 +504,7 @@ def restrict(poly: Poly, images: dict, target: Presentation) -> tuple:
     return image, unresolved
 
 
-def _run_crosscheck(inst: SteenrodCriterionInstance, cc: ClassifyingCrossCheck, theta_x: Poly):
+def _run_crosscheck(inst: SteenrodCriterionInstance, cc: ClassifyingCrossCheck):
     """Compare the recorded action against the splitting-principle computation.
 
     Returns the transcript entries and, when every computed term restricts and
@@ -534,7 +532,7 @@ def _run_crosscheck(inst: SteenrodCriterionInstance, cc: ClassifyingCrossCheck, 
                 citation=cc.citation,
             )
         )
-    if resolved == theta_x:
+    if resolved == inst.theta:
         entries.append(
             TranscriptEntry(
                 MACHINE,
@@ -545,7 +543,9 @@ def _run_crosscheck(inst: SteenrodCriterionInstance, cc: ClassifyingCrossCheck, 
             )
         )
         return entries, None
-    difference = f"resolved image {poly_to_text(resolved)} differs from recorded action {poly_to_text(theta_x)}"
+    difference = (
+        f"resolved image {poly_to_text(resolved)} differs from recorded action {poly_to_text(inst.theta)}"
+    )
     if surfaced:
         entries.append(
             TranscriptEntry(
@@ -570,6 +570,11 @@ def check_steenrod_criterion(
     if dx + inst.op.shift != da + db:
         raise ContractViolation(
             f"degree mismatch: |theta(x)| = {dx + inst.op.shift} but |a| + |b| = {da + db}"
+        )
+    if inst.theta.algebra != pres.algebra or not inst.theta.degrees() <= {da + db}:
+        raise ContractViolation(
+            f"{inst.op.label} {inst.x} = {poly_to_text(inst.theta)} is not a degree-{da + db} "
+            f"class of {inst.space}"
         )
     transcript = [
         TranscriptEntry(
@@ -634,24 +639,20 @@ def check_steenrod_criterion(
     )
 
     # (5) theta(x) decomposable with a non-zero (a, b) coefficient
-    total = inst.action.get(inst.x)
-    if total is None:
-        raise DataIncomplete(f"no operation action recorded for {inst.x} on {inst.space}")
-    theta_x = total.degree_component(dx + inst.op.shift)
-    if not is_decomposable(theta_x):
-        return refuse("5", f"{inst.op.label} {inst.x} = {poly_to_text(theta_x)} is not decomposable")
+    if not is_decomposable(inst.theta):
+        return refuse("5", f"{inst.op.label} {inst.x} = {poly_to_text(inst.theta)} is not decomposable")
     mono = _product_monomial(pres, inst.a, inst.b)
-    coeff = theta_x.coefficient(mono) if mono is not None else 0
+    coeff = inst.theta.coefficient(mono) if mono is not None else 0
     if not coeff:
         return refuse(
             "5",
-            f"{inst.op.label} {inst.x} = {poly_to_text(theta_x)} has no {inst.a}*{inst.b} term",
+            f"{inst.op.label} {inst.x} = {poly_to_text(inst.theta)} has no {inst.a}*{inst.b} term",
         )
     transcript.append(
         TranscriptEntry(
             MACHINE if inst.action_provenance == "derived" else ASSERTED,
             "pass",
-            f"(5) {inst.op.label} {inst.x} = {poly_to_text(theta_x)} is decomposable and the "
+            f"(5) {inst.op.label} {inst.x} = {poly_to_text(inst.theta)} is decomposable and the "
             f"{inst.a}*{inst.b} coefficient is {coeff}",
             citation=inst.action_citation,
         )
@@ -688,7 +689,7 @@ def check_steenrod_criterion(
     )
 
     if crosscheck is not None:
-        entries, contradiction = _run_crosscheck(inst, crosscheck, theta_x)
+        entries, contradiction = _run_crosscheck(inst, crosscheck)
         transcript.extend(entries)
         if contradiction:
             return Refusal(inst.space, STEENROD, contradiction, tuple(transcript))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from loopcomm import catalog
+from loopcomm import catalog, steenrod
 from loopcomm.catalog import (
     FAMILIES,
     CatalogDataError,
@@ -279,6 +279,19 @@ class TestChecks:
         assert fives and fives[0].status == "machine-verified"
         assert "x2*x3" in fives[0].description
 
+    def test_cii_computes_only_the_components_condition_six_reads(self, monkeypatch):
+        # at p = 5 condition (6) reads P^0 and P^1 on Sigma Q_25 and Sigma Q_2, never P^k for k > 1
+        asked = []
+        engine = steenrod.char_class_operation
+
+        def spy(model, class_name, op):
+            asked.append(op)
+            return engine(model, class_name, op)
+
+        monkeypatch.setattr(steenrod, "char_class_operation", spy)
+        assert isinstance(check(instantiate("CII", (25, 25))), Certificate)
+        assert asked and {op.k for op in asked} == {1}
+
 
 _DATA = Path(catalog.__file__).parent / "data"
 _FACT_KINDS = tuple(catalog._REQUIRED_KEYS) + ("bogus",)
@@ -385,6 +398,26 @@ class TestDataset:
                     check(instantiate(fam.id, params))
                 except _USAGE_ERRORS:
                     pass
+
+    @pytest.mark.parametrize(
+        "count,message",
+        [
+            (2, "unknown class 'w3' in the su(4) model"),
+            (1, "pullback records for G must name one torus model, not ['so', 'su']"),
+        ],
+    )
+    def test_g_reads_the_torus_model_of_its_pullbacks(self, tmp_path, monkeypatch, capsys, count, message):
+        data = tmp_path / "data"
+        shutil.copytree(_DATA, data)
+        facts = (_DATA / "facts.txt").read_text(encoding="utf-8")
+        record = "pullback space=G model=so "
+        assert facts.count(record) == 2
+        mutated = facts.replace(record, record.replace("=so", "=su"), count)
+        (data / "facts.txt").write_text(mutated, encoding="utf-8")
+        monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(data))
+        monkeypatch.setattr(catalog, "_DATASET_CACHE", {})
+        assert cli_main(["check", "G"]) == 1
+        assert message in capsys.readouterr().err
 
     def test_threshold_above_the_witness_is_a_refusal(self, tmp_path, monkeypatch, capsys):
         # FI's witness lives in degrees (8, 8, 15); threshold 17 does not let it transfer

@@ -59,6 +59,12 @@ class TestExitCodes:
         assert code == 0
         assert "P^1 (p=7)" in out
 
+    def test_cii_35_35_certifies(self, capsys):
+        # condition (6) reads P^1 at p = 5 on Sigma Q_35, not every P^k of it
+        code, out, _ = run(capsys, "check", "CII", "--m", "35", "--n", "35")
+        assert code == 0
+        assert "P^1 (p=5)" in out
+
     def test_unknown_class_is_one(self, capsys):
         code, _, err = run(
             capsys, "steenrod", "--group", "so", "--rank", "4", "--class", "w9", "--op", "sq2"

@@ -9,7 +9,7 @@ import pytest
 
 from loopcomm.catalog import instantiate, route
 from loopcomm.cli import main as cli_main
-from loopcomm.criteria import Certificate, DataIncomplete, Refusal
+from loopcomm.criteria import Certificate, Refusal
 from loopcomm.gradedalg import (
     Algebra,
     ContractViolation,
@@ -446,45 +446,67 @@ class TestPartitionEngineDifferential:
 
     @pytest.mark.parametrize("prime", [2, 3, 5, 7])
     def test_quasi_projective_actions_match_full_expansion(self, prime):
+        # every component on every class, past the top class too, not only the P^1 or Sq^4 criteria read
+        family, unit = ("Sq", 4) if prime == 2 else ("P", 1)
         for m in range(1, 9):
-            assert suspension_quasi_projective(m, prime).actions == ref_quasi_projective_actions(m, prime), m
+            model = suspension_quasi_projective(m)
+            got = {}
+            for i in range(1, m + 1):
+                for k in range(unit, unit * m + 1, unit):
+                    image = model.act(f"sx{i}", SteenrodOp(family, k, prime))
+                    if image:
+                        got[(f"sx{i}", family, k)] = image
+            assert got == ref_quasi_projective_actions(m, prime), m
 
 
 class TestSuspensionModels:
     def test_rp_bottom_bockstein(self):
         m = suspension_rp(2)
-        assert m.act("su1", "Sq", 1) == ((1, "su2"),)
+        assert m.act("su1", SteenrodOp("Sq", 1, 2)) == ((1, "su2"),)
 
     def test_rp1_top_cell_exceeded(self):
         m = suspension_rp(1)
-        assert m.act("su1", "Sq", 2) == ()
+        assert m.act("su1", SteenrodOp("Sq", 2, 2)) == ()
 
     def test_rp_binomial_rule(self):
         m = suspension_rp(8)
         for j in range(1, 9):
             for k in range(1, 9 - j):
-                got = m.act(f"su{j}", "Sq", k)
+                got = m.act(f"su{j}", SteenrodOp("Sq", k, 2))
                 expect = ((1, f"su{j + k}"),) if binomial(j, k) % 2 else ()
                 assert got == expect
 
     def test_moore_space_action(self):
         m = suspension_moore()
-        assert m.act("u2", "Sq", 1) == ((1, "u3"),)
-        assert m.act("u3", "Sq", 2) == ()
+        assert m.act("u2", SteenrodOp("Sq", 1, 2)) == ((1, "u3"),)
+        assert m.act("u3", SteenrodOp("Sq", 2, 2)) == ()
 
     def test_sphere_trivial(self):
         m = suspension_sphere(8)
-        assert m.act("s8", "Sq", 4) == ()
+        assert m.act("s8", SteenrodOp("Sq", 4, 2)) == ()
+
+    def test_power_operations_vanish_on_rp(self):
+        # P^1 at p = 3 raises degree by 4, and Sigma RP^8 has a class there
+        m = suspension_rp(8)
+        assert m.act("su1", SteenrodOp("P", 1, 3)) == ()
+
+    def test_zeroth_component_is_the_identity(self):
+        m = suspension_quasi_projective(3)
+        assert m.act("sx2", SteenrodOp("P", 0, 5)) == ((1, "sx2"),)
 
     def test_quasi_projective_vanishing_at_divisible_rank(self):
         # the coefficient of the next class in P^1 sx_{n-(p-1)/2} is n mod p
-        m = suspension_quasi_projective(5, 5)
-        assert m.act("sx3", "P", 1) == ()
+        m = suspension_quasi_projective(5)
+        assert m.act("sx3", SteenrodOp("P", 1, 5)) == ()
 
     def test_quasi_projective_nonvanishing_case(self):
-        m = suspension_quasi_projective(4, 3)
-        got = m.act("sx1", "P", 1)
+        m = suspension_quasi_projective(4)
+        got = m.act("sx1", SteenrodOp("P", 1, 3))
         assert got and got[0][1] == "sx2"
+
+    def test_two_classes_in_one_degree_are_rejected(self):
+        with pytest.raises(ContractViolation, match="share a degree"):
+            SuspensionModel("S^4 v S^4", [("a4", 4), ("b4", 4)])
 
 
 class TestConditionSix:
@@ -512,8 +534,8 @@ class TestConditionSix:
 
     def test_coefficients_accumulate_mod_p(self):
         _, violations = product_slice_vanishes(
-            suspension_quasi_projective(2, 5),
-            suspension_quasi_projective(5, 5),
+            suspension_quasi_projective(2),
+            suspension_quasi_projective(5),
             SteenrodOp("P", 1, 5),
             20,
         )
@@ -530,7 +552,7 @@ def _ai_instance(n, b, mutate_source_b=None):
     return SteenrodCriterionInstance(
         space=f"AI({n})",
         presentation=pres,
-        action={f"v{n}": action},
+        theta=action,
         action_provenance="derived",
         action_citation="splitting principle",
         op=SteenrodOp("Sq", b, 2),
@@ -556,7 +578,7 @@ def _ei_instance(square, citation):
     return SteenrodCriterionInstance(
         space="EI",
         presentation=pres,
-        action={"x8": alg.gen("x8") + square(alg)},
+        theta=square(alg),
         action_provenance="asserted",
         action_citation=citation,
         op=SteenrodOp("P", 1, 5),
@@ -628,11 +650,12 @@ class TestCriterionChecker:
         assert result.failed == "condition (4): indecomposable quotient has dimension 0 != 1 in degree 7"
 
     def test_condition_five_refuses_an_indecomposable_action(self):
-        # P^1 x8 recorded with a linear term in degree 16
+        # P^1 x8 recorded as a degree-16 generator of the presentation
         inst = _ei_instance(lambda alg: alg.monomial((2, 0, 0)), "recorded restriction")
         wide = Algebra(FieldSpec(5), inst.presentation.generators + (Generator("y16", 16),))
-        action = {"x8": wide.gen("x8") + wide.gen("y16")}
-        result = check_steenrod_criterion(dataclasses.replace(inst, action=action))
+        pres = Presentation(wide, (Relation(24, "explicit", wide.monomial((3, 0, 0, 0))),))
+        bad = dataclasses.replace(inst, presentation=pres, theta=wide.gen("y16"))
+        result = check_steenrod_criterion(bad)
         assert isinstance(result, Refusal)
         assert result.failed == "condition (5): P^1 (p=5) x8 = y16 is not decomposable"
 
@@ -642,11 +665,18 @@ class TestCriterionChecker:
         assert isinstance(result, Refusal)
         assert result.failed == "condition (5): P^1 (p=5) x8 = 0 has no x8*x8 term"
 
-    def test_missing_action_is_data_error(self):
-        inst = _ai_instance(7, 2)
-        bad = SteenrodCriterionInstance(**{**inst.__dict__, "action": {}})
-        with pytest.raises(DataIncomplete):
+    def test_foreign_theta_is_contract_violation(self):
+        # the same monomial x8^2 over an algebra with an extra generator
+        inst = _ei_instance(lambda alg: alg.monomial((2, 0, 0)), "recorded restriction")
+        wide = Algebra(FieldSpec(5), inst.presentation.generators + (Generator("y16", 16),))
+        bad = dataclasses.replace(inst, theta=wide.monomial((2, 0, 0, 0)))
+        with pytest.raises(ContractViolation, match="is not a degree-16 class of EI"):
             check_steenrod_criterion(bad)
+
+    def test_theta_of_the_wrong_degree_is_contract_violation(self):
+        inst = _ei_instance(lambda alg: alg.monomial((3, 0, 0)), "recorded restriction")
+        with pytest.raises(ContractViolation, match="is not a degree-16 class of EI"):
+            check_steenrod_criterion(inst)
 
     def test_degree_mismatch_raises(self):
         inst = _ai_instance(7, 2)
@@ -692,9 +722,9 @@ class TestCriterionChecker:
 
     def test_condition_three_refuses_distinct_sources(self):
         # |a| = |b| at an odd prime needs the diagonal instance: a second sphere
-        # with equal classes and tables is still a different source
+        # with equal classes and actions is still a different source
         inst = _ei_instance(lambda alg: alg.monomial((2, 0, 0)), "recorded restriction")
-        other = SuspensionModel("S^8", [("s8", 8)], {})
+        other = SuspensionModel("S^8", [("s8", 8)])
         bad = SteenrodCriterionInstance(**{**inst.__dict__, "source_b": other})
         result = check_steenrod_criterion(bad)
         assert isinstance(result, Refusal) and "condition (3)" in result.failed
