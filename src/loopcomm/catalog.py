@@ -270,16 +270,15 @@ def route(instance: SpaceInstance) -> CriterionPlan:
 # -- plan builders: (DataSet, SpaceInstance) -> CriterionPlan, run when an instance is checked
 
 
-def _cp_presentation(N: int) -> Presentation:
-    alg = Algebra(FieldSpec(0), [Generator("x2", 2)])
+def _cp_presentation(N: int, prime: int = 0) -> Presentation:
+    alg = Algebra(FieldSpec(prime), [Generator("x2", 2)])
     return Presentation(alg, (Relation(2 * (N + 1), "explicit", alg.monomial((N + 1,))),))
 
 
 def _cp_mod2_data(N: int) -> ExteriorActionData:
-    alg = Algebra(FieldSpec(2), [Generator("x2", 2)])
-    pres = Presentation(alg, (Relation(2 * (N + 1), "explicit", alg.monomial((N + 1,))),))
-    table = {"x2": alg.gen("x2") + alg.gen("x2") * alg.gen("x2")}
-    return ExteriorActionData(pres, table, citation="total square of the projective-space generator")
+    pres = _cp_presentation(N, 2)
+    x2 = pres.algebra.gen("x2")
+    return ExteriorActionData(pres, {"x2": x2 + x2 * x2}, citation="total square of the projective-space generator")
 
 
 def _power_candidates(n: int) -> list:
@@ -496,15 +495,14 @@ def _aii_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     gens = [Generator(f"x{d}", d, squares_to_zero=True) for d in degrees]
     alg = Algebra(FieldSpec(2), gens)
     pres = Presentation(alg)
+    su = torus_model("su", 2 * n - 1)
     table = {}
     for k in range(1, n):
         total = alg.gen(f"x{4 * k + 1}")
         for r in range(1, n - k):
-            # x_{4k+1} suspends c_{2k+1}, and Sq^{4r} keeps the coefficient of
-            # c_{2(k+r)+1}; it does not depend on the rank, so read it at that class
-            top = 2 * (k + r) + 1
+            # x_{4k+1} suspends c_{2k+1}, and Sq^{4r} keeps the coefficient of c_{2(k+r)+1}
             op = SteenrodOp("Sq", 4 * r, 2)
-            if suspended_coefficient(torus_model("su", top), f"c{2 * k + 1}", op, f"c{top}"):
+            if suspended_coefficient(su, f"c{2 * k + 1}", op, f"c{2 * (k + r) + 1}"):
                 total = total + alg.gen(f"x{4 * (k + r) + 1}")
         table[f"x{4 * k + 1}"] = total
     gm = ds.one("generating-map", space="AII")

@@ -6,8 +6,8 @@ multiplicative substitution t -> t + t^p, and the answer is re-expressed in
 elementary symmetric polynomials with rank truncation.  Only the degree
 component an operation asks for is expanded, and symmetric polynomials are
 kept in the partition basis, one coefficient per orbit of torus monomials.
-Suspension models answer the stable actions the criterion reads from the same
-engine, and the six-condition criterion consumes both.
+Suspension models read the stable actions the criterion asks for off the same
+expansion by the power-sum pairing; the six-condition criterion consumes both.
 """
 
 from __future__ import annotations
@@ -205,16 +205,9 @@ class TorusModel:
         return tuple(f"{self.class_prefix}{i}" for i in range(start, self.rank + 1))
 
     def class_index(self, name: str) -> int:
-        if not name.startswith(self.class_prefix):
+        if name not in self.class_names():
             raise LookupError(f"unknown class {name!r} in the {self.group}({self.rank}) model")
-        try:
-            i = int(name[len(self.class_prefix) :])
-        except ValueError:
-            raise LookupError(f"unknown class {name!r}") from None
-        start = 2 if self.kill_e1 else 1
-        if not start <= i <= self.rank:
-            raise LookupError(f"no class {name!r} at rank {self.rank}")
-        return i
+        return int(name[len(self.class_prefix) :])
 
 
 _GROUPS = {
@@ -354,10 +347,21 @@ def suspended_coefficient(model: TorusModel, class_name: str, op: SteenrodOp, ta
     """Coefficient of the class `target` alone in one operation component.
 
     The cohomology suspension kills decomposables, so this linear coefficient
-    is all of the component that survives on a suspension.
+    is all of the component that survives on a suspension.  Modulo
+    decomposables e_N pairs with the power sum p_N, so m_lambda contributes
+    (-1)^(N-l) N (l-1)! / prod_v mult_v!, l = len(lambda): the h_lambda
+    coefficient of p_N (Macdonald, Symmetric Functions, I.2 and I.4), an
+    integer that does not depend on the rank.  No elimination is run.
     """
-    component = char_class_operation(model, class_name, op)
-    return int(component.coefficient(tuple(int(g.name == target) for g in component.algebra.generators)))
+    _op_compatible(model, op)
+    i, n = model.class_index(class_name), model.class_index(target)
+    if model.class_degree(n) != model.class_degree(i) + op.shift:
+        return 0
+    total = 0
+    for lam, c in _raised_class(model, i, op.prime, op.shift // (model.var_degree * (op.prime - 1))).items():
+        pairing = n * math.factorial(len(lam) - 1) // math.prod(map(math.factorial, Counter(lam).values()))
+        total += (-1) ** (n - len(lam)) * c * pairing
+    return total % op.prime
 
 
 @lru_cache(maxsize=None)

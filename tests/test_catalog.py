@@ -280,17 +280,33 @@ class TestChecks:
         assert "x2*x3" in fives[0].description
 
     def test_cii_computes_only_the_components_condition_six_reads(self, monkeypatch):
-        # at p = 5 condition (6) reads P^0 and P^1 on Sigma Q_25 and Sigma Q_2, never P^k for k > 1
+        # at p = 5 condition (6) reads P^0 and P^1 on Sigma Q_25 and Sigma Q_2, never P^k for k > 1;
+        # the suspension reads raise the torus degree by one P^1 step, as the main action does
         asked = []
-        engine = steenrod.char_class_operation
+        raised = steenrod._raised_class
 
-        def spy(model, class_name, op):
-            asked.append(op)
-            return engine(model, class_name, op)
+        def spy(model, i, prime, raise_by):
+            asked.append((prime, raise_by))
+            return raised(model, i, prime, raise_by)
 
-        monkeypatch.setattr(steenrod, "char_class_operation", spy)
+        monkeypatch.setattr(steenrod, "_raised_class", spy)
         assert isinstance(check(instantiate("CII", (25, 25))), Certificate)
-        assert asked and {op.k for op in asked} == {1}
+        assert asked and set(asked) == {(5, 1)}
+
+    def test_cii_eliminates_only_the_main_action(self, monkeypatch):
+        # condition (6) reads linear coefficients by the power-sum pairing; only
+        # theta = P^1 q_29, printed whole by condition (5), runs the elimination
+        calls = []
+        eliminate = steenrod._e_coefficients
+
+        def spy(mcoeffs, nvars, prime=0):
+            calls.append(nvars)
+            return eliminate(mcoeffs, nvars, prime)
+
+        steenrod.char_class_operation.cache_clear()
+        monkeypatch.setattr(steenrod, "_e_coefficients", spy)
+        assert isinstance(check(instantiate("CII", (29, 29))), Certificate)
+        assert calls == [29]
 
 
 _DATA = Path(catalog.__file__).parent / "data"

@@ -59,6 +59,12 @@ class TestExitCodes:
         assert code == 0
         assert "P^1 (p=7)" in out
 
+    def test_cii_29_29_certifies(self, capsys):
+        # condition (6) reads P^1 at p = 29 on Sigma Q_29 by the power-sum pairing
+        code, out, _ = run(capsys, "check", "CII", "--m", "29", "--n", "29")
+        assert code == 0
+        assert "P^1 (p=29)" in out
+
     def test_cii_35_35_certifies(self, capsys):
         # condition (6) reads P^1 at p = 5 on Sigma Q_35, not every P^k of it
         code, out, _ = run(capsys, "check", "CII", "--m", "35", "--n", "35")
@@ -70,6 +76,15 @@ class TestExitCodes:
             capsys, "steenrod", "--group", "so", "--rank", "4", "--class", "w9", "--op", "sq2"
         )
         assert code == 1
+
+    @pytest.mark.parametrize("name", ["q 2", "q02", "q+2", "q\u0968"])
+    def test_non_canonical_class_name_is_one(self, capsys, name):
+        # only the names the model lists: no spaces, signs, leading zeros or non-ASCII digits
+        code, out, err = run(
+            capsys, "steenrod", "--group", "sp", "--rank", "2", "--class", name, "--op", "p1", "--prime", "3"
+        )
+        assert (code, out) == (1, "")
+        assert f"unknown class {name!r} in the sp(2) model" in err
 
 
 class TestFamilyTable:

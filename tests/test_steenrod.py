@@ -420,18 +420,43 @@ class TestPartitionEngineDifferential:
 
     def test_linear_coefficient_matches_newton_at_random_ranks(self):
         # P^k c_i restricts to m_(p^k, 1^(i-k)), whose e_N coefficient modulo
-        # decomposables is C(i,k) N / i, N = i + k(p-1) (Sq^2k at p = 2).  Larger
-        # k at p = 5, 7 cost the engine seconds per case, so k is capped there.
-        max_k = {2: 20, 3: 8, 5: 2, 7: 1}
+        # decomposables is C(i,k) N / i, N = i + k(p-1) (Sq^2k at p = 2).  The
+        # pairing reads it without an elimination, so any k with N <= 80 is cheap.
         rng = random.Random(2309)
         for _ in range(60):
-            p = rng.choice(sorted(max_k))
-            k = rng.randint(1, max_k[p])
-            i = rng.randint(k, 40 - k * (p - 1))
+            p = rng.choice([2, 3, 5, 7, 11, 13])
+            k = rng.randint(1, 80 // p)
+            i = rng.randint(k, 80 - k * (p - 1))
             n = i + k * (p - 1)
             op = SteenrodOp("Sq", 2 * k, 2) if p == 2 else SteenrodOp("P", k, p)
             want = math.comb(i, k) * n // i % p
             assert suspended_coefficient(torus_model("su", n), f"c{i}", op, f"c{n}") == want, (i, k, p)
+
+    @pytest.mark.parametrize("group", sorted(_GROUPS))
+    def test_pairing_matches_elimination(self, group):
+        # the linear coefficient read by the power-sum pairing against the e_N
+        # coefficient of the eliminated component, for every class pair and every
+        # Sq^k and P^k (p = 3, 5, 7) up to the top degree; pairs an op does not
+        # join read 0, the guard the pairing needs
+        ranks = [_FIXED_RANK[group]] if group in _FIXED_RANK else range(1, 7)
+        nonzero = 0
+        for rank in ranks:
+            model = torus_model(group, rank)
+            top = model.class_degree(rank)
+            ops = [SteenrodOp("Sq", k, 2) for k in range(top + 1)]
+            if model.var_degree == 2:
+                ops += [SteenrodOp("P", k, p) for p in (3, 5, 7) for k in range(top // (2 * (p - 1)) + 1)]
+            for name, target, op in itertools.product(model.class_names(), model.class_names(), ops):
+                component = char_class_operation(model, name, op)
+                want = int(component.coefficient(tuple(int(g.name == target) for g in component.algebra.generators)))
+                got = suspended_coefficient(model, name, op, target)
+                assert got == want, (group, rank, name, target, op)
+                nonzero += bool(got)
+        assert nonzero
+        if group == "su":
+            # P^1 c_3 at p = 3 is m_(3, 1, 1) of degree 5; read as if it were of degree 4
+            # the pairing gives -4, non-zero mod 3, but the component has no c_4 term
+            assert suspended_coefficient(torus_model("su", 4), "c3", SteenrodOp("P", 1, 3), "c4") == 0
 
     def test_linear_coefficient_matches_wu_at_random_ranks(self):
         # the w_{i+b} term of Sq^b w_i in BSO(n) is the t = b term of the Wu
