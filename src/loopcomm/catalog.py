@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import shlex
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional
@@ -41,6 +40,7 @@ from .gradedalg import (
     parse_poly,
     parse_presentation,
     poly_to_text,
+    record,
 )
 from .steenrod import (
     ClassifyingCrossCheck,
@@ -177,21 +177,21 @@ def load_dataset() -> DataSet:
 # instances and plans
 
 
-@dataclass(frozen=True)
+@record
 class SpaceInstance:
     family: str
     params: tuple
     label: str
 
 
-@dataclass(frozen=True)
+@record
 class TransferStep:
     threshold: int
     target: str
     citation: str
 
 
-@dataclass(frozen=True)
+@record
 class LiftStep:
     base: str
     target: str
@@ -200,7 +200,7 @@ class LiftStep:
     citation: str
 
 
-@dataclass(frozen=True)
+@record
 class RationalStep:
     space: str
     presentation: Presentation
@@ -209,7 +209,7 @@ class RationalStep:
     label: str = "Rational"
 
 
-@dataclass(frozen=True)
+@record
 class SteenrodStep:
     instance: SteenrodCriterionInstance
     lift: Optional[LiftStep] = None
@@ -217,14 +217,14 @@ class SteenrodStep:
     label: str = "Steenrod"
 
 
-@dataclass(frozen=True)
+@record
 class ProjectiveStep:
     data: ExteriorActionData
     witness: GeneratingMapWitness
     label: str = "PartialProjectivePlane"
 
 
-@dataclass(frozen=True)
+@record
 class RecordedStep:
     space: str
     statement: str
@@ -232,7 +232,7 @@ class RecordedStep:
     label: str = "RecordedExternal"
 
 
-@dataclass(frozen=True)
+@record
 class CriterionPlan:
     steps: tuple
     exception_note: str = ""
@@ -597,7 +597,7 @@ def _recorded_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
 # -- the classification table
 
 
-@dataclass(frozen=True)
+@record
 class Family:
     """One row of Cartan's table, described once.
 
@@ -876,7 +876,7 @@ def check(instance: SpaceInstance):
 # report
 
 
-@dataclass(frozen=True)
+@record
 class ReportRow:
     family: str
     params: str
@@ -889,7 +889,7 @@ class ReportRow:
     transcript: tuple
 
 
-@dataclass(frozen=True)
+@record
 class Report:
     rows: tuple
 

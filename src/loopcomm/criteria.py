@@ -7,9 +7,7 @@ is never evidence of homotopy commutativity; criteria here are one-sided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .gradedalg import ContractViolation, Presentation
+from .gradedalg import ContractViolation, Presentation, record
 
 MACHINE = "machine-verified"
 ASSERTED = "literature-asserted"
@@ -24,7 +22,7 @@ class DataIncomplete(ValueError):
     """Catalog data required by a check is missing."""
 
 
-@dataclass(frozen=True)
+@record
 class TranscriptEntry:
     status: str  # MACHINE | ASSERTED
     outcome: str  # "pass" | "fail" | "info"
@@ -44,7 +42,7 @@ class TranscriptEntry:
         }
 
 
-@dataclass(frozen=True)
+@record
 class Certificate:
     space: str
     criterion: str  # RATIONAL | STEENROD | PROJECTIVE | RECORDED
@@ -66,7 +64,7 @@ class Certificate:
         return "; ".join(f"{k}={v}" for k, v in self.witness)
 
 
-@dataclass(frozen=True)
+@record
 class Refusal:
     space: str
     criterion: str
@@ -75,7 +73,7 @@ class Refusal:
     exception_note: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class Conclusion:
     statement: str
     certificate: Certificate
@@ -103,7 +101,7 @@ def conclude_noncommutative(cert) -> Conclusion:
 # total Steenrod square tables on odd-generated mod-2 rings
 
 
-@dataclass(frozen=True)
+@record
 class ExteriorActionData:
     """A mod-2 presentation together with a total-Sq table on its generators."""
 
@@ -116,7 +114,7 @@ class ExteriorActionData:
             raise ContractViolation("total-Sq tables live over F2")
 
 
-@dataclass(frozen=True)
+@record
 class GeneratingMapWitness:
     """A recorded generating map from a suspension onto the indecomposables."""
 

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add
+from operator import add, attrgetter
 from typing import Iterable, Optional
 
 
@@ -34,6 +33,87 @@ class UnsupportedPresentation(ValueError):
     """Partial relation data appears where explicit data is required."""
 
 
+def record(cls):
+    """Make cls an immutable value class over its annotated fields, in order.
+
+    Instances behave as those of a frozen dataclass, with no code generated
+    per class: construction by position or keyword, with the class attributes
+    as defaults; `__post_init__` after every construction; no assignment or
+    deletion of attributes; equality and hash by exact class and field values;
+    and the `Name(field=value, ...)` repr.
+    """
+    names = tuple(cls.__annotations__)
+    n = len(names)
+    known = frozenset(names)
+    defaults = tuple(vars(cls)[name] for name in names if name in vars(cls))
+    required = n - len(defaults)
+    if any(name in vars(cls) for name in names[:required]):
+        raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
+    needed = frozenset(names[:required])
+    values = attrgetter(*names)
+    post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or not required <= len(args) <= n:
+            given = dict(zip(names, args), **kwargs)
+            if len(given) != len(args) + len(kwargs) or not known.issuperset(given) or not given.keys() >= needed:
+                raise _argument_error(cls, args, kwargs)
+            self.__dict__.update(zip(names[required:], defaults))
+            self.__dict__.update(given)
+        else:
+            self.__dict__.update(zip(names, args + defaults[len(args) - required :]))
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{cls.__qualname__}({fields})"
+
+    cls._fields = names
+    cls.__init__ = __init__
+    cls.__eq__ = __eq__
+    cls.__hash__ = __hash__
+    cls.__repr__ = __repr__
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
+    return cls
+
+
+def _argument_error(cls, args: tuple, kwargs: dict) -> TypeError:
+    """What is wrong with the arguments of cls(*args, **kwargs)."""
+    names = cls._fields
+    if len(args) > len(names):
+        return TypeError(f"{cls.__name__}() takes {len(names)} arguments but {len(args)} were given")
+    for name in kwargs:
+        if name not in names:
+            return TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
+        if name in names[: len(args)]:
+            return TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+    missing = [name for name in names[len(args) :] if name not in kwargs and name not in vars(cls)]
+    return TypeError(f"{cls.__name__}() missing required argument(s): {', '.join(map(repr, missing))}")
+
+
+def _frozen_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+
+def _frozen_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+
+def replace(obj, **changes):
+    """A copy of the record obj with some fields changed; its `__post_init__` runs again."""
+    return type(obj)(**{**{name: getattr(obj, name) for name in obj._fields}, **changes})
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -45,7 +125,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class FieldSpec:
     """Coefficient field: the rationals (characteristic 0) or F_p."""
 
@@ -81,7 +161,7 @@ def _fraction(text: str) -> Fraction:
         raise ValueError(f"coefficient {text!r} has a zero denominator") from None
 
 
-@dataclass(frozen=True)
+@record
 class Generator:
     name: str
     degree: int
@@ -94,9 +174,9 @@ class Generator:
             raise ValueError(f"bad generator name {self.name!r}")
 
 
-def _check_generator(field: FieldSpec, g: Generator, earlier: Iterable[Generator]) -> None:
-    """Raise StructuralError unless g may follow `earlier` in an algebra over field."""
-    if any(h.name == g.name for h in earlier):
+def _check_generator(field: FieldSpec, g: Generator, earlier: set) -> None:
+    """Raise StructuralError unless g may follow the generators named in `earlier` over field."""
+    if g.name in earlier:
         raise StructuralError(f"generator names must be distinct; {g.name} repeats")
     if field.characteristic != 2 and g.degree % 2 == 1 and not g.squares_to_zero:
         raise StructuralError(f"odd generator {g.name} must square to zero over {field}")
@@ -107,8 +187,10 @@ class Algebra:
 
     def __init__(self, field: FieldSpec, generators: Iterable[Generator]):
         gens = tuple(generators)
-        for i, g in enumerate(gens):
-            _check_generator(field, g, gens[:i])
+        earlier = set()
+        for g in gens:
+            _check_generator(field, g, earlier)
+            earlier.add(g.name)
         self.field = field
         self.generators = gens
         self.index = {g.name: i for i, g in enumerate(gens)}
@@ -137,9 +219,9 @@ class Algebra:
         return Poly(self, {(0,) * len(self.generators): self.field.normalize(1)})
 
     def gen(self, name: str) -> "Poly":
-        i = self.index[name]
-        exps = tuple(1 if j == i else 0 for j in range(len(self.generators)))
-        return Poly(self, {exps: self.field.normalize(1)})
+        exps = [0] * len(self.generators)
+        exps[self.index[name]] = 1
+        return Poly(self, {tuple(exps): self.field.normalize(1)})
 
     def monomial(self, exps: tuple, coeff=1) -> "Poly":
         return self.poly({tuple(exps): coeff})
@@ -327,7 +409,7 @@ def is_decomposable(p: Poly) -> bool:
     return all(sum(e) >= 2 for e in p.terms)
 
 
-@dataclass(frozen=True)
+@record
 class Relation:
     """A homogeneous relation: fully explicit, or partial (certified terms only)."""
 
@@ -352,7 +434,7 @@ class Relation:
         return self.kind == "explicit"
 
 
-@dataclass(frozen=True)
+@record
 class Presentation:
     algebra: Algebra
     relations: tuple = ()
@@ -467,7 +549,10 @@ def hilbert_function(pres: Presentation, up_to: int) -> tuple:
     Read off the series prod(1 - t^{|rho_i|}) / prod(1 - t^{|x_j|}) when
     up_to reaches its degree D and the relations form a regular sequence
     (see _regular_sequence); otherwise eliminated degree by degree, so a small
-    up_to never pays for the window above D.
+    up_to never pays for the window above D.  Degree by degree, it stops once
+    w consecutive degrees vanish, w the largest generator degree: a monomial
+    of degree at least a has a divisor of degree in a..a+w-1, so every later
+    degree vanishes too.
     """
     if not pres.all_explicit:
         raise UnsupportedPresentation("hilbert_function requires explicit relations")
@@ -475,7 +560,13 @@ def hilbert_function(pres: Presentation, up_to: int) -> tuple:
         return tuple(
             _series_quotient([r.degree for r in pres.relations], pres.algebra.degrees, up_to)
         )
-    return tuple(graded_dimension(pres, d) for d in range(up_to + 1))
+    window = max(pres.algebra.degrees, default=1)
+    dims = []
+    for d in range(up_to + 1):
+        dims.append(graded_dimension(pres, d))
+        if len(dims) >= window and not any(dims[-window:]):
+            break
+    return tuple(dims) + (0,) * (up_to + 1 - len(dims))
 
 
 def graded_dimension(pres: Presentation, degree: int) -> int:
@@ -805,9 +896,11 @@ def parse_presentation(text: str) -> Presentation:
                 raise ValueError(f"unknown record {words[0]!r}")
     if field is None:
         raise ValueError(f"presentation line {max(lineno, 1)}: no field record before the end")
-    for i, (gen_line, g) in enumerate(gens):
+    earlier = set()
+    for gen_line, g in gens:
         with _at_line(gen_line):
-            _check_generator(field, g, (h for _, h in gens[:i]))
+            _check_generator(field, g, earlier)
+        earlier.add(g.name)
     alg = Algebra(field, [g for _, g in gens])
     relations = []
     for rel_line, degree, kind, asserted, terms in rel_specs:

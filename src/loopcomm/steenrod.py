@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -39,6 +38,7 @@ from .gradedalg import (
     is_decomposable,
     monomial_text,
     poly_to_text,
+    record,
 )
 
 
@@ -150,7 +150,7 @@ def _e_coefficients(mcoeffs: dict, nvars: int, prime: int = 0) -> dict:
 # operations
 
 
-@dataclass(frozen=True)
+@record
 class SteenrodOp:
     """One operation component: Sq^k at p = 2, or P^k at an odd prime."""
 
@@ -181,7 +181,7 @@ class SteenrodOp:
 # classifying-space models
 
 
-@dataclass(frozen=True)
+@record
 class TorusModel:
     """Classifying-space cohomology presented through torus variables.
 
@@ -201,13 +201,20 @@ class TorusModel:
         return self.var_degree * self.class_power * i
 
     def class_names(self) -> tuple:
-        start = 2 if self.kill_e1 else 1
-        return tuple(f"{self.class_prefix}{i}" for i in range(start, self.rank + 1))
+        return tuple(_class_indices(self))
 
     def class_index(self, name: str) -> int:
-        if name not in self.class_names():
+        i = _class_indices(self).get(name)
+        if i is None:
             raise LookupError(f"unknown class {name!r} in the {self.group}({self.rank}) model")
-        return int(name[len(self.class_prefix) :])
+        return i
+
+
+@lru_cache(maxsize=None)
+def _class_indices(model: TorusModel) -> dict:
+    """Class name -> index i of e_i, in index order."""
+    start = 2 if model.kill_e1 else 1
+    return {f"{model.class_prefix}{i}": i for i in range(start, model.rank + 1)}
 
 
 _GROUPS = {
@@ -233,10 +240,7 @@ def torus_model(group: str, rank: int) -> TorusModel:
 
 @lru_cache(maxsize=None)
 def class_algebra(model: TorusModel, prime: int) -> Algebra:
-    gens = [
-        Generator(name, model.class_degree(model.class_index(name)))
-        for name in model.class_names()
-    ]
+    gens = [Generator(name, model.class_degree(i)) for name, i in _class_indices(model).items()]
     return Algebra(FieldSpec(prime), gens)
 
 
@@ -429,7 +433,7 @@ def product_slice_vanishes(
 # the six-condition criterion
 
 
-@dataclass(frozen=True)
+@record
 class SteenrodCriterionInstance:
     """Everything the six-condition Whitehead-product check consumes.
 
@@ -453,7 +457,7 @@ class SteenrodCriterionInstance:
     pullback_citation: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class ClassifyingCrossCheck:
     """Recompute a recorded space-level action from the classifying space."""
 

@@ -8,7 +8,6 @@ a non-trivial rational Whitehead pairing on homotopy in degrees (|y|, |z|).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Optional
 
 from .gradedalg import (
@@ -23,6 +22,8 @@ from .gradedalg import (
     is_complete_intersection,
     is_decomposable,
     poly_to_text,
+    record,
+    replace,
 )
 
 
@@ -132,7 +133,7 @@ def certified_parts_are_cocycles(model: SullivanModel) -> bool:
     )
 
 
-@dataclass(frozen=True)
+@record
 class RationalWitness:
     """A non-trivial rational Whitehead pairing witness.
 

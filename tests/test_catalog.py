@@ -1,6 +1,5 @@
 """Catalog routing, per-family certificates, data validation, invariants."""
 
-import dataclasses
 import json
 import random
 import re
@@ -28,7 +27,7 @@ from loopcomm.catalog import (
 )
 from loopcomm.cli import _USAGE_ERRORS, main as cli_main
 from loopcomm.criteria import ASSERTED, Certificate, DataIncomplete, Refusal
-from loopcomm.gradedalg import Algebra, FieldSpec, Generator
+from loopcomm.gradedalg import Algebra, FieldSpec, Generator, replace
 from loopcomm.sullivan import SullivanModel
 
 
@@ -196,7 +195,7 @@ class TestChecks:
     def test_lift_beyond_threshold_refuses(self, monkeypatch):
         plan = route(instantiate("BDI", (7, 4)))
         steps = tuple(
-            dataclasses.replace(s, lift=dataclasses.replace(s.lift, source_dim=5)) for s in plan.steps
+            replace(s, lift=replace(s.lift, source_dim=5)) for s in plan.steps
         )
         monkeypatch.setattr("loopcomm.catalog.route", lambda instance: CriterionPlan(steps))
         result = check(instantiate("BDI", (7, 4)))

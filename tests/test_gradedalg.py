@@ -31,9 +31,11 @@ from loopcomm.gradedalg import (
     poly_to_text,
     print_presentation,
 )
+from loopcomm.cli import main as cli_main
 from loopcomm.gradedalg import _CHECK_FIELD, _ideal_rows, _rank, graded_dimension
 
 QQ = FieldSpec(0)
+_G_PRES = Path(__file__).parent.parent / "src" / "loopcomm" / "data" / "presentations" / "G.pres"
 
 
 def q_algebra(*gens):
@@ -121,6 +123,11 @@ class TestMul:
     def test_odd_generator_needs_flag_away_from_char2(self):
         with pytest.raises(StructuralError):
             Algebra(QQ, [Generator("y3", 3, False)])
+
+    def test_repeated_generator_names_the_first_repeat(self):
+        gens = [Generator(f"x{i}", 2) for i in range(500)] + [Generator("x7", 4), Generator("x3", 2)]
+        with pytest.raises(StructuralError, match="^generator names must be distinct; x7 repeats$"):
+            Algebra(QQ, gens)
 
     def test_associativity_on_sample(self, mixed):
         a = mixed.gen("x4") + mixed.gen("y9")
@@ -233,6 +240,54 @@ class TestHilbert:
         pres = Presentation(alg, (Relation(24, "explicit", alg.monomial((3,))),))
         dims = hilbert_function(pres, 24)
         assert dims[0] == dims[8] == dims[16] == 1 and dims[24] == 0
+
+
+def _counting_graded_dimension(monkeypatch) -> list:
+    """Spy on the per-degree elimination; the list records each degree asked for."""
+    degrees = []
+
+    def spy(pres, degree):
+        degrees.append(degree)
+        return graded_dimension(pres, degree)
+
+    monkeypatch.setattr("loopcomm.gradedalg.graded_dimension", spy)
+    return degrees
+
+
+class TestVanishingWindow:
+    def test_cli_up_to_1000_pads_the_per_degree_result_with_zeros(self, capsys):
+        pres = parse_presentation(_G_PRES.read_text(encoding="utf-8"))
+        head = [graded_dimension(pres, d) for d in range(41)]
+        assert head[7:] == [0] * 34
+        assert cli_main(["hilbert", "--file", str(_G_PRES), "--up-to", "1000"]) == 0
+        want = "".join(f"{d}: {dim}\n" for d, dim in enumerate(head + [0] * 960))
+        assert capsys.readouterr().out == want
+
+    def test_stops_after_a_window_of_zeros(self, monkeypatch):
+        pres = parse_presentation(_G_PRES.read_text(encoding="utf-8"))
+        degrees = _counting_graded_dimension(monkeypatch)
+        dims = hilbert_function(pres, 1000)
+        a = max(d for d, dim in enumerate(dims) if dim) + 1  # first degree of the vanishing tail
+        w = max(pres.algebra.degrees)
+        assert (a, w) == (7, 3)
+        assert degrees == list(range(len(degrees))) and len(degrees) <= a + w
+
+    def test_a_gap_shorter_than_the_window_does_not_stop(self, monkeypatch):
+        # Q[x4]: runs of three zero degrees, one short of the window
+        alg = q_algebra(Generator("x4", 4))
+        degrees = _counting_graded_dimension(monkeypatch)
+        dims = hilbert_function(Presentation(alg), 60)
+        assert degrees == list(range(61))
+        assert dims == tuple(int(d % 4 == 0) for d in range(61))
+
+    def test_an_infinite_quotient_runs_to_the_bound(self, monkeypatch):
+        # x2 * y6 = 0 leaves both powers alive, with zeros only in odd degrees
+        alg = q_algebra(Generator("x2", 2), Generator("y6", 6))
+        pres = Presentation(alg, (Relation(8, "explicit", alg.monomial((1, 1))),))
+        degrees = _counting_graded_dimension(monkeypatch)
+        dims = hilbert_function(pres, 50)
+        assert degrees == list(range(51))
+        assert dims[48] == 2 and dims[50] == 1
 
 
 class TestIndecomposables:

@@ -1,0 +1,184 @@
+"""Value classes built by gradedalg.record: construction, immutability, equality, replace."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from loopcomm.catalog import FAMILIES, check, instantiate, report, route
+from loopcomm.criteria import Certificate, conclude_noncommutative
+from loopcomm.gradedalg import Algebra, ContractViolation, _frozen_setattr, record, replace
+from loopcomm.steenrod import SteenrodOp
+from loopcomm.sullivan import build_formal_model, find_rational_witness
+
+_MODULES = ("gradedalg", "criteria", "steenrod", "sullivan", "catalog")
+_SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _record_classes() -> list:
+    out = []
+    for name in _MODULES:
+        module = importlib.import_module(f"loopcomm.{name}")
+        out += [
+            c
+            for c in vars(module).values()
+            if isinstance(c, type) and c.__module__ == module.__name__ and c.__setattr__ is _frozen_setattr
+        ]
+    return out
+
+
+RECORDS = _record_classes()
+
+
+def _samples() -> dict:
+    """One instance of every record class, found in what the catalog builds."""
+    found = {}
+
+    def walk(obj):
+        if type(obj) in RECORDS:
+            found.setdefault(type(obj), obj)
+            walk([getattr(obj, name) for name in obj._fields])
+        elif isinstance(obj, Algebra):
+            walk((obj.field, obj.generators))
+        elif isinstance(obj, (tuple, list)):
+            for x in obj:
+                walk(x)
+        elif isinstance(obj, dict):
+            walk(list(obj.values()))
+
+    walk([report(), FAMILIES])
+    for fam in FAMILIES:
+        for params in fam.default_range[:1]:
+            instance = instantiate(fam.id, params)
+            walk([instance, route(instance), check(instance)])
+    walk(conclude_noncommutative(next(v for v in found.values() if isinstance(v, Certificate))))
+    (eii,) = route(instantiate("EII")).steps
+    walk(find_rational_witness(build_formal_model(eii.presentation), eii.space))
+    found[SteenrodOp] = SteenrodOp("Sq", 2)  # a P operation would reject the default prime
+    return found
+
+
+SAMPLES = _samples()
+
+
+def test_every_record_class_is_sampled():
+    assert len(RECORDS) == 26
+    assert set(SAMPLES) == set(RECORDS)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+class TestRecordClass:
+    def test_positional_and_keyword_construction(self, cls):
+        s = SAMPLES[cls]
+        values = [getattr(s, name) for name in cls._fields]
+        assert cls(*values) == s
+        assert cls(**dict(zip(cls._fields, values))) == s
+        assert replace(s) == s
+
+    def test_defaults(self, cls):
+        s = SAMPLES[cls]
+        defaulted = [name for name in cls._fields if name in vars(cls)]
+        required = {name: getattr(s, name) for name in cls._fields if name not in defaulted}
+        built = cls(**required)
+        for name in defaulted:
+            assert getattr(built, name) == vars(cls)[name]
+        positional = cls(*required.values())
+        assert positional == built
+
+    def test_bad_arguments_are_type_errors(self, cls):
+        s = SAMPLES[cls]
+        kwargs = {name: getattr(s, name) for name in cls._fields}
+        with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+            cls(**kwargs, bogus=1)
+        with pytest.raises(TypeError, match="arguments but"):
+            cls(*kwargs.values(), None)
+        first = cls._fields[0]
+        with pytest.raises(TypeError, match=f"multiple values for argument '{first}'"):
+            cls(kwargs[first], **kwargs)
+        required = [name for name in cls._fields if name not in vars(cls)]
+        if required:
+            del kwargs[required[-1]]
+            with pytest.raises(TypeError, match=f"missing required argument.*'{required[-1]}'"):
+                cls(**kwargs)
+
+    def test_frozen(self, cls):
+        s = SAMPLES[cls]
+        for name in (cls._fields[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, None)
+        with pytest.raises(AttributeError):
+            delattr(s, cls._fields[0])
+        assert getattr(s, cls._fields[0]) is not None
+
+    def test_equality_and_hash_by_values(self, cls):
+        s = SAMPLES[cls]
+        copy = cls(*[getattr(s, name) for name in cls._fields])
+        assert copy == s and not copy != s
+        assert s != object()
+        try:
+            h = hash(s)
+        except TypeError:  # a field holds a dict, as for a frozen dataclass
+            with pytest.raises(TypeError):
+                hash(copy)
+        else:
+            assert hash(copy) == h
+
+
+@record
+class _Point:
+    x: int
+    y: int = 0
+
+
+@record
+class _Pair:
+    x: int
+    y: int = 0
+
+
+def test_equal_values_of_different_classes_are_unequal():
+    assert _Point(1, 2) == _Point(1, 2) and hash(_Point(1, 2)) == hash(_Point(x=1, y=2))
+    assert _Point(1, 2) != _Pair(1, 2)
+    assert _Point(1, 2) != _Point(1, 3)
+    assert len({_Point(1), _Point(1, 0), _Pair(1)}) == 2
+
+
+def test_repr_names_the_class_and_fields():
+    assert repr(SteenrodOp("P", 1, 3)) == "SteenrodOp(family='P', k=1, prime=3)"
+    assert repr(_Point(1)) == "_Point(x=1, y=0)"
+
+
+def test_replace_runs_post_init():
+    op = SteenrodOp("Sq", 2)
+    assert replace(op, k=4) == SteenrodOp("Sq", 4)
+    assert op.k == 2
+    with pytest.raises(ContractViolation, match="Sq operations live at the prime 2"):
+        replace(op, prime=4)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'degree'"):
+        replace(op, degree=4)
+
+
+def test_a_required_field_after_a_default_is_rejected():
+    with pytest.raises(TypeError, match="without a default follows one with a default"):
+
+        @record
+        class _Bad:
+            x: int = 0
+            y: int
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    code = (
+        "import sys; before = set(sys.modules); import loopcomm.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    new = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "loopcomm.cli" in new
+    assert "dataclasses" not in new
+    assert "inspect" not in new

@@ -1,6 +1,5 @@
 """Splitting-principle engine, Wu oracle, suspension models, criterion checker."""
 
-import dataclasses
 import itertools
 import math
 import random
@@ -18,6 +17,7 @@ from loopcomm.gradedalg import (
     Presentation,
     Relation,
     poly_to_text,
+    replace,
 )
 from loopcomm.steenrod import (
     _GROUPS,
@@ -263,6 +263,16 @@ class TestCharClassOperations:
     def test_unknown_class(self):
         with pytest.raises(LookupError):
             char_class_operation(torus_model("so", 4), "w9", SteenrodOp("Sq", 2, 2))
+
+    def test_class_index_at_a_large_rank(self):
+        model = torus_model("su", 1000)
+        assert model.class_index("c1000") == 1000
+        assert model.class_names()[:2] == ("c1", "c2") and len(model.class_names()) == 1000
+        assert [g.degree for g in class_algebra(model, 2).generators[-2:]] == [1998, 2000]
+        with pytest.raises(LookupError, match=r"^unknown class 'c1001' in the su\(1000\) model$"):
+            model.class_index("c1001")
+        with pytest.raises(LookupError, match=r"^unknown class 'w1' in the so\(5\) model$"):
+            torus_model("so", 5).class_index("w1")
 
     def test_power_op_on_so_rejected(self):
         with pytest.raises(ContractViolation):
@@ -659,7 +669,7 @@ class TestCriterionChecker:
         ],
     )
     def test_condition_one_refusals(self, field, value, failed):
-        bad = dataclasses.replace(_ai_instance(7, 2), **{field: value})
+        bad = replace(_ai_instance(7, 2), **{field: value})
         result = check_steenrod_criterion(bad)
         assert isinstance(result, Refusal)
         assert result.failed == failed
@@ -670,7 +680,7 @@ class TestCriterionChecker:
         inst = _ai_instance(7, 2)
         alg = inst.presentation.algebra
         pres = Presentation(alg, (Relation(7, "explicit", alg.gen("v7")),))
-        result = check_steenrod_criterion(dataclasses.replace(inst, presentation=pres))
+        result = check_steenrod_criterion(replace(inst, presentation=pres))
         assert isinstance(result, Refusal)
         assert result.failed == "condition (4): indecomposable quotient has dimension 0 != 1 in degree 7"
 
@@ -679,7 +689,7 @@ class TestCriterionChecker:
         inst = _ei_instance(lambda alg: alg.monomial((2, 0, 0)), "recorded restriction")
         wide = Algebra(FieldSpec(5), inst.presentation.generators + (Generator("y16", 16),))
         pres = Presentation(wide, (Relation(24, "explicit", wide.monomial((3, 0, 0, 0))),))
-        bad = dataclasses.replace(inst, presentation=pres, theta=wide.gen("y16"))
+        bad = replace(inst, presentation=pres, theta=wide.gen("y16"))
         result = check_steenrod_criterion(bad)
         assert isinstance(result, Refusal)
         assert result.failed == "condition (5): P^1 (p=5) x8 = y16 is not decomposable"
@@ -694,7 +704,7 @@ class TestCriterionChecker:
         # the same monomial x8^2 over an algebra with an extra generator
         inst = _ei_instance(lambda alg: alg.monomial((2, 0, 0)), "recorded restriction")
         wide = Algebra(FieldSpec(5), inst.presentation.generators + (Generator("y16", 16),))
-        bad = dataclasses.replace(inst, theta=wide.monomial((2, 0, 0, 0)))
+        bad = replace(inst, theta=wide.monomial((2, 0, 0, 0)))
         with pytest.raises(ContractViolation, match="is not a degree-16 class of EI"):
             check_steenrod_criterion(bad)
 
@@ -735,7 +745,7 @@ class TestCriterionChecker:
         # computed image x8^2 contradicts a recorded 2*x8^2
         inst = _ei_instance(lambda alg: alg.monomial((2, 0, 0), 2), "corrupted for the test")
         zero = inst.presentation.algebra.zero()
-        cc = dataclasses.replace(_ei_crosscheck(inst), pullback={**_ei_crosscheck(inst).pullback, "q4": zero})
+        cc = replace(_ei_crosscheck(inst), pullback={**_ei_crosscheck(inst).pullback, "q4": zero})
         result = check_steenrod_criterion(inst, cc)
         assert isinstance(result, Refusal)
         assert result.failed == "cross-check: resolved image x8^2 differs from recorded action 2*x8^2"
