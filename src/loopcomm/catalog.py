@@ -81,7 +81,7 @@ DATA_ENV = "LOOPCOMM_DATA_DIR"
 # ---------------------------------------------------------------------------
 # catalog data files
 
-_REQUIRED_KEYS = {
+_REQUIRED_KEYS = {  # every key of a kind is required, once, and no other key is allowed
     "presentation": {"space", "file", "cite"},
     "fibration": {"space", "aux", "aux-label", "threshold", "cite"},
     "pullback": {"space", "model", "class", "value", "cite"},
@@ -92,6 +92,33 @@ _REQUIRED_KEYS = {
     "exception": {"space", "cite"},
 }
 _INTEGER_KEYS = ("threshold", "k", "prime")  # loaded as int
+
+
+def _fact_record(line: str) -> tuple:
+    """(kind, {key: value}) of one facts.txt record; `value` stays text, the integer keys are ints."""
+    kind, *words = shlex.split(line)
+    if kind not in _REQUIRED_KEYS:
+        raise ValueError(f"unknown record kind {kind!r}")
+    keys = _REQUIRED_KEYS[kind]
+    rec = {}
+    for w in words:
+        k, sep, v = w.partition("=")
+        if not sep or not k:
+            raise ValueError(f"bad key=value token {w!r}")
+        if k not in keys:
+            raise ValueError(f"{kind} record has unknown key {k!r}")
+        if k in rec:
+            raise ValueError(f"repeated key {k!r}")
+        rec[k] = v
+    missing = keys - set(rec)
+    if missing:
+        raise ValueError(f"missing keys {sorted(missing)}")
+    for name in _INTEGER_KEYS:
+        if name in rec:
+            if not (rec[name].isascii() and rec[name].isdigit()):
+                raise ValueError(f"{name}={rec[name]!r} is not an integer")
+            rec[name] = int(rec[name])
+    return kind, rec
 
 
 class DataSet:
@@ -125,12 +152,17 @@ _DATASET_CACHE: dict = {}
 
 
 def load_dataset() -> DataSet:
-    """Load and validate the embedded catalog data (env override honored)."""
+    """Load and validate the embedded catalog data (env override honored).
+
+    Every `value=` is parsed once, as a polynomial over the presentation of
+    the record's space, after all presentations are loaded.
+    """
     key = os.environ.get(DATA_ENV, "")
     if key in _DATASET_CACHE:
         return _DATASET_CACHE[key]
     root = Path(key) if key else resources.files("loopcomm") / "data"
     facts = []
+    valued = []  # (lineno, record) of the records with a value
     presentations = {}
     text = (root / "facts.txt").read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -138,27 +170,12 @@ def load_dataset() -> DataSet:
         if not line:
             continue
         try:
-            words = shlex.split(line)
-            kind = words[0]
-            rec = {}
-            for w in words[1:]:
-                k, sep, v = w.partition("=")
-                if not sep or not k:
-                    raise ValueError(f"bad key=value token {w!r}")
-                rec[k] = v
+            kind, rec = _fact_record(line)
         except ValueError as exc:
             raise CatalogDataError(f"facts.txt line {lineno}: {exc}") from exc
-        if kind not in _REQUIRED_KEYS:
-            raise CatalogDataError(f"facts.txt line {lineno}: unknown record kind {kind!r}")
-        missing = _REQUIRED_KEYS[kind] - set(rec)
-        if missing:
-            raise CatalogDataError(f"facts.txt line {lineno}: missing keys {sorted(missing)}")
-        for name in _INTEGER_KEYS:
-            if name in rec:
-                if not (rec[name].isascii() and rec[name].isdigit()):
-                    raise CatalogDataError(f"facts.txt line {lineno}: {name}={rec[name]!r} is not an integer")
-                rec[name] = int(rec[name])
         facts.append((kind, rec))
+        if "value" in rec:
+            valued.append((lineno, rec))
         if kind == "presentation":
             try:
                 body = (root / "presentations" / rec["file"]).read_text(encoding="utf-8")
@@ -168,6 +185,13 @@ def load_dataset() -> DataSet:
                 presentations[rec["space"]] = (parse_presentation(body), rec["cite"])
             except ValueError as exc:
                 raise CatalogDataError(f"{rec['file']}: {exc}") from exc
+    for lineno, rec in valued:
+        try:
+            if rec["space"] not in presentations:
+                raise ValueError(f"no presentation record for space {rec['space']!r}")
+            rec["value"] = parse_poly(rec["value"], presentations[rec["space"]][0].algebra)
+        except ValueError as exc:
+            raise CatalogDataError(f"facts.txt line {lineno}: {exc}") from exc
     ds = DataSet(presentations, facts)
     _DATASET_CACHE[key] = ds
     return ds
@@ -424,7 +448,6 @@ def _bottom_cell_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     """Diagonal bottom-cell instance on the recorded action, with a classifying cross-check."""
     space = inst.family
     pres = ds.presentation(space)
-    alg = pres.algebra
     rec = ds.one("action", space=space)
     gen = rec["gen"]
     op = SteenrodOp(rec["family"], rec["k"], rec["prime"])
@@ -432,7 +455,7 @@ def _bottom_cell_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     cc = ClassifyingCrossCheck(
         model=torus_model(pb["model"], 4),
         class_name=pb["class"],
-        pullback={pb["class"]: parse_poly(pb["value"], alg)},
+        pullback={pb["class"]: pb["value"]},
         citation=pb["cite"],
     )
     sphere = suspension_sphere(8)
@@ -442,7 +465,7 @@ def _bottom_cell_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     criterion = SteenrodCriterionInstance(
         space=space,
         presentation=pres,
-        theta=parse_poly(rec["value"], alg),
+        theta=rec["value"],
         action_provenance="asserted",
         action_citation=rec["cite"],
         op=op,
@@ -460,12 +483,11 @@ def _bottom_cell_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
 
 def _g_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     pres = ds.presentation("G")
-    alg = pres.algebra
     records = ds.find("pullback", space="G")
     models = sorted({rec["model"] for rec in records})
     if len(models) != 1:
         raise DataIncomplete(f"pullback records for G must name one torus model, not {models}")
-    images = {rec["class"]: parse_poly(rec["value"], alg) for rec in records}
+    images = {rec["class"]: rec["value"] for rec in records}
     op = SteenrodOp("Sq", 2, 2)
     action, unresolved = restrict(char_class_operation(torus_model(models[0], 4), "w3", op), images, pres)
     if unresolved:
@@ -526,12 +548,9 @@ def _aii_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
 
 def _eiv_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     pres = ds.presentation("EIV")
-    alg = pres.algebra
-    table = {}
-    cites = []
-    for rec in ds.find("sq-table", space="EIV"):
-        table[rec["gen"]] = parse_poly(rec["value"], alg)
-        cites.append(rec["cite"])
+    records = ds.find("sq-table", space="EIV")
+    table = {rec["gen"]: rec["value"] for rec in records}
+    cites = [rec["cite"] for rec in records]
     gm = ds.one("generating-map", space="EIV")
     data = ExteriorActionData(pres, table, citation="; ".join(cites))
     witness = GeneratingMapWitness(

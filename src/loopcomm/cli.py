@@ -160,11 +160,11 @@ def _cmd_model(args) -> int:
     return EXIT_OK
 
 
-_OP_RE = re.compile(r"(sq|p)(\d+)$", re.IGNORECASE)
+_OP_RE = re.compile(r"(sq|p)([0-9]+)", re.IGNORECASE | re.ASCII)
 
 
 def _cmd_steenrod(args) -> int:
-    m = _OP_RE.match(args.op)
+    m = _OP_RE.fullmatch(args.op)
     if not m:
         raise ParameterError(f"bad operation {args.op!r}; expected e.g. sq2 or p1")
     op_family = "Sq" if m.group(1).lower() == "sq" else "P"

@@ -743,77 +743,32 @@ def poly_to_text(p: Poly) -> str:
     return " ".join(pieces)
 
 
-_TOKEN = re.compile(r"\s*([+\-*^()]|[0-9]+/[0-9]+|[0-9]+|[A-Za-z_][A-Za-z_0-9]*)")
+_FACTOR = r"(?:[0-9]+(?:/[0-9]+)?|[A-Za-z_][A-Za-z_0-9]*(?:\s*\^\s*[0-9]+)?)"
+# [sign] term (sign term)* with term := factor ('*' factor)* is [sign] factor (op factor)*
+_POLY = rf"\s*(?:[+-]\s*)?{_FACTOR}(?:\s*[-+*]\s*{_FACTOR})*\s*"  # compiled on first use, not at import
 
 
 def parse_poly(text: str, alg: Algebra) -> Poly:
-    """Parse the canonical text form (sums of coeff*gen^e*... terms)."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError(f"bad polynomial text at {text[pos:]!r}")
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
-    if not tokens:
-        raise ValueError("empty polynomial text")
+    """Parse the text form that poly_to_text prints, with whitespace allowed around every token.
+
+    poly := [sign] term (sign term)*;  term := factor ('*' factor)*;
+    factor := int | int/int | name['^' int].  Any other text is a ValueError.
+    """
+    if not re.fullmatch(_POLY, text, re.ASCII):
+        raise ValueError(f"not a polynomial: {text!r}")
     result = alg.zero()
-    i = 0
-    n = len(alg.generators)
-
-    def parse_term(i: int):
-        coeff = Fraction(1)
-        exps = [0] * n
-        expect_factor = True
-        while i < len(tokens):
-            tok = tokens[i]
-            if tok in "+-" and not expect_factor:
-                break
-            if tok == "*":
-                i += 1
-                expect_factor = True
-                continue
-            if re.fullmatch(r"[0-9]+(/[0-9]+)?", tok):
-                coeff *= _fraction(tok)
-                i += 1
-                expect_factor = False
-                continue
-            if re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok):
-                if tok not in alg.index:
-                    raise ValueError(f"unknown generator {tok!r}")
-                e = 1
-                i += 1
-                if i < len(tokens) and tokens[i] == "^":
-                    if i + 1 == len(tokens) or not tokens[i + 1].isdigit():
-                        raise ValueError(f"exponent expected after {tok}^")
-                    e = int(tokens[i + 1])
-                    i += 2
-                exps[alg.index[tok]] += e
-                expect_factor = False
-                continue
-            raise ValueError(f"unexpected token {tok!r}")
-        return i, coeff, tuple(exps)
-
-    sign = 1
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok == "+":
-            sign = 1
-            i += 1
-            continue
-        if tok == "-":
-            sign = -1
-            i += 1
-            continue
-        i, coeff, exps = parse_term(i)
-        if exps == (0,) * n and coeff == 0:
-            sign = 1
-            continue
-        result = result + alg.monomial(exps, sign * coeff)
-        sign = 1
+    for term in re.findall(r"[+-]?[^+-]+", "".join(text.split())):
+        coeff = Fraction(-1 if term[0] == "-" else 1)
+        exps = [0] * len(alg.generators)
+        for factor in term.lstrip("+-").split("*"):
+            name, _, e = factor.partition("^")
+            if name[0].isdigit():
+                coeff *= _fraction(factor)
+            elif name in alg.index:
+                exps[alg.index[name]] += int(e or 1)
+            else:
+                raise ValueError(f"unknown generator {name!r}")
+        result = result + alg.monomial(exps, coeff)
     return result
 
 
@@ -861,13 +816,15 @@ def parse_presentation(text: str) -> Presentation:
     formal_dimension: Optional[int] = None
     gens: list = []  # (lineno, Generator)
     rel_specs: list = []  # (lineno, degree, kind, asserted, [(lineno, coeff_text, exps)])
-    lineno = 0
+    lineno = end = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         words = line.split()
         with _at_line(lineno):
+            if end:
+                raise ValueError(f"{words[0]!r} record after the end record of line {end}")
             if words[0] == "field":
                 if words[1] == "rational":
                     field = FieldSpec(0)
@@ -891,11 +848,12 @@ def parse_presentation(text: str) -> Presentation:
                     raise ValueError("term before any relation")
                 rel_specs[-1][4].append((lineno, words[1], tuple(int(w) for w in words[2:])))
             elif words[0] == "end":
-                break
+                _only_flags(words[1:], ())
+                end = lineno
             else:
                 raise ValueError(f"unknown record {words[0]!r}")
     if field is None:
-        raise ValueError(f"presentation line {max(lineno, 1)}: no field record before the end")
+        raise ValueError(f"presentation line {end or max(lineno, 1)}: no field record before the end")
     earlier = set()
     for gen_line, g in gens:
         with _at_line(gen_line):

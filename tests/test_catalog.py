@@ -27,7 +27,7 @@ from loopcomm.catalog import (
 )
 from loopcomm.cli import _USAGE_ERRORS, main as cli_main
 from loopcomm.criteria import ASSERTED, Certificate, DataIncomplete, Refusal
-from loopcomm.gradedalg import Algebra, FieldSpec, Generator, replace
+from loopcomm.gradedalg import Algebra, FieldSpec, Generator, parse_poly, poly_to_text, replace
 from loopcomm.sullivan import SullivanModel
 
 
@@ -332,7 +332,78 @@ def _mutate_fact_line(rng, lines):
     return lines
 
 
+def _recorded_values() -> list:
+    """(space, value text) of every facts.txt record with a value, in file order."""
+    lines = (_DATA / "facts.txt").read_text(encoding="utf-8").splitlines()
+    records = [catalog._fact_record(line) for line in lines if line and not line.startswith("#")]
+    return [(rec["space"], rec["value"]) for _, rec in records if "value" in rec]
+
+
+_VALUE_TOKENS = ("+", "-", "*", "^", "/", "(", ")", " ", "0", "1", "2", "1/2", "x8", "x9", "x17", "q", "x2", "x3")
+
+
+def _mutate_value(rng, text: str) -> str:
+    """text with one token dropped, replaced or inserted, rejoined with or without spaces."""
+    tokens = re.findall(r"[0-9]+/[0-9]+|[0-9]+|[A-Za-z_][A-Za-z_0-9]*|\S", text)
+    i = rng.randrange(len(tokens))
+    how = rng.randrange(3)
+    if how == 0:
+        del tokens[i]
+    elif how == 1:
+        tokens[i] = rng.choice(_VALUE_TOKENS)
+    else:
+        tokens.insert(i + rng.randrange(2), rng.choice(_VALUE_TOKENS))
+    return rng.choice(("", " ")).join(tokens)
+
+
 class TestDataset:
+    def test_every_value_is_parsed_at_load_and_canonical(self):
+        # printing what was parsed gives back the recorded text
+        values = _recorded_values()
+        assert len(values) == 8
+        loaded = [rec["value"] for _, rec in load_dataset().facts if "value" in rec]
+        assert [poly_to_text(p) for p in loaded] == [text for _, text in values]
+
+    def test_one_token_value_mutants_round_trip_or_raise(self):
+        ds = load_dataset()
+        rng = random.Random("facts.txt values")
+        for space, text in _recorded_values():
+            alg = ds.presentation(space).algebra
+            for _ in range(60):
+                mutant = _mutate_value(rng, text)
+                try:
+                    p = parse_poly(mutant, alg)
+                except ValueError:
+                    continue
+                assert parse_poly(poly_to_text(p), alg) == p, mutant
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ('value="x8^2"', 'value="3*x8^2 - - x8^2"', "not a polynomial: '3*x8^2 - - x8^2'"),
+            ('value="x8^2"', 'value="x8^^2"', "not a polynomial: 'x8^^2'"),
+            ('value="x9 + x17"', 'value="x9 + x18"', "unknown generator 'x18'"),
+            ("sq-table space=EIV gen=x17", "sq-table space=AII gen=x17", "no presentation record for space 'AII'"),
+            ("gen=x8 family=P k=1 prime=5", "gen=x8 family=P k=1 prime=5 prime=7", "repeated key 'prime'"),
+            ("gen=x8 family=P k=1 prime=5", "gen=x8 family=P k=1 prime=5 typo=1", "action record has unknown key 'typo'"),
+            ("external family=CI", "external family=CI space=CI", "external record has unknown key 'space'"),
+        ],
+    )
+    def test_bad_records_fail_at_load_naming_their_line(self, tmp_path, monkeypatch, capsys, old, new, message):
+        data = tmp_path / "data"
+        shutil.copytree(_DATA, data)
+        lines = (_DATA / "facts.txt").read_text(encoding="utf-8").splitlines()
+        (lineno,) = [i for i, line in enumerate(lines, start=1) if old in line]
+        lines[lineno - 1] = lines[lineno - 1].replace(old, new)
+        (data / "facts.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(data))
+        monkeypatch.setattr(catalog, "_DATASET_CACHE", {})
+        for argv in (["check", "EI"], ["check", "AI", "--n", "4"], ["report", "--all"]):
+            assert cli_main(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"error: facts.txt line {lineno}: {message}" in captured.err
+
     def test_loads_and_validates(self):
         ds = load_dataset()
         assert "EII" in ds.presentations

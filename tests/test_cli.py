@@ -109,6 +109,21 @@ class TestSteenrodCommand:
         assert code == 0
         assert out.strip() == "w2*w4"
 
+    def test_op_family_is_case_blind(self, capsys):
+        code, out, _ = run(
+            capsys, "steenrod", "--group", "so", "--rank", "4", "--class", "w4", "--op", "SQ2"
+        )
+        assert (code, out.strip()) == (0, "w2*w4")
+
+    @pytest.mark.parametrize("op", ["sq\u0968", "sq2\n", "sq 2", " sq2", "sq+2", "\u017fq2", "sq"])
+    def test_non_canonical_op_is_one(self, capsys, op):
+        # ASCII letters and digits only, by full match: no padding, signs or non-ASCII look-alikes
+        code, out, err = run(
+            capsys, "steenrod", "--group", "so", "--rank", "4", "--class", "w4", "--op", op
+        )
+        assert (code, out) == (1, "")
+        assert f"bad operation {op!r}" in err
+
     def test_p1_q5(self, capsys):
         code, out, _ = run(
             capsys,

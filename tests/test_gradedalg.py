@@ -2,6 +2,7 @@
 
 import random
 import re
+import time
 from fractions import Fraction
 from math import prod
 from pathlib import Path
@@ -673,6 +674,9 @@ class TestSerialization:
             ("field rational\ngenerator x2 2\ngenerator x2 4\nend\n", 3),
             ("generator y3 3\nfield rational\nend\n", 1),
             ("field prime 5\ngenerator x2 2\nrelation 4 explicit\nterm 1/10 2\nend\n", 4),
+            ("field rational\ngenerator x2 2\nend\ngenerator y4 4\n", 4),
+            ("field rational\ngenerator x2 2\nend\n\n# done\nend\n", 6),
+            ("field rational\ngenerator x2 2\nend now\n", 3),
         ],
     )
     def test_record_errors_name_their_line(self, text, line):
@@ -729,6 +733,9 @@ class TestParserFailsClosed:
             assert print_presentation(back) == printed, text
 
 
+_XY = q_algebra(Generator("x", 2), Generator("y", 2))
+
+
 class TestPolyText:
     def test_canonical_text(self):
         # ascending degree, then exponent order
@@ -745,3 +752,55 @@ class TestPolyText:
         alg = q_algebra(Generator("x4", 4))
         assert poly_to_text(alg.zero()) == "0"
         assert parse_poly("0", alg).is_zero
+
+    @pytest.mark.parametrize(
+        "text, terms",
+        [
+            (text, None)  # outside the grammar
+            for text in (
+                "x - - y", "- - x", "x + -y", "x +", "+", "-", "x*", "*x", "x**y", "2 x", "x y", "x^2^3", "(x)",
+                "", " ", "x^", "x^^2", "x^y", "x^-1", "1/", "/2", "x/2", "2x", "x^\u0968", "x + 1/2/3",
+            )
+        ]
+        + [
+            ("x ^ 2", {(2, 0): 1}),
+            ("3/6*x", {(1, 0): Fraction(1, 2)}),
+            ("\t- x * y +2 ", {(1, 1): -1, (0, 0): 2}),
+            ("x - y", {(1, 0): 1, (0, 1): -1}),
+            ("+y", {(0, 1): 1}),
+            ("x*x + x^2 - 2*y*2", {(2, 0): 2, (0, 1): -4}),
+            ("0*x", {}),
+        ],
+    )
+    def test_grammar(self, text, terms):
+        if terms is None:
+            with pytest.raises(ValueError, match=re.escape(f"not a polynomial: {text!r}")):
+                parse_poly(text, _XY)
+        else:
+            assert parse_poly(text, _XY) == _XY.poly(terms)
+
+    def test_long_whitespace_is_rejected_in_linear_time(self):
+        # no whitespace run may be split two ways, or rejection takes time quadratic in its length
+        spaces = " " * 50_000
+        for text in (spaces + "x!", "-" + spaces + "x" + spaces + "!", "x" + spaces + "^" + spaces + "y"):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="not a polynomial"):
+                parse_poly(text, _XY)
+            assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("characteristic", [0, 2, 3, 5])
+    def test_seeded_round_trip(self, characteristic):
+        gens = [Generator("x2", 2), Generator("y3", 3, True), Generator("x4", 4), Generator("z6", 6, True)]
+        alg = Algebra(FieldSpec(characteristic), gens)
+        denominators = [d for d in range(1, 10) if characteristic == 0 or d % characteristic]
+        rng = random.Random(f"poly text over {alg.field}")
+        for _ in range(200):
+            terms = {
+                tuple(rng.randint(0, 1 if g.squares_to_zero else 3) for g in gens):
+                Fraction(rng.randint(-9, 9), rng.choice(denominators))
+                for _ in range(rng.randint(0, 5))
+            }
+            p = alg.poly(terms)
+            text = poly_to_text(p)
+            assert parse_poly(text, alg) == p, text
+
