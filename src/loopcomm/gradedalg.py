@@ -155,6 +155,9 @@ class FieldSpec:
 
 
 def _fraction(text: str) -> Fraction:
+    """A coefficient in the form poly_to_text prints, an int or int/int in ASCII digits."""
+    if not re.fullmatch(r"-?[0-9]+(?:/[0-9]+)?", text):
+        raise ValueError(f"not a coefficient: {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -247,19 +250,22 @@ class Algebra:
     def monomials_of_degree(self, degree: int) -> list:
         """All canonical-form monomials of the given degree, lexicographically sorted."""
         n = len(self.generators)
+        # every monomial in the generators from i on has a degree divisible by reach[i]
+        reach = [gcd(*self.degrees[i:]) for i in range(n)]
         out = []
 
         def rec(i: int, remaining: int, acc: tuple):
             if remaining == 0:
                 out.append(acc + (0,) * (n - i))
-                return
-            if i == n:
-                return
-            d = self.degrees[i]
-            cap = 1 if self.sqz[i] else remaining // d
-            for e in range(cap + 1):
-                if e * d <= remaining:
-                    rec(i + 1, remaining - e * d, acc + (e,))
+            elif i < n and remaining > 0 and remaining % reach[i] == 0:
+                d = self.degrees[i]
+                top = min(remaining // d, 1 if self.sqz[i] else remaining)
+                if i == n - 1:  # the last exponent is forced
+                    if top * d == remaining:
+                        out.append(acc + (top,))
+                else:
+                    for e in range(top + 1):
+                        rec(i + 1, remaining - e * d, acc + (e,))
 
         rec(0, degree, ())
         return sorted(out)
@@ -453,9 +459,25 @@ class Presentation:
         return all(r.explicit for r in self.relations)
 
 
-# Rank mod this prime is a lower bound for the rank over Q of integer rows.  It
-# is small enough that FieldSpec's trial-division primality check is instant.
-_CHECK_FIELD = FieldSpec(32003)
+def _bit_rank(rows: Iterable[int], ncols: Optional[int] = None) -> int:
+    """Rank over F_2 of rows given as ints, bit j standing for column j.
+
+    Pivots are keyed by their lowest set bit, and a row is reduced by adding
+    (xor) the pivot of its lowest bit until that bit has no pivot or the row
+    vanishes.  Given the column count, it stops once every column has a pivot.
+    """
+    pivots: dict = {}  # lowest set bit -> row
+    for row in rows:
+        if len(pivots) == ncols:
+            break
+        while row:
+            low = row & -row
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = row
+                break
+            row ^= pivot
+    return len(pivots)
 
 
 def _rank(rows: Iterable[dict], field: FieldSpec, ncols: Optional[int] = None) -> int:
@@ -547,12 +569,13 @@ def hilbert_function(pres: Presentation, up_to: int) -> tuple:
     """Dimension of each graded piece of the quotient, degrees 0..up_to.
 
     Read off the series prod(1 - t^{|rho_i|}) / prod(1 - t^{|x_j|}) when
-    up_to reaches its degree D and the relations form a regular sequence
-    (see _regular_sequence); otherwise eliminated degree by degree, so a small
-    up_to never pays for the window above D.  Degree by degree, it stops once
-    w consecutive degrees vanish, w the largest generator degree: a monomial
-    of degree at least a has a divisor of degree in a..a+w-1, so every later
-    degree vanishes too.
+    up_to reaches its degree D and the relations form a regular sequence,
+    which _regular_sequence decides on the window above D by a rank over F_2
+    and, where that falls short over Q, an exact one.  Otherwise it is
+    eliminated exactly, degree by degree, so a small up_to never pays for the
+    window above D.  Degree by degree, it stops once w consecutive degrees
+    vanish, w the largest generator degree: a monomial of degree at least a
+    has a divisor of degree in a..a+w-1, so every later degree vanishes too.
     """
     if not pres.all_explicit:
         raise UnsupportedPresentation("hilbert_function requires explicit relations")
@@ -596,10 +619,17 @@ def _regular_sequence(pres: Presentation) -> bool:
     is Cohen-Macaulay (Bruns-Herzog, Cohen-Macaulay Rings), so its Hilbert
     series is prod(1 - t^{|rho_i|}) / prod(1 - t^{|x_j|}), of degree D.  The
     quotient is generated in degrees <= w, the largest generator degree, so it
-    is finite exactly when the window of degrees D+1..D+w vanishes.  Over Q a
-    window degree is first eliminated mod _CHECK_FIELD: integer rows have rank
-    mod p at most their rank over Q, so full rank there proves the degree
-    vanishes.  Otherwise, and over F_p, it is eliminated over the field itself.
+    is finite exactly when the window of degrees D+1..D+w vanishes.
+
+    Over Q and F_2 each window degree is first eliminated over F_2, one int
+    of bits per row (_bit_rank).  The generators are even and polynomial, so
+    m * rho has no sign and loses no term, and its row mod 2 is m times the
+    odd support of rho: the monomials whose coefficient is odd once rho is
+    cleared of denominators and divided by its content.  Integer rows have
+    rank mod 2 at most their rank over Q, so full rank mod 2 proves that the
+    degree vanishes; over F_2 it is the rank itself.  A degree over Q short
+    of full rank mod 2, and every degree over F_p with p odd, is eliminated
+    exactly over the field (_rank).
     """
     alg = pres.algebra
     if (
@@ -611,13 +641,29 @@ def _regular_sequence(pres: Presentation) -> bool:
     D = _series_degree(pres)
     if D < 0:
         return False
+    p = pres.field.characteristic
+    odd_supports = None  # (degree, odd support) of each relation, over Q and F_2
+    if p in (0, 2):
+        odd_supports = [
+            (rel.degree, [e for e, c in _primitive(_integer_row(rel.terms.terms)).items() if c % 2])
+            for rel in pres.relations
+        ]
     for degree in range(D + 1, D + max(alg.degrees, default=0) + 1):
         basis = alg.monomials_of_degree(degree)
         n = len(basis)
-        rows = _ideal_rows(pres, degree, {m: i for i, m in enumerate(basis)})
-        if pres.field.characteristic == 0 and _rank(map(_integer_row, rows), _CHECK_FIELD, n) == n:
-            continue
-        if _rank(rows, pres.field, n) < n:
+        index = {m: i for i, m in enumerate(basis)}
+        if odd_supports is not None:
+            bit_rows = (
+                sum(1 << index[tuple(map(add, m, e))] for e in support)
+                for rel_degree, support in odd_supports
+                if rel_degree <= degree
+                for m in alg.monomials_of_degree(degree - rel_degree)
+            )
+            if _bit_rank(bit_rows, n) == n:
+                continue
+            if p == 2:
+                return False
+        if _rank(_ideal_rows(pres, degree, index), pres.field, n) < n:
             return False
     return True
 
@@ -829,24 +875,24 @@ def parse_presentation(text: str) -> Presentation:
                 if words[1] == "rational":
                     field = FieldSpec(0)
                 elif words[1] == "prime":
-                    field = FieldSpec(int(words[2]))
+                    field = FieldSpec(_integer(words[2]))
                 else:
                     raise ValueError(f"bad field kind {words[1]!r}")
             elif words[0] == "formal-dimension":
-                formal_dimension = int(words[1])
+                formal_dimension = _integer(words[1])
             elif words[0] == "generator":
                 _only_flags(words[3:], ("squares-to-zero",))
                 sqz = "squares-to-zero" in words[3:]
-                gens.append((lineno, Generator(words[1], int(words[2]), sqz)))
+                gens.append((lineno, Generator(words[1], _integer(words[2]), sqz)))
             elif words[0] == "relation":
                 kind = words[2]
                 _only_flags(words[3:], ("decomposable",) if kind == "partial" else ())
                 asserted = "decomposable" in words[3:]
-                rel_specs.append((lineno, int(words[1]), kind, asserted, []))
+                rel_specs.append((lineno, _integer(words[1]), kind, asserted, []))
             elif words[0] == "term":
                 if not rel_specs:
                     raise ValueError("term before any relation")
-                rel_specs[-1][4].append((lineno, words[1], tuple(int(w) for w in words[2:])))
+                rel_specs[-1][4].append((lineno, words[1], tuple(map(_integer, words[2:]))))
             elif words[0] == "end":
                 _only_flags(words[1:], ())
                 end = lineno
@@ -874,6 +920,13 @@ def parse_presentation(text: str) -> Presentation:
         with _at_line(rel_line):
             relations.append(Relation(degree, kind, body, decomposable_asserted=asserted))
     return Presentation(alg, tuple(relations), formal_dimension)
+
+
+def _integer(text: str) -> int:
+    """An integer in the form print_presentation prints, -?[0-9]+ in ASCII digits."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _only_flags(words: list, allowed: tuple) -> None:

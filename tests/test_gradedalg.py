@@ -1,5 +1,6 @@
 """Core graded-commutative arithmetic, Hilbert functions, serialization."""
 
+import itertools
 import random
 import re
 import time
@@ -33,7 +34,8 @@ from loopcomm.gradedalg import (
     print_presentation,
 )
 from loopcomm.cli import main as cli_main
-from loopcomm.gradedalg import _CHECK_FIELD, _ideal_rows, _rank, graded_dimension
+from loopcomm import gradedalg
+from loopcomm.gradedalg import _bit_rank, _ideal_rows, _rank, graded_dimension
 
 QQ = FieldSpec(0)
 _G_PRES = Path(__file__).parent.parent / "src" / "loopcomm" / "data" / "presentations" / "G.pres"
@@ -230,6 +232,18 @@ class TestHilbert:
         for d in range(13):
             assert dims[d] == len(alg.monomials_of_degree(d))
 
+    def test_monomials_match_brute_force(self):
+        rng = random.Random(17)
+        for _ in range(60):
+            gens = [Generator(f"g{i}", rng.randint(1, 6), rng.random() < 0.3) for i in range(rng.randint(0, 4))]
+            alg = Algebra(FieldSpec(2), gens)
+            for degree in range(-2, 16):
+                caps = [1 if g.squares_to_zero else max(degree, 0) // g.degree for g in gens]
+                expected = sorted(
+                    e for e in itertools.product(*(range(c + 1) for c in caps)) if alg.monomial_degree(e) == degree
+                )
+                assert alg.monomials_of_degree(degree) == expected, (gens, degree)
+
     def test_partial_rejected(self):
         alg = q_algebra(Generator("x2", 2))
         pres = Presentation(alg, (Relation(8, "partial", alg.zero(), True),))
@@ -420,6 +434,18 @@ class TestRank:
         assert _rank(rows, QQ) == 2
         assert _rank(rows, FieldSpec(2)) == 1
 
+    def test_bit_rank_matches_dense_reference_over_f2(self):
+        rng = random.Random(2)
+        f2 = FieldSpec(2)
+        for _ in range(300):
+            width = rng.randint(1, 12)
+            dense = [[rng.randint(0, 1) for _ in range(width)] for _ in range(rng.randint(0, 14))]
+            if dense and rng.random() < 0.3:  # a repeated row
+                dense.append(list(rng.choice(dense)))
+            bits = [sum(c << j for j, c in enumerate(row)) for row in dense]
+            assert _bit_rank(bits) == _dense_rank(dense, f2), dense
+            assert _bit_rank(bits, width) == _dense_rank(dense, f2), dense
+
 
 def _grassmannian(k, n, seed):
     """Sign-flipped presentation of H*(Gr_k(C^n); Q) = Q[c_1..c_k]/(h_{n-k+1}, ..., h_n).
@@ -454,7 +480,7 @@ def _gaussian_binomial(n, k):
 
 
 class TestGrassmannians:
-    @pytest.mark.parametrize("k, n", [(2, 6), (3, 8), (4, 8)])
+    @pytest.mark.parametrize("k, n", [(2, 6), (3, 8), (4, 8), (4, 10), (5, 10)])
     def test_poincare_polynomial_and_complete_intersection(self, k, n):
         pres = _grassmannian(k, n, seed=10 * k + n)
         expected = [0] * (2 * k * (n - k) + 1)
@@ -593,26 +619,40 @@ class TestSeriesFromTheWindow:
                 assert hilbert_function(pres, d) == full[: d + 1]
         assert verdicts == {True, False}
 
-    def test_singular_mod_the_check_prime_falls_back_to_q(self):
-        # the x^2 relation vanishes mod the check prime, but not over Q
-        p = _CHECK_FIELD.characteristic
-        alg = q_algebra(Generator("x", 2), Generator("y", 4))
-        pres = Presentation(
-            alg,
-            (Relation(4, "explicit", alg.monomial((2, 0), p)), Relation(8, "explicit", alg.monomial((0, 2)))),
-        )
-        assert is_complete_intersection(pres)
-        assert hilbert_function(pres, 8) == (1, 0, 1, 0, 1, 0, 1, 0, 0)
-
-    def test_denominator_divisible_by_the_check_prime(self):
-        # x^2 + y^2/p and xy: cleared of denominators, the first relation is p*x^2 + y^2
-        p = _CHECK_FIELD.characteristic
+    def test_singular_mod_2_falls_back_to_q(self):
+        # x^2 + y^2 and x^2 - y^2 agree mod 2, but over Q they span x^2 and y^2
         alg = q_algebra(Generator("x", 2), Generator("y", 2))
-        r1 = alg.monomial((2, 0)) + alg.monomial((0, 2), Fraction(1, p))
+        x2, y2 = alg.monomial((2, 0)), alg.monomial((0, 2))
+        pres = Presentation(alg, (Relation(4, "explicit", x2 + y2), Relation(4, "explicit", x2 - y2)))
+        assert is_complete_intersection(pres)
+        assert hilbert_function(pres, 6) == (1, 0, 2, 0, 1, 0, 0)
+
+    def test_denominator_divisible_by_2(self):
+        # x^2 + y^2/2 and xy: cleared of denominators, the first relation is 2*x^2 + y^2
+        alg = q_algebra(Generator("x", 2), Generator("y", 2))
+        r1 = alg.monomial((2, 0)) + alg.monomial((0, 2), Fraction(1, 2))
         pres = Presentation(alg, (Relation(4, "explicit", r1), Relation(4, "explicit", alg.monomial((1, 1)))))
         assert is_complete_intersection(pres)
         assert hilbert_function(pres, 6) == (1, 0, 2, 0, 1, 0, 0)
         assert hilbert_function(pres, 6) == tuple(graded_dimension(pres, d) for d in range(7))
+
+    def test_grassmannian_window_needs_no_exact_elimination(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return _rank(*args)
+
+        monkeypatch.setattr(gradedalg, "_rank", spy)
+        pres = _grassmannian(3, 10, seed=13)
+        assert gradedalg._regular_sequence.__wrapped__(pres)
+        assert calls == []
+        # the spy does see a window that falls short mod 2
+        alg = q_algebra(Generator("x", 2), Generator("y", 2))
+        x2, y2 = alg.monomial((2, 0)), alg.monomial((0, 2))
+        short = Presentation(alg, (Relation(4, "explicit", x2 + y2), Relation(4, "explicit", x2 - y2)))
+        assert gradedalg._regular_sequence.__wrapped__(short)
+        assert calls
 
     def test_truncated_generator_is_a_hypothesis_violation(self):
         alg = q_algebra(Generator("x2", 2, True))
@@ -682,6 +722,50 @@ class TestSerialization:
     def test_record_errors_name_their_line(self, text, line):
         with pytest.raises(ValueError, match=f"line {line}:"):
             parse_presentation(text)
+
+    @pytest.mark.parametrize(
+        "record, line",
+        [
+            ("term 0.5 4", 4),
+            ("term 1e2 4", 4),
+            ("term 1_0 4", 4),
+            ("term +3 4", 4),
+            ("term \u0661 4", 4),
+            ("term 1 +4", 4),
+            ("term 1 4_0", 4),
+            ("term 1 \u0664", 4),
+            ("generator y \u0662", 2),
+            ("generator y +2", 2),
+            ("relation +8 explicit", 2),
+            ("relation 1_0 explicit", 2),
+            ("formal-dimension 1e1", 2),
+            ("formal-dimension +6", 2),
+            ("field prime +5", 1),
+            ("field prime 5_0", 1),
+            ("field prime \u0665", 1),
+        ],
+    )
+    def test_numbers_are_read_as_printed(self, record, line):
+        lines = ["field rational", "generator x2 2", "relation 8 explicit", "term 1 4", "end"]
+        if record.startswith("term"):
+            lines[3] = record
+        elif record.startswith("field"):
+            lines[0] = record
+        else:
+            lines.insert(1, record)
+        with pytest.raises(ValueError, match=f"line {line}: not an? (integer|coefficient)"):
+            parse_presentation("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("characteristic", [0, 2, 3, 5])
+    def test_printed_presentations_parse_back(self, characteristic):
+        rng = random.Random(characteristic + 13)
+        for _ in range(40):
+            pres = _random_square_presentation(rng, FieldSpec(characteristic))
+            pres = Presentation(pres.algebra, pres.relations, formal_dimension=rng.choice((None, rng.randint(-5, 40))))
+            text = print_presentation(pres)
+            back = parse_presentation(text)
+            assert back == pres, text
+            assert print_presentation(back) == text
 
 
 _CATALOG_PRESENTATIONS = sorted(
