@@ -58,12 +58,10 @@ from .steenrod import (
     torus_model,
 )
 from .sullivan import (
-    TransferNotJustified,
     build_formal_model,
     certified_parts_are_cocycles,
     find_rational_witness,
     pretty_model,
-    transfer_witness,
 )
 
 
@@ -230,7 +228,7 @@ class RationalStep:
     presentation: Presentation
     citation: str
     transfer: Optional[TransferStep] = None
-    label: str = "Rational"
+    label = "Rational"
 
 
 @record
@@ -253,7 +251,7 @@ class RecordedStep:
     space: str
     statement: str
     citation: str
-    label: str = "RecordedExternal"
+    label = "RecordedExternal"
 
 
 @record
@@ -750,7 +748,7 @@ def _run_rational(step: RationalStep):
             f"minimal model {pretty_model(model)}; stored differentials are cocycles",
         )
     )
-    witness = find_rational_witness(model, space)
+    witness = find_rational_witness(model)
     if witness is None:
         lengths = sorted(
             wl
@@ -775,25 +773,13 @@ def _run_rational(step: RationalStep):
     final_space = space
     if step.transfer is not None:
         t = step.transfer
-        try:
-            witness = transfer_witness(witness, t.threshold, t.target)
-        except TransferNotJustified as exc:
-            transcript.append(
-                TranscriptEntry(
-                    MACHINE,
-                    "fail",
-                    f"witness degrees ({witness.m},{witness.n},{witness.target}) "
-                    f"not all >= threshold {t.threshold}",
-                )
-            )
-            return Refusal(space, RATIONAL, str(exc), tuple(transcript))
-        transcript.append(
-            TranscriptEntry(
-                MACHINE,
-                "pass",
-                f"witness degrees ({witness.m},{witness.n},{witness.target}) all >= threshold {t.threshold}",
-            )
-        )
+        degrees = f"witness degrees ({witness.m},{witness.n},{witness.target})"
+        low = [d for d in (witness.m, witness.n, witness.target) if d < t.threshold]
+        if low:
+            transcript.append(TranscriptEntry(MACHINE, "fail", f"{degrees} not all >= threshold {t.threshold}"))
+            failed = f"witness degree {low[0]} is below the equivalence threshold {t.threshold}"
+            return Refusal(space, RATIONAL, failed, tuple(transcript))
+        transcript.append(TranscriptEntry(MACHINE, "pass", f"{degrees} all >= threshold {t.threshold}"))
         transcript.append(
             TranscriptEntry(
                 ASSERTED,
@@ -878,9 +864,7 @@ def check(instance: SpaceInstance):
                     result.transcript,
                 )
             return result
-        notes.append(
-            f"plan step '{getattr(step, 'label', step.__class__.__name__)}' refused: {result.failed}"
-        )
+        notes.append(f"plan step '{step.label}' refused: {result.failed}")
         last = result
     return Refusal(
         instance.label,

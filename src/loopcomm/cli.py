@@ -131,6 +131,8 @@ def _cmd_hilbert(args) -> int:
         raise ParameterError(f"--up-to must be a non-negative degree, got {args.up_to}")
     with open(args.file, "r", encoding="utf-8") as fh:
         pres = parse_presentation(fh.read())
+    # the hypotheses first, so a file that fails one is refused before any degree is computed
+    verdict = is_complete_intersection(pres) if args.complete_intersection else None
     dims = hilbert_function(pres, args.up_to)
     payload = {
         "schema_version": 1,
@@ -139,7 +141,6 @@ def _cmd_hilbert(args) -> int:
     }
     text = "\n".join(f"{d}: {dim}" for d, dim in enumerate(dims))
     if args.complete_intersection:
-        verdict = is_complete_intersection(pres)
         payload["complete_intersection"] = verdict
         text += f"\ncomplete intersection: {verdict}"
     _emit(payload, text, args.format)

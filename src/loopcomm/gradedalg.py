@@ -568,18 +568,18 @@ def _ideal_rows(pres: Presentation, degree: int, basis_index: dict) -> list:
 def hilbert_function(pres: Presentation, up_to: int) -> tuple:
     """Dimension of each graded piece of the quotient, degrees 0..up_to.
 
-    Read off the series prod(1 - t^{|rho_i|}) / prod(1 - t^{|x_j|}) when
-    up_to reaches its degree D and the relations form a regular sequence,
-    which _regular_sequence decides on the window above D by a rank over F_2
-    and, where that falls short over Q, an exact one.  Otherwise it is
-    eliminated exactly, degree by degree, so a small up_to never pays for the
-    window above D.  Degree by degree, it stops once w consecutive degrees
-    vanish, w the largest generator degree: a monomial of degree at least a
-    has a divisor of degree in a..a+w-1, so every later degree vanishes too.
+    Read off the series prod(1 - t^{|rho_i|}) / prod(1 - t^{|x_j|}), whose
+    prefix is exact for every up_to, when the relations form a regular
+    sequence, which _regular_sequence decides on the window above its degree D
+    by a rank over F_2 and, where that falls short over Q, an exact one.
+    Otherwise it is eliminated exactly, degree by degree, and stops once w
+    consecutive degrees vanish, w the largest generator degree: a monomial of
+    degree at least a has a divisor of degree in a..a+w-1, so every later
+    degree vanishes too.
     """
     if not pres.all_explicit:
         raise UnsupportedPresentation("hilbert_function requires explicit relations")
-    if up_to >= _series_degree(pres) and _regular_sequence(pres):
+    if _regular_sequence(pres):
         return tuple(
             _series_quotient([r.degree for r in pres.relations], pres.algebra.degrees, up_to)
         )

@@ -471,18 +471,6 @@ def _gen_degree(pres: Presentation, name: str) -> int:
     return pres.algebra.generators[pres.algebra.index[name]].degree
 
 
-def _product_monomial(pres: Presentation, a: str, b: str):
-    alg = pres.algebra
-    n = len(alg.generators)
-    exps = [0] * n
-    exps[alg.index[a]] += 1
-    exps[alg.index[b]] += 1
-    i = alg.index[a]
-    if a == b and alg.sqz[i]:
-        return None
-    return tuple(exps)
-
-
 def restrict(poly: Poly, images: dict, target: Presentation) -> tuple:
     """Push a class-algebra polynomial through a restriction table.
 
@@ -649,8 +637,8 @@ def check_steenrod_criterion(
     # (5) theta(x) decomposable with a non-zero (a, b) coefficient
     if not is_decomposable(inst.theta):
         return refuse("5", f"{inst.op.label} {inst.x} = {poly_to_text(inst.theta)} is not decomposable")
-    mono = _product_monomial(pres, inst.a, inst.b)
-    coeff = inst.theta.coefficient(mono) if mono is not None else 0
+    product = pres.algebra.gen(inst.a) * pres.algebra.gen(inst.b)
+    coeff = next((inst.theta.coefficient(mono) for mono in product.terms), 0)
     if not coeff:
         return refuse(
             "5",

@@ -23,12 +23,7 @@ from .gradedalg import (
     is_decomposable,
     poly_to_text,
     record,
-    replace,
 )
-
-
-class TransferNotJustified(ValueError):
-    """Witness degrees fall below the recorded equivalence threshold."""
 
 
 class SullivanModel:
@@ -142,7 +137,6 @@ class RationalWitness:
     target degree m + n - 1.
     """
 
-    space: str
     m: int
     n: int
     target: int
@@ -154,12 +148,14 @@ class RationalWitness:
             raise ContractViolation("witness target degree must be m + n - 1")
 
 
-def find_rational_witness(model: SullivanModel, space: str = "") -> Optional[RationalWitness]:
+def find_rational_witness(model: SullivanModel) -> Optional[RationalWitness]:
     """First decomposable differential with a quadratic monomial, if any.
 
     Tie-break: generators in declaration order, then the quadratic pair with
     the lexicographically smallest (i, j) index pair.  The relation index is
-    read from `model.origin`, which `build_formal_model` fills.
+    read from `model.origin`, which `build_formal_model` fills.  The witness
+    names no space: the catalog's Rational step attributes it, and transfers
+    it along a recorded fibration when its degrees clear the threshold.
     """
     alg = model.algebra
     for g in alg.generators:
@@ -180,7 +176,6 @@ def find_rational_witness(model: SullivanModel, space: str = "") -> Optional[Rat
         i, j = quads[0]
         y, z = alg.generators[i], alg.generators[j]
         return RationalWitness(
-            space=space,
             m=y.degree,
             n=z.degree,
             target=y.degree + z.degree - 1,
@@ -188,16 +183,6 @@ def find_rational_witness(model: SullivanModel, space: str = "") -> Optional[Rat
             pair=(y.name, z.name),
         )
     return None
-
-
-def transfer_witness(w: RationalWitness, threshold: int, target_space: str) -> RationalWitness:
-    """Re-attribute a witness along a recorded rational equivalence above a threshold."""
-    for d in (w.m, w.n, w.target):
-        if d < threshold:
-            raise TransferNotJustified(
-                f"witness degree {d} is below the equivalence threshold {threshold}"
-            )
-    return replace(w, space=target_space)
 
 
 # ---------------------------------------------------------------------------

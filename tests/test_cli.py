@@ -1,12 +1,27 @@
 """CLI exit-code contract, output formats, determinism."""
 
+import ast
 import hashlib
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
+from loopcomm import cli
 from loopcomm.catalog import FAMILIES, instantiate
 from loopcomm.cli import main
+
+# bench_trace.py targets that no longer exist; ROADMAP item 2 drops them
+_STALE_TRACE_TARGETS = {
+    "loopcomm.catalog.total_char_class_operation",
+    "loopcomm.catalog.hook_component_e_top",
+    "loopcomm.catalog.is_complete_intersection",
+    "loopcomm.steenrod.express_symmetric",
+    "loopcomm.steenrod.tp_mul",
+    "loopcomm.steenrod.total_operation_on_torus",
+    "loopcomm.steenrod.total_char_class_operation",
+}
 
 
 def run(capsys, *argv):
@@ -195,6 +210,31 @@ class TestFileCommands:
         assert out == ""
         assert "line 4" in err and "1/0" in err
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (
+                "generator x2 2\ngenerator x4 4\ngenerator y3 3 squares-to-zero\n"
+                "relation 8 explicit\nterm 1 2 1 0\n",
+                "odd generator y3",
+            ),
+            (
+                "generator x2 2\ngenerator x4 4\ngenerator x6 6\nrelation 8 explicit\nterm 1 1 0 1\n",
+                "relation count 1 != generator count 3",
+            ),
+        ],
+        ids=["odd-generator", "relation-count"],
+    )
+    def test_hypotheses_come_before_the_hilbert_function(self, capsys, tmp_path, monkeypatch, body, message):
+        calls = []
+        monkeypatch.setattr(cli, "hilbert_function", lambda pres, up_to: calls.append(up_to) or (0,) * (up_to + 1))
+        f = tmp_path / "not_ci.pres"
+        f.write_text("field rational\n" + body + "end\n", encoding="utf-8")
+        code, out, err = run(capsys, "hilbert", "--file", str(f), "--up-to", "1000", "--complete-intersection")
+        assert (code, out) == (1, "")
+        assert message in err
+        assert calls == []
+
     def test_missing_file_is_one(self, capsys, tmp_path):
         code, _, err = run(capsys, "hilbert", "--file", str(tmp_path / "nope"), "--up-to", "4")
         assert code == 1
@@ -248,3 +288,21 @@ class TestDeterminism:
         _, a, _ = run(capsys, "check", "CII", "--m", "5", "--n", "5", "--format", "structured")
         _, b, _ = run(capsys, "check", "CII", "--m", "5", "--n", "5", "--format", "structured")
         assert a == b
+
+
+def test_trace_targets_stay_bound():
+    """Every span perfbench/bench_trace.py wraps is bound where it looks, except the known stale ones."""
+    source = (Path(__file__).resolve().parent.parent / "perfbench" / "bench_trace.py").read_text(encoding="utf-8")
+    (targets,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]
+    ]
+    missing = set()
+    for module_name, attr, _span in targets:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.add(f"{module_name}.{attr}")
+    assert missing <= _STALE_TRACE_TARGETS

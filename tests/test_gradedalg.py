@@ -654,6 +654,22 @@ class TestSeriesFromTheWindow:
         assert gradedalg._regular_sequence.__wrapped__(short)
         assert calls
 
+    def test_below_the_series_degree_reads_the_series(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return graded_dimension(*args)
+
+        monkeypatch.setattr(gradedalg, "graded_dimension", spy)
+        pres = _grassmannian(4, 10, seed=141)
+        D = 2 * 4 * 6
+        expected = [0] * (D + 1)
+        for d, c in enumerate(_gaussian_binomial(10, 4)):
+            expected[2 * d] = c
+        assert list(hilbert_function(pres, D - 1)) == expected[:D]
+        assert calls == []
+
     def test_truncated_generator_is_a_hypothesis_violation(self):
         alg = q_algebra(Generator("x2", 2, True))
         with pytest.raises(HypothesisViolation, match="squares to zero"):

@@ -56,7 +56,7 @@ def _samples() -> dict:
             walk([instance, route(instance), check(instance)])
     walk(conclude_noncommutative(next(v for v in found.values() if isinstance(v, Certificate))))
     (eii,) = route(instantiate("EII")).steps
-    walk(find_rational_witness(build_formal_model(eii.presentation), eii.space))
+    walk(find_rational_witness(build_formal_model(eii.presentation)))
     found[SteenrodOp] = SteenrodOp("Sq", 2)  # a P operation would reject the default prime
     return found
 

@@ -700,6 +700,31 @@ class TestCriterionChecker:
         assert isinstance(result, Refusal)
         assert result.failed == "condition (5): P^1 (p=5) x8 = 0 has no x8*x8 term"
 
+    def test_condition_five_has_no_square_of_a_truncated_class(self):
+        # a3 squares to zero, so no theta carries an a3*a3 term
+        alg = Algebra(FieldSpec(3), [Generator("x2", 2), Generator("a3", 3, True)])
+        pres = Presentation(alg, (Relation(8, "explicit", alg.monomial((4, 0))),))
+        sphere = suspension_sphere(3)
+        pullback = {"x2": None, "a3": "s3"}
+        inst = SteenrodCriterionInstance(
+            space="X",
+            presentation=pres,
+            theta=alg.monomial((3, 0)),
+            action_provenance="asserted",
+            action_citation="constructed for the test",
+            op=SteenrodOp("P", 1, 3),
+            a="a3",
+            b="a3",
+            x="x2",
+            source_a=sphere,
+            source_b=sphere,
+            pullback_a=pullback,
+            pullback_b=pullback,
+        )
+        result = check_steenrod_criterion(inst)
+        assert isinstance(result, Refusal)
+        assert result.failed == "condition (5): P^1 (p=3) x2 = x2^3 has no a3*a3 term"
+
     def test_foreign_theta_is_contract_violation(self):
         # the same monomial x8^2 over an algebra with an extra generator
         inst = _ei_instance(lambda alg: alg.monomial((2, 0, 0)), "recorded restriction")

@@ -4,6 +4,9 @@ import itertools
 
 import pytest
 
+from loopcomm import catalog
+from loopcomm.catalog import RationalStep, TransferStep, _run_rational
+from loopcomm.criteria import Certificate, Refusal
 from loopcomm.gradedalg import (
     Algebra,
     FieldSpec,
@@ -14,15 +17,14 @@ from loopcomm.gradedalg import (
     UnsupportedPresentation,
 )
 from loopcomm.sullivan import (
+    RationalWitness,
     SullivanModel,
-    TransferNotJustified,
     build_formal_model,
     certified_parts_are_cocycles,
     check_d_squared,
     derivation,
     find_rational_witness,
     pretty_model,
-    transfer_witness,
 )
 
 QQ = FieldSpec(0)
@@ -194,13 +196,13 @@ class TestDSquared:
 
 class TestWitness:
     def test_even_sphere_witness(self, even_sphere):
-        w = find_rational_witness(build_formal_model(even_sphere), "S2")
+        w = find_rational_witness(build_formal_model(even_sphere))
         assert (w.m, w.n, w.target) == (2, 2, 3)
         assert w.pair == ("x2", "x2")
         assert w.relation_index == 0
 
     def test_cp3_has_none(self, cp3):
-        assert find_rational_witness(build_formal_model(cp3), "CP3") is None
+        assert find_rational_witness(build_formal_model(cp3)) is None
 
     def test_partial_witness_from_certified_terms(self):
         gens = [Generator("x4", 4), Generator("x6", 6), Generator("x8", 8)]
@@ -210,7 +212,7 @@ class TestWitness:
             Relation(18, "partial", alg.zero(), decomposable_asserted=True),
             Relation(24, "partial", alg.zero(), decomposable_asserted=True),
         )
-        w = find_rational_witness(build_formal_model(Presentation(alg, rels)), "EII")
+        w = find_rational_witness(build_formal_model(Presentation(alg, rels)))
         assert (w.m, w.n, w.target) == (8, 8, 15)
         assert w.pair == ("x8", "x8")
 
@@ -223,7 +225,7 @@ class TestWitness:
             alg,
             (Relation(6, "explicit", body1), Relation(8, "explicit", body2)),
         )
-        w = find_rational_witness(build_formal_model(pres), "synthetic")
+        w = find_rational_witness(build_formal_model(pres))
         assert w.relation_index == 0
         assert w.pair == ("x2", "x4")
 
@@ -242,7 +244,7 @@ class TestWitness:
                 Relation(18, "partial", alg.zero(), decomposable_asserted=True),
                 Relation(24, "partial", alg.zero(), decomposable_asserted=True),
             )
-            w = find_rational_witness(build_formal_model(Presentation(alg, rels)), "X")
+            w = find_rational_witness(build_formal_model(Presentation(alg, rels)))
             assert w.pair == ("x8", "x8")
 
     def test_y_degrees_are_odd(self):
@@ -255,30 +257,39 @@ class TestWitness:
 
 
 class TestTransfer:
-    def test_transfer_preserves_degrees(self, even_sphere):
+    """The Rational step transfers a witness along a recorded fibration only above its threshold."""
+
+    @staticmethod
+    def run(pres, threshold):
+        return _run_rational(RationalStep("aux", pres, "c", TransferStep(threshold, "FI", "fib")))
+
+    def test_transfer_preserves_degrees(self):
         gens = [Generator("x2", 2), Generator("x8", 8)]
         alg = Algebra(QQ, gens)
         rels = (
             Relation(16, "partial", alg.monomial((0, 2)), decomposable_asserted=True),
             Relation(24, "partial", alg.zero(), decomposable_asserted=True),
         )
-        w = find_rational_witness(build_formal_model(Presentation(alg, rels)), "aux")
-        t = transfer_witness(w, 5, "FI")
-        assert (t.m, t.n, t.target) == (w.m, w.n, w.target)
-        assert t.space == "FI"
+        cert = self.run(Presentation(alg, rels), 5)
+        assert isinstance(cert, Certificate)
+        assert cert.space == "FI"
+        assert ("degrees", "(8, 8)") in cert.witness and ("target", "pi_15 (x) Q") in cert.witness
+        assert cert.transcript[-2].description == "witness degrees (8,8,15) all >= threshold 5"
 
     def test_below_threshold_rejected(self, even_sphere):
-        w = find_rational_witness(build_formal_model(even_sphere), "S2")
-        # degrees (2, 2) sit below threshold 5
-        with pytest.raises(TransferNotJustified):
-            transfer_witness(w, 5, "target")
+        # degrees (2, 2, 3) sit below threshold 5
+        ref = self.run(even_sphere, 5)
+        assert isinstance(ref, Refusal)
+        assert ref.space == "aux"
+        assert ref.failed == "witness degree 2 is below the equivalence threshold 5"
+        assert ref.transcript[-1].outcome == "fail"
+        assert ref.transcript[-1].description == "witness degrees (2,2,3) not all >= threshold 5"
 
-    def test_mixed_degrees_below_threshold_rejected(self):
-        from loopcomm.sullivan import RationalWitness
-
-        w = RationalWitness("X", 3, 8, 10, 0, ("a", "b"))
-        with pytest.raises(TransferNotJustified):
-            transfer_witness(w, 5, "Y")
+    def test_mixed_degrees_below_threshold_rejected(self, even_sphere, monkeypatch):
+        monkeypatch.setattr(catalog, "find_rational_witness", lambda model: RationalWitness(3, 8, 10, 0, ("a", "b")))
+        ref = self.run(even_sphere, 5)
+        assert isinstance(ref, Refusal)
+        assert ref.failed == "witness degree 3 is below the equivalence threshold 5"
 
 
 class TestModelText:
