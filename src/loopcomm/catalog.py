@@ -49,6 +49,7 @@ from .steenrod import (
     char_class_operation,
     check_steenrod_criterion,
     class_algebra,
+    crosscheck,
     restrict,
     suspended_coefficient,
     suspension_moore,
@@ -92,9 +93,15 @@ _REQUIRED_KEYS = {  # every key of a kind is required, once, and no other key is
 _INTEGER_KEYS = ("threshold", "k", "prime")  # loaded as int
 
 
-def _fact_record(line: str) -> tuple:
-    """(kind, {key: value}) of one facts.txt record; `value` stays text, the integer keys are ints."""
-    kind, *words = shlex.split(line)
+def _fact_record(line: str) -> Optional[tuple]:
+    """(kind, {key: value}) of one facts.txt record; `value` stays text, the integer keys are ints.
+
+    A `#` outside quotes starts a comment; a blank or comment-only line is None.
+    """
+    words = shlex.split(line, comments=True)
+    if not words:
+        return None
+    kind, *words = words
     if kind not in _REQUIRED_KEYS:
         raise ValueError(f"unknown record kind {kind!r}")
     keys = _REQUIRED_KEYS[kind]
@@ -163,14 +170,14 @@ def load_dataset() -> DataSet:
     valued = []  # (lineno, record) of the records with a value
     presentations = {}
     text = (root / "facts.txt").read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
         try:
-            kind, rec = _fact_record(line)
+            parsed = _fact_record(line)
         except ValueError as exc:
             raise CatalogDataError(f"facts.txt line {lineno}: {exc}") from exc
+        if parsed is None:
+            continue
+        kind, rec = parsed
         facts.append((kind, rec))
         if "value" in rec:
             valued.append((lineno, rec))
@@ -799,7 +806,9 @@ def _run_rational(step: RationalStep):
 
 
 def _run_steenrod(step: SteenrodStep):
-    result = check_steenrod_criterion(step.instance, step.crosscheck)
+    result = check_steenrod_criterion(step.instance)
+    if isinstance(result, Certificate) and step.crosscheck is not None:
+        result = crosscheck(step.instance, step.crosscheck, result)
     if isinstance(result, Refusal) or step.lift is None:
         return result
     lift = step.lift

@@ -427,6 +427,8 @@ class Relation:
     def __post_init__(self) -> None:
         if self.kind not in ("explicit", "partial"):
             raise ValueError(f"bad relation kind {self.kind!r}")
+        if self.degree < 0:
+            raise ValueError(f"relation degree must be non-negative, got {self.degree}")
         if self.terms:
             for e in self.terms.terms:
                 if self.terms.algebra.monomial_degree(e) != self.degree:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
-from typing import Optional
 
 from .criteria import (
     ASSERTED,
@@ -330,6 +329,8 @@ class SuspensionModel:
     def act(self, class_name: str, op: SteenrodOp) -> tuple:
         if op.k == 0:
             return ((1, class_name),)
+        if class_name == "1":  # the unit, in degree 0
+            return ()
         degree = self.degree[class_name]
         target = self.class_in.get(degree + op.shift)
         if target is None or self.coefficient is None:
@@ -396,29 +397,20 @@ def product_slice_vanishes(
 
     Returns (basis, violations): basis is the Kunneth basis of the slice, and
     violations lists (element, nonzero image terms) after Cartan expansion.
+    Each factor runs over the unit "1" and the model's classes; the degree is
+    positive, so 1(x)1 never enters the basis.
     """
-    unit = ("1", 0)
-    cls_a = [unit] + list(model_a.classes)
-    cls_b = [unit] + list(model_b.classes)
+    unit = (("1", 0),)
     basis = [
-        (na, nb)
-        for na, da in cls_a
-        for nb, db in cls_b
-        if da + db == degree and not (na == "1" and nb == "1")
+        (na, nb) for na, da in unit + model_a.classes for nb, db in unit + model_b.classes if da + db == degree
     ]
     p = op.prime
     violations = []
     for na, nb in basis:
         acc: dict = {}
         for j in range(op.k + 1):
-            if na == "1":
-                left = ((1, "1"),) if j == 0 else ()
-            else:
-                left = model_a.act(na, SteenrodOp(op.family, j, op.prime))
-            if nb == "1":
-                right = ((1, "1"),) if op.k - j == 0 else ()
-            else:
-                right = model_b.act(nb, SteenrodOp(op.family, op.k - j, op.prime))
+            left = model_a.act(na, SteenrodOp(op.family, j, op.prime))
+            right = model_b.act(nb, SteenrodOp(op.family, op.k - j, op.prime))
             for c1, n1 in left:
                 for c2, n2 in right:
                     key = (n1, n2)
@@ -500,24 +492,24 @@ def restrict(poly: Poly, images: dict, target: Presentation) -> tuple:
     return image, unresolved
 
 
-def _run_crosscheck(inst: SteenrodCriterionInstance, cc: ClassifyingCrossCheck):
+def crosscheck(inst: SteenrodCriterionInstance, cc: ClassifyingCrossCheck, cert: Certificate):
     """Compare the recorded action against the splitting-principle computation.
 
-    Returns the transcript entries and, when every computed term restricts and
-    the image still differs from the recorded action, the contradiction.  With
-    terms surfaced unresolved a difference is inconclusive.
+    Runs on the certificate the six conditions gave `inst`.  Returns that
+    certificate with the cross-check entries appended, or a refusal when every
+    computed term restricts and the image still differs from the recorded
+    action.  With terms surfaced unresolved a difference is inconclusive.
     """
-    entries = []
     computed = char_class_operation(cc.model, cc.class_name, inst.op)
     resolved, surfaced = restrict(computed, cc.pullback, inst.presentation)
-    entries.append(
+    entries = [
         TranscriptEntry(
             MACHINE,
             "info",
             f"classifying-space cross-check: {inst.op.label} {cc.class_name} = {poly_to_text(computed)} "
             f"in the {cc.model.group}({cc.model.rank}) model",
         )
-    )
+    ]
     if surfaced:
         entries.append(
             TranscriptEntry(
@@ -528,39 +520,30 @@ def _run_crosscheck(inst: SteenrodCriterionInstance, cc: ClassifyingCrossCheck):
                 citation=cc.citation,
             )
         )
-    if resolved == inst.theta:
-        entries.append(
-            TranscriptEntry(
-                MACHINE,
-                "pass",
-                "resolved part of the cross-check equals the recorded action"
-                + (" modulo the surfaced terms" if surfaced else ""),
-                citation=cc.citation,
-            )
-        )
-        return entries, None
     difference = (
         f"resolved image {poly_to_text(resolved)} differs from recorded action {poly_to_text(inst.theta)}"
     )
-    if surfaced:
-        entries.append(
-            TranscriptEntry(
-                MACHINE,
-                "info",
-                f"cross-check discrepancy reported: {difference}; inconclusive, since the surfaced "
-                "terms may account for it",
-                citation=cc.citation,
-            )
-        )
-        return entries, None
-    entries.append(TranscriptEntry(MACHINE, "fail", f"cross-check contradiction: {difference}", citation=cc.citation))
-    return entries, f"cross-check: {difference}"
+    if resolved == inst.theta:
+        outcome, text = "pass", "resolved part of the cross-check equals the recorded action"
+        text += " modulo the surfaced terms" if surfaced else ""
+    elif surfaced:
+        outcome, text = "info", f"cross-check discrepancy reported: {difference}; inconclusive, since the"
+        text += " surfaced terms may account for it"
+    else:
+        outcome, text = "fail", f"cross-check contradiction: {difference}"
+    entries.append(TranscriptEntry(MACHINE, outcome, text, citation=cc.citation))
+    transcript = cert.transcript + tuple(entries)
+    if outcome == "fail":
+        return Refusal(inst.space, STEENROD, f"cross-check: {difference}", transcript)
+    return Certificate(cert.space, cert.criterion, cert.witness, transcript)
 
 
-def check_steenrod_criterion(
-    inst: SteenrodCriterionInstance, crosscheck: Optional[ClassifyingCrossCheck] = None
-):
-    """Mechanically verify the six conditions; certificate or first refusal."""
+def check_steenrod_criterion(inst: SteenrodCriterionInstance):
+    """Mechanically verify the six conditions; certificate or first refusal.
+
+    Plan-level evidence runs on the certificate, in the catalog's Steenrod
+    step: the classifying-space `crosscheck`, then the lift.
+    """
     pres = inst.presentation
     da, db, dx = (_gen_degree(pres, n) for n in (inst.a, inst.b, inst.x))
     if dx + inst.op.shift != da + db:
@@ -585,22 +568,21 @@ def check_steenrod_criterion(
         return Refusal(inst.space, STEENROD, f"condition ({cond}): {why}", tuple(transcript))
 
     # (1) non-zero pullbacks of a and b
-    img_a = inst.pullback_a.get(inst.a)
-    if img_a is None:
-        return refuse("1", f"{inst.a} pulls back to zero on {inst.source_a.base}")
-    if inst.source_a.degree.get(img_a) != da:
-        return refuse("1", f"pullback table sends {inst.a} to {img_a} of the wrong degree")
-    img_b = inst.pullback_b.get(inst.b)
-    if img_b is None:
-        return refuse("1", f"{inst.b} pulls back to zero on {inst.source_b.base}")
-    if inst.source_b.degree.get(img_b) != db:
-        return refuse("1", f"pullback table sends {inst.b} to {img_b} of the wrong degree")
+    for gen, degree, pullback, source in (
+        (inst.a, da, inst.pullback_a, inst.source_a),
+        (inst.b, db, inst.pullback_b, inst.source_b),
+    ):
+        img = pullback.get(gen)
+        if img is None:
+            return refuse("1", f"{gen} pulls back to zero on {source.base}")
+        if source.degree.get(img) != degree:
+            return refuse("1", f"pullback table sends {gen} to {img} of the wrong degree")
     transcript.append(
         TranscriptEntry(
             MACHINE,
             "pass",
-            f"(1) {inst.a} restricts to {img_a} on {inst.source_a.base}; "
-            f"{inst.b} restricts to {img_b} on {inst.source_b.base}",
+            f"(1) {inst.a} restricts to {inst.pullback_a[inst.a]} on {inst.source_a.base}; "
+            f"{inst.b} restricts to {inst.pullback_b[inst.b]} on {inst.source_b.base}",
             citation=inst.pullback_citation,
         )
     )
@@ -683,12 +665,6 @@ def check_steenrod_criterion(
             f"H^*({inst.source_a.base} x {inst.source_b.base}); Kunneth basis: {basis_text}",
         )
     )
-
-    if crosscheck is not None:
-        entries, contradiction = _run_crosscheck(inst, crosscheck)
-        transcript.extend(entries)
-        if contradiction:
-            return Refusal(inst.space, STEENROD, contradiction, tuple(transcript))
 
     witness = (
         ("operation", inst.op.label),

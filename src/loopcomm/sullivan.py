@@ -81,6 +81,11 @@ def build_formal_model(pres: Presentation) -> SullivanModel:
     """Minimal model of an even complete intersection: dx_i = 0, dy_i = rho_i."""
     if pres.field.characteristic != 0:
         raise HypothesisViolation("formal model construction requires rational coefficients")
+    low = next((rel for rel in pres.relations if rel.degree < 2), None)
+    if low is not None:
+        raise HypothesisViolation(
+            f"relation of degree {low.degree} is below 2: its model generator would have degree {low.degree - 1}"
+        )
     if not pres.all_explicit:
         check_even_hypotheses(pres)
     elif not is_complete_intersection(pres):
@@ -189,28 +194,21 @@ def find_rational_witness(model: SullivanModel) -> Optional[RationalWitness]:
 # text form
 
 
+def _differential_text(model: SullivanModel, g: Generator) -> str:
+    body = poly_to_text(model.differential[g.name])
+    return f"d {g.name} = {body} + …" if g.name in model.partial else f"d {g.name} = {body}"
+
+
 def print_model(model: SullivanModel) -> str:
     gens = ", ".join(f"{g.name}:{g.degree}" for g in model.generators)
-    lines = [f"Λ({gens})"]
-    for g in model.generators:
-        dg = model.differential[g.name]
-        body = poly_to_text(dg)
-        if g.name in model.partial:
-            body += " + …"
-        lines.append(f"d {g.name} = {body}")
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"Λ({gens})"] + [_differential_text(model, g) for g in model.generators]) + "\n"
 
 
 def pretty_model(model: SullivanModel) -> str:
     gens = ", ".join(g.name for g in model.generators)
-    ds = []
-    for g in model.generators:
-        dg = model.differential[g.name]
-        if dg.is_zero and g.name not in model.partial:
-            continue
-        body = poly_to_text(dg)
-        if g.name in model.partial:
-            body += " + …"
-        ds.append(f"d {g.name} = {body}")
+    ds = [
+        _differential_text(model, g)
+        for g in model.generators
+        if model.differential[g.name] or g.name in model.partial
+    ]
     return f"Λ({gens}); " + "; ".join(ds) if ds else f"Λ({gens})"
-

@@ -335,7 +335,7 @@ def _mutate_fact_line(rng, lines):
 def _recorded_values() -> list:
     """(space, value text) of every facts.txt record with a value, in file order."""
     lines = (_DATA / "facts.txt").read_text(encoding="utf-8").splitlines()
-    records = [catalog._fact_record(line) for line in lines if line and not line.startswith("#")]
+    records = [r for r in map(catalog._fact_record, lines) if r is not None]
     return [(rec["space"], rec["value"]) for _, rec in records if "value" in rec]
 
 
@@ -505,6 +505,38 @@ class TestDataset:
         assert cli_main(["check", "G"]) == 1
         assert message in capsys.readouterr().err
 
+    def test_negative_relation_degree_fails_naming_its_line(self, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(_DATA, data)
+        pres = data / "presentations" / "FI-aux.pres"
+        text = pres.read_text(encoding="utf-8")
+        assert "relation 24 partial decomposable" in text
+        pres.write_text(text.replace("relation 24 ", "relation -2 "), encoding="utf-8")
+        monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(data))
+        monkeypatch.setattr(catalog, "_DATASET_CACHE", {})
+        for argv in (["check", "FI"], ["report", "--all"]):
+            assert cli_main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert "error: FI-aux.pres: presentation line 7: relation degree must be non-negative, got -2" in err
+
+    def test_hash_inside_a_quoted_value_is_text(self, tmp_path, monkeypatch, capsys):
+        # a # outside quotes starts a comment; inside a quoted cite it is part of the text
+        data = tmp_path / "data"
+        shutil.copytree(_DATA, data)
+        facts = (_DATA / "facts.txt").read_text(encoding="utf-8")
+        record = 'fibration space=EVI aux=EVI-aux aux-label="E7/(Spin(12)xS1)" threshold=5 cite="fiber S^2 has'
+        assert record in facts
+        mutated = facts.replace(record, record.replace("S^2 has", "S^2 (see #4) has")) + "# trailing comment\n"
+        (data / "facts.txt").write_text(mutated, encoding="utf-8")
+        monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(data))
+        monkeypatch.setattr(catalog, "_DATASET_CACHE", {})
+        assert catalog._fact_record('external family=CI cite="see #4" # why') == (
+            "external", {"family": "CI", "cite": "see #4"}
+        )
+        assert catalog._fact_record("   # only a comment") is None
+        assert cli_main(["check", "EVI"]) == 0
+        assert "fiber S^2 (see #4) has trivial rational homotopy" in capsys.readouterr().out
+
     def test_threshold_above_the_witness_is_a_refusal(self, tmp_path, monkeypatch, capsys):
         # FI's witness lives in degrees (8, 8, 15); threshold 17 does not let it transfer
         data = tmp_path / "data"
@@ -529,6 +561,8 @@ class TestDataset:
             ("relation 24 partial decomposable", "relation 24 partial",
              "partial relation of degree 24 lacks a decomposability assertion"),
             ("end", "relation 12 partial decomposable\nend", "relation count 3 != generator count 2"),
+            ("relation 24 partial decomposable", "relation 1 partial decomposable",
+             "relation of degree 1 is below 2: its model generator would have degree 0"),
             ("field rational", "field prime 5", "formal model construction requires rational coefficients"),
             ("generator x2 2", "generator x3 3 squares-to-zero", "odd generator x3 in input"),
             ("relation 16 partial decomposable\nterm 1 0 2\nrelation 24 partial decomposable",

@@ -207,6 +207,12 @@ class TestRelation:
         with pytest.raises(ContractViolation):
             Relation(6, "explicit", alg.monomial((4,)))
 
+    def test_negative_degree_rejected(self):
+        # an empty body passes the term-degree check, so the degree is checked on its own
+        alg = q_algebra(Generator("x2", 2))
+        with pytest.raises(ValueError, match="relation degree must be non-negative, got -2"):
+            Relation(-2, "explicit", alg.zero())
+
 
 class TestHilbert:
     def test_truncated_polynomial(self):
@@ -733,6 +739,7 @@ class TestSerialization:
             ("field rational\ngenerator x2 2\nend\ngenerator y4 4\n", 4),
             ("field rational\ngenerator x2 2\nend\n\n# done\nend\n", 6),
             ("field rational\ngenerator x2 2\nend now\n", 3),
+            ("field rational\ngenerator x2 2\nrelation -2 explicit\nend\n", 3),
         ],
     )
     def test_record_errors_name_their_line(self, text, line):

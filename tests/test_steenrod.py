@@ -31,6 +31,7 @@ from loopcomm.steenrod import (
     char_class_operation,
     check_steenrod_criterion,
     class_algebra,
+    crosscheck,
     product_slice_vanishes,
     restrict,
     suspended_coefficient,
@@ -529,6 +530,18 @@ class TestSuspensionModels:
         m = suspension_quasi_projective(3)
         assert m.act("sx2", SteenrodOp("P", 0, 5)) == ((1, "sx2"),)
 
+    @pytest.mark.parametrize(
+        "model",
+        [suspension_rp(3), suspension_quasi_projective(4), suspension_sphere(8), suspension_moore()],
+        ids=lambda m: m.base,
+    )
+    def test_the_unit_is_a_class(self, model):
+        # the unit sits in degree 0: its zeroth component is the identity, every other one is zero
+        ops = [SteenrodOp("Sq", k, 2) for k in range(5)]
+        ops += [SteenrodOp("P", k, p) for p in (3, 5) for k in range(3)]
+        for op in ops:
+            assert model.act("1", op) == (((1, "1"),) if op.k == 0 else ()), op.label
+
     def test_quasi_projective_vanishing_at_divisible_rank(self):
         # the coefficient of the next class in P^1 sx_{n-(p-1)/2} is n mod p
         m = suspension_quasi_projective(5)
@@ -634,6 +647,13 @@ def _ei_crosscheck(inst):
         pullback={"q2": inst.presentation.algebra.gen("x8")},
         citation="degree argument",
     )
+
+
+def _certify_then_crosscheck(inst, cc):
+    """The plan step's order: the six conditions, then the cross-check on their certificate."""
+    cert = check_steenrod_criterion(inst)
+    assert isinstance(cert, Certificate)
+    return crosscheck(inst, cc, cert)
 
 
 class TestCriterionChecker:
@@ -747,7 +767,7 @@ class TestCriterionChecker:
     def test_crosscheck_surfaces_unrecorded_terms(self):
         # EI-style: P^1 q2 has a q4 term whose restriction image is unrecorded
         inst = _ei_instance(lambda alg: alg.monomial((2, 0, 0)), "recorded restriction")
-        result = check_steenrod_criterion(inst, _ei_crosscheck(inst))
+        result = _certify_then_crosscheck(inst, _ei_crosscheck(inst))
         assert isinstance(result, Certificate)
         surfaced = [e for e in result.transcript if "surfaced unresolved" in e.description]
         assert surfaced and "3*q4" in surfaced[0].description
@@ -759,7 +779,7 @@ class TestCriterionChecker:
         # the discrepancy is reported in the transcript, never silently fixed
         # it is inconclusive while terms are surfaced unresolved, so it is recorded as info
         inst = _ei_instance(lambda alg: alg.monomial((2, 0, 0), 2), "corrupted for the test")  # P^1 x8 = 2 x8^2
-        result = check_steenrod_criterion(inst, _ei_crosscheck(inst))
+        result = _certify_then_crosscheck(inst, _ei_crosscheck(inst))
         assert isinstance(result, Certificate)
         reported = [e for e in result.transcript if "discrepancy reported" in e.description]
         assert reported and reported[0].outcome == "info"
@@ -771,12 +791,12 @@ class TestCriterionChecker:
         inst = _ei_instance(lambda alg: alg.monomial((2, 0, 0), 2), "corrupted for the test")
         zero = inst.presentation.algebra.zero()
         cc = replace(_ei_crosscheck(inst), pullback={**_ei_crosscheck(inst).pullback, "q4": zero})
-        result = check_steenrod_criterion(inst, cc)
+        result = _certify_then_crosscheck(inst, cc)
         assert isinstance(result, Refusal)
         assert result.failed == "cross-check: resolved image x8^2 differs from recorded action 2*x8^2"
         assert result.transcript[-1].outcome == "fail"
         good = _ei_instance(lambda alg: alg.monomial((2, 0, 0)), "recorded restriction")
-        result = check_steenrod_criterion(good, cc)
+        result = _certify_then_crosscheck(good, cc)
         assert isinstance(result, Certificate)
         assert not any("surfaced" in e.description for e in result.transcript)
 

@@ -111,6 +111,13 @@ class TestBuildFormalModel:
         with pytest.raises(HypothesisViolation, match="assertion"):
             build_formal_model(pres)
 
+    @pytest.mark.parametrize("degree", [0, 1])
+    def test_relation_below_degree_two_is_a_hypothesis_violation(self, degree):
+        # dy = rho needs |y| = |rho| - 1 >= 1; no generator of degree <= 0 is built
+        alg = Algebra(QQ, [Generator("x2", 2)])
+        pres = Presentation(alg, (Relation(degree, "partial", alg.zero(), decomposable_asserted=True),))
+        with pytest.raises(HypothesisViolation, match=f"relation of degree {degree} is below 2"):
+            build_formal_model(pres)
 
     def test_partial_presentation_checks_the_formal_dimension(self):
         # D = 16 + 24 - (2 + 8) = 30; partial relations go through the same gate
