@@ -10,7 +10,8 @@ the desk-scale ranges over the whole table.
 from __future__ import annotations
 
 import os
-import shlex
+import re
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional
@@ -41,6 +42,7 @@ from .gradedalg import (
     parse_presentation,
     poly_to_text,
     record,
+    replace,
 )
 from .steenrod import (
     ClassifyingCrossCheck,
@@ -93,12 +95,52 @@ _REQUIRED_KEYS = {  # every key of a kind is required, once, and no other key is
 _INTEGER_KEYS = ("threshold", "k", "prime")  # loaded as int
 
 
+# one piece of a facts.txt word, or the blank or comment between words
+_PIECE = re.compile(
+    r"""(?P<blank>[ \t\r\n]+) | (?P<comment>\#[^\n]*) | (?P<plain>[^ \t\r\n"'\\#]+)
+    | \\(?P<escaped>.) | "(?P<double>(?:[^"\\]|\\.)*)" | '(?P<single>[^']*)'""",
+    re.S | re.X,
+)
+_QUOTED_ESCAPE = re.compile(r'\\([\\"])')
+_DOUBLE_BODY = re.compile(r'(?:[^"\\]|\\.)*', re.S)
+
+
+def _shell_words(line: str) -> list:
+    """The words of a line, split as `shlex.split(line, comments=True)` splits them.
+
+    POSIX shell rules: blanks separate words; a backslash outside quotes
+    takes the next character literally; single quotes are literal; inside
+    double quotes a backslash escapes only `"` and itself; a `#` outside
+    quotes, even inside a word, ends the word and the line.  Unclosed quotes
+    and a trailing backslash raise ValueError with shlex's messages.
+    """
+    words, word, pos = [], None, 0
+    while pos < len(line):
+        m = _PIECE.match(line, pos)
+        if m is None:  # an unclosed quote, or a backslash with nothing after it
+            open_escape = line[pos] == "\\" or (
+                line[pos] == '"' and _DOUBLE_BODY.match(line, pos + 1).end() < len(line)
+            )
+            raise ValueError("No escaped character" if open_escape else "No closing quotation")
+        pos, kind = m.end(), m.lastgroup
+        if kind in ("blank", "comment"):
+            if word is not None:
+                words.append(word)
+            word = None
+            continue
+        piece = m.group(kind)
+        word = (word or "") + (_QUOTED_ESCAPE.sub(r"\1", piece) if kind == "double" else piece)
+    if word is not None:
+        words.append(word)
+    return words
+
+
 def _fact_record(line: str) -> Optional[tuple]:
     """(kind, {key: value}) of one facts.txt record; `value` stays text, the integer keys are ints.
 
     A `#` outside quotes starts a comment; a blank or comment-only line is None.
     """
-    words = shlex.split(line, comments=True)
+    words = _shell_words(line)
     if not words:
         return None
     kind, *words = words
@@ -222,11 +264,19 @@ class TransferStep:
 
 @record
 class LiftStep:
-    base: str
+    """Carry the certificate on the classifying space B<group>(rank) up to `target`.
+
+    The classifying map target -> B<group>(rank) is a threshold-equivalence,
+    so both maps of a source of dimension at most threshold lift.
+    """
+
+    group: str  # "so" | "sp"
+    rank: int
     target: str
     threshold: int
     source_dim: int
     citation: str
+    label = "Lift"
 
 
 @record
@@ -241,7 +291,6 @@ class RationalStep:
 @record
 class SteenrodStep:
     instance: SteenrodCriterionInstance
-    lift: Optional[LiftStep] = None
     crosscheck: Optional[ClassifyingCrossCheck] = None
     label: str = "Steenrod"
 
@@ -325,7 +374,7 @@ def _power_candidates(n: int) -> list:
 _WU_CITE = "Wu formula computed by the splitting principle"
 
 
-def _wu_steps(n: int, space: str, pres: Presentation, prefix: str, restriction="", lift=None) -> list:
+def _wu_steps(n: int, space: str, pres: Presentation, prefix: str, restriction="") -> list:
     """One Sq^b instance on the rank-n top class per candidate b, sourced on Sigma RP.
 
     The action is the Wu-formula component on w_n in BSO(n), carried to the
@@ -357,7 +406,7 @@ def _wu_steps(n: int, space: str, pres: Presentation, prefix: str, restriction="
             pullback_b={f"{prefix}{i}": (f"su{i - 1}" if i <= b else None) for i in range(2, n + 1)},
             pullback_citation="reflection-map restriction g*(w_i) = Sigma u^{i-1} (Whitehead)",
         )
-        steps.append(SteenrodStep(criterion, lift=lift, label=f"Steenrod Sq^{b} on {space}"))
+        steps.append(SteenrodStep(criterion, label=f"Steenrod Sq^{b} on {space}"))
     return steps
 
 
@@ -377,21 +426,14 @@ def _ai_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
 
 
 def _bdi_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
-    m, n = inst.params
+    """BSO(n) is certified once per rank; each BDI(m,n) row only lifts that certificate."""
+    _, n = inst.params
     if n == 2:
         return CriterionPlan((_recorded_step(ds, "BDI-rank2", inst.label),))
-    lift = LiftStep(
-        base=f"BSO({n})",
-        target=inst.label,
-        threshold=n,
-        source_dim=n,
-        citation=(
-            "the classifying map of the tautological bundle BDI(m,n) -> BSO(n) is an "
-            "n-equivalence for m >= n"
-        ),
+    citation = (
+        "the classifying map of the tautological bundle BDI(m,n) -> BSO(n) is an n-equivalence for m >= n"
     )
-    pres = Presentation(class_algebra(torus_model("so", n), 2))
-    return CriterionPlan(tuple(_wu_steps(n, f"BSO({n})", pres, "w", lift=lift)))
+    return CriterionPlan((LiftStep("so", n, inst.label, threshold=n, source_dim=n, citation=citation),))
 
 
 def _smallest_odd_prime_divisor(n: int) -> Optional[int]:
@@ -409,26 +451,24 @@ def _smallest_odd_prime_divisor(n: int) -> Optional[int]:
 
 
 def _cii_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
-    m, n = inst.params
+    """BSp(n) is certified once per rank; each CII(m,n) row only lifts that certificate."""
+    _, n = inst.params
+    citation = "the classifying map CII(m,n) -> BSp(n) is a (4n+2)-equivalence for m >= n"
+    lift = LiftStep("sp", n, inst.label, threshold=4 * n + 2, source_dim=4 * n, citation=citation)
+    return CriterionPlan((lift,))
+
+
+def _bsp_step(n: int) -> SteenrodStep:
+    """P^1 q_n with b = q_{(p-1)/2}, p the smallest odd prime dividing n; Sq^4 q_n if n is a power of 2."""
     p = _smallest_odd_prime_divisor(n)
-    lift = LiftStep(
-        base=f"BSp({n})",
-        target=inst.label,
-        threshold=4 * n + 2,
-        source_dim=4 * n,
-        citation="the classifying map CII(m,n) -> BSp(n) is a (4n+2)-equivalence for m >= n",
-    )
     if p is not None:
         prime, op, b_index = p, SteenrodOp("P", 1, p), (p - 1) // 2
-        label = f"Steenrod P^1 (p={p}) on BSp({n})"
     elif n >= 2:
         prime, op, b_index = 2, SteenrodOp("Sq", 4, 2), 1
-        label = f"Steenrod Sq^4 on BSp({n})"
     else:
         # n = 1: the mod-2 instance would need a = b, which condition (2) forbids;
         # the diagonal odd-primary instance at p = 3 satisfies condition (3) instead.
         prime, op, b_index = 3, SteenrodOp("P", 1, 3), 1
-        label = "Steenrod P^1 (p=3) on BSp(1)"
     model = torus_model("sp", n)
     criterion = SteenrodCriterionInstance(
         space=f"BSp({n})",
@@ -446,7 +486,16 @@ def _cii_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
         pullback_b={f"q{i}": (f"sx{i}" if i <= b_index else None) for i in range(1, n + 1)},
         pullback_citation="quasi-projective restriction g*(q_i) = Sigma x_i (James)",
     )
-    return CriterionPlan((SteenrodStep(criterion, lift=lift, label=label),))
+    return SteenrodStep(criterion, label=f"Steenrod {op.label} on BSp({n})")
+
+
+@lru_cache(maxsize=None)
+def _classifying_plan(group: str, rank: int) -> CriterionPlan:
+    """The plan on BSO(rank) (group "so") or BSp(rank) (group "sp") that lift steps start from."""
+    if group == "so":
+        pres = Presentation(class_algebra(torus_model("so", rank), 2))
+        return CriterionPlan(tuple(_wu_steps(rank, f"BSO({rank})", pres, "w")))
+    return CriterionPlan((_bsp_step(rank),))
 
 
 def _bottom_cell_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
@@ -809,14 +858,25 @@ def _run_steenrod(step: SteenrodStep):
     result = check_steenrod_criterion(step.instance)
     if isinstance(result, Certificate) and step.crosscheck is not None:
         result = crosscheck(step.instance, step.crosscheck, result)
-    if isinstance(result, Refusal) or step.lift is None:
+    return result
+
+
+@lru_cache(maxsize=None)
+def _classifying_result(group: str, rank: int):
+    """The outcome of `_classifying_plan(group, rank)`, computed once and shared by every lift."""
+    return _first_certificate(_classifying_plan(group, rank).steps)
+
+
+def _run_lift(lift: LiftStep):
+    result = _classifying_result(lift.group, lift.rank)
+    if isinstance(result, Refusal):
         return result
-    lift = step.lift
+    base = result.space
     transcript = result.transcript + (
         TranscriptEntry(
             ASSERTED,
             "pass",
-            f"{lift.target} -> {lift.base} is a {lift.threshold}-equivalence",
+            f"{lift.target} -> {base} is a {lift.threshold}-equivalence",
             citation=lift.citation,
         ),
     )
@@ -831,8 +891,7 @@ def _run_steenrod(step: SteenrodStep):
             f"lifted Whitehead product maps onto the verified non-trivial one",
         ),
     )
-    witness = result.witness + (("lifted-from", lift.base),)
-    return Certificate(lift.target, STEENROD, witness, transcript)
+    return Certificate(lift.target, STEENROD, result.witness + (("lifted-from", base),), transcript)
 
 
 def _run_step(step):
@@ -840,6 +899,8 @@ def _run_step(step):
         return _run_rational(step)
     if isinstance(step, SteenrodStep):
         return _run_steenrod(step)
+    if isinstance(step, LiftStep):
+        return _run_lift(step)
     if isinstance(step, ProjectiveStep):
         return check_partial_projective_criterion(step.data, step.witness)
     if isinstance(step, RecordedStep):
@@ -852,36 +913,33 @@ def _run_step(step):
     raise TypeError(f"unknown plan step {step!r}")
 
 
+def _first_certificate(steps):
+    """Run the steps in order until one certifies.
+
+    The certificate is prefixed with one note per refused step before it.
+    When every step refuses, the last refusal comes back with the notes of the
+    refused steps before it appended.
+    """
+    notes = []
+    for step in steps:
+        result = _run_step(step)
+        if isinstance(result, Certificate):
+            return replace(result, transcript=tuple(notes) + result.transcript) if notes else result
+        notes.append(TranscriptEntry(MACHINE, "info", f"plan step '{step.label}' refused: {result.failed}"))
+    return replace(result, transcript=result.transcript + tuple(notes[:-1]))
+
+
 def check(instance: SpaceInstance):
     """Run the instance's criterion plan; certificate on first success."""
     plan = route(instance)
     if not plan.steps:
         raise DataIncomplete(f"empty criterion plan for {instance.label}")
-    notes = []
-    last = None
-    for step in plan.steps:
-        result = _run_step(step)
-        if isinstance(result, Certificate):
-            if notes:
-                prefix = tuple(TranscriptEntry(MACHINE, "info", n) for n in notes)
-                result = Certificate(result.space, result.criterion, result.witness, prefix + result.transcript)
-            if result.space != instance.label:
-                result = Certificate(
-                    instance.label,
-                    result.criterion,
-                    result.witness + (("checked-on", result.space),),
-                    result.transcript,
-                )
-            return result
-        notes.append(f"plan step '{step.label}' refused: {result.failed}")
-        last = result
-    return Refusal(
-        instance.label,
-        last.criterion,
-        last.failed,
-        last.transcript + tuple(TranscriptEntry(MACHINE, "info", n) for n in notes[:-1]),
-        exception_note=plan.exception_note,
-    )
+    result = _first_certificate(plan.steps)
+    if isinstance(result, Refusal):
+        return replace(result, space=instance.label, exception_note=plan.exception_note)
+    if result.space != instance.label:
+        result = replace(result, space=instance.label, witness=result.witness + (("checked-on", result.space),))
+    return result
 
 
 # ---------------------------------------------------------------------------

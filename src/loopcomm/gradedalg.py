@@ -114,14 +114,36 @@ def replace(obj, **changes):
     return type(obj)(**{**{name: getattr(obj, name) for name in obj._fields}, **changes})
 
 
+_WITNESS_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_CAP = 3317044064679887385961981  # no strong pseudoprime to all of _WITNESS_BASES lies below
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin on the bases 2..41: exact for every p below _PRIME_CAP.
+
+    A larger p raises ValueError rather than guess (Sorenson-Webster, Math.
+    Comp. 86 (2017), for the bound).
+    """
+    if p >= _PRIME_CAP:
+        raise ValueError(f"primality is decided only below {_PRIME_CAP}, got {p}")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _WITNESS_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESS_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -265,7 +265,9 @@ def _raised_class(model: TorusModel, i: int, prime: int, raise_by: int) -> dict:
     factors t^w becomes sum_c C(w, c) t^(w + c(p-1)).  A choice of how many
     factors take each raise c is one partition, whose coefficient is that of
     m_lambda; no choice passes raise_by.  Squared-class models collapse t^2 to
-    one variable after the reduction, which leaves only even exponents.
+    one variable after the reduction, which leaves only even exponents.  The
+    last raise, c = 1, must take all the degree that is left; a choice that
+    leaves more than its remaining factors can take is dropped.
     """
     w = model.class_power
     out: dict = {}
@@ -276,7 +278,11 @@ def _raised_class(model: TorusModel, i: int, prime: int, raise_by: int) -> dict:
             if left == 0 and coeff % prime:
                 out[parts + (w,) * slots] = coeff % prime
             return
-        for n in range(min(slots, left // c), -1, -1):
+        if c == 1:
+            counts = (left,) if left <= slots else ()
+        else:
+            counts = range(min(slots, left // c), -1, -1)
+        for n in counts:
             part = w + c * (prime - 1)
             walk(c - 1, slots - n, left - n * c, parts + (part,) * n, coeff * binomial(w, c) ** n)
 
@@ -405,12 +411,13 @@ def product_slice_vanishes(
         (na, nb) for na, da in unit + model_a.classes for nb, db in unit + model_b.classes if da + db == degree
     ]
     p = op.prime
+    components = [SteenrodOp(op.family, j, p) for j in range(op.k + 1)]
     violations = []
     for na, nb in basis:
         acc: dict = {}
         for j in range(op.k + 1):
-            left = model_a.act(na, SteenrodOp(op.family, j, op.prime))
-            right = model_b.act(nb, SteenrodOp(op.family, op.k - j, op.prime))
+            left = model_a.act(na, components[j])
+            right = model_b.act(nb, components[op.k - j])
             for c1, n1 in left:
                 for c2, n2 in right:
                     key = (n1, n2)

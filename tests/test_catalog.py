@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 import re
 import shlex
 import shutil
@@ -17,16 +18,26 @@ from loopcomm.catalog import (
     ParameterError,
     RecordedStep,
     SteenrodStep,
+    _classifying_plan,
     _power_candidates,
     _smallest_odd_prime_divisor,
     check,
+    family,
     instantiate,
     load_dataset,
     report,
     route,
 )
 from loopcomm.cli import _USAGE_ERRORS, main as cli_main
-from loopcomm.criteria import ASSERTED, Certificate, DataIncomplete, Refusal
+from loopcomm.criteria import (
+    ASSERTED,
+    MACHINE,
+    Certificate,
+    DataIncomplete,
+    Refusal,
+    TranscriptEntry,
+    conclude_noncommutative,
+)
 from loopcomm.gradedalg import Algebra, FieldSpec, Generator, parse_poly, poly_to_text, replace
 from loopcomm.sullivan import SullivanModel
 
@@ -92,21 +103,21 @@ class TestRouting:
         assert inst.x == "v7"
 
     def test_cii_odd_prime_plan(self):
-        plan = route(instantiate("CII", (5, 5)))
-        inst = plan.steps[0].instance
+        (lift,) = route(instantiate("CII", (5, 5))).steps
+        assert (lift.group, lift.rank, lift.threshold, lift.source_dim) == ("sp", 5, 22, 20)
+        inst = _classifying_plan("sp", 5).steps[0].instance
         assert inst.op.label == "P^1 (p=5)"
         assert inst.b == "q2"
-        assert plan.steps[0].lift.threshold == 22
 
     def test_cii_power_of_two_plan(self):
-        plan = route(instantiate("CII", (4, 4)))
-        inst = plan.steps[0].instance
+        assert route(instantiate("CII", (4, 4))).steps[0].rank == 4
+        inst = _classifying_plan("sp", 4).steps[0].instance
         assert inst.op.label == "Sq^4"
         assert inst.b == "q1"
 
     def test_cii_rank_one_diagonal(self):
-        plan = route(instantiate("CII", (3, 1)))
-        inst = plan.steps[0].instance
+        assert route(instantiate("CII", (3, 1))).steps[0].rank == 1
+        inst = _classifying_plan("sp", 1).steps[0].instance
         assert inst.op.prime == 3 and inst.a == inst.b
         assert inst.source_a is inst.source_b and inst.pullback_a == inst.pullback_b
 
@@ -194,9 +205,7 @@ class TestChecks:
 
     def test_lift_beyond_threshold_refuses(self, monkeypatch):
         plan = route(instantiate("BDI", (7, 4)))
-        steps = tuple(
-            replace(s, lift=replace(s.lift, source_dim=5)) for s in plan.steps
-        )
+        steps = tuple(replace(s, source_dim=5) for s in plan.steps)
         monkeypatch.setattr("loopcomm.catalog.route", lambda instance: CriterionPlan(steps))
         result = check(instantiate("BDI", (7, 4)))
         assert isinstance(result, Refusal)
@@ -302,10 +311,81 @@ class TestChecks:
             calls.append(nvars)
             return eliminate(mcoeffs, nvars, prime)
 
-        steenrod.char_class_operation.cache_clear()
         monkeypatch.setattr(steenrod, "_e_coefficients", spy)
         assert isinstance(check(instantiate("CII", (29, 29))), Certificate)
         assert calls == [29]
+
+
+
+class TestLifts:
+    """BDI and CII rows lift one certificate per classifying space and rank."""
+
+    def test_cold_check_equals_report_row(self, cold_caches):
+        rows = {r.label: r for r in report(families=["BDI", "CII"]).rows}
+        for fam_id in ("BDI", "CII"):
+            for params in family(fam_id).default_range:
+                cold_caches()
+                inst = instantiate(fam_id, params)
+                cert = check(inst)
+                conclusion = conclude_noncommutative(cert)
+                row = rows[inst.label]
+                assert cert.witness_text() == row.witness, inst.label
+                assert conclusion.statement == row.conclusion, inst.label
+                assert conclusion.certificate.transcript == row.transcript, inst.label
+
+    def test_report_is_the_same_twice_in_one_process(self):
+        assert report().to_dict() == report().to_dict()
+
+    def test_report_certifies_each_classifying_space_once(self, monkeypatch, cold_caches):
+        checked, ops = [], []
+        criterion = catalog.check_steenrod_criterion
+        init = steenrod.SteenrodOp.__init__
+
+        def spy(inst):
+            checked.append(inst.space)
+            return criterion(inst)
+
+        def counting_init(self, *args, **kwargs):
+            ops.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(catalog, "check_steenrod_criterion", spy)
+        monkeypatch.setattr(steenrod.SteenrodOp, "__init__", counting_init)
+        report()
+        assert len(checked) <= 31 and len(ops) <= 200
+        in_report = Counter(space for space in checked if space.startswith("B"))
+        # the m = n rows alone check each classifying space as often as the whole report does
+        cold_caches()
+        checked.clear()
+        for fam_id in ("BDI", "CII"):
+            for m, n in family(fam_id).default_range:
+                if m == n:
+                    check(instantiate(fam_id, (m, n)))
+        assert Counter(checked) == in_report
+        assert in_report["BSO(8)"] == in_report["BSp(5)"] == 1
+
+    def test_rows_of_one_rank_share_the_base_certificate(self):
+        cii55, cii75 = check(instantiate("CII", (5, 5))), check(instantiate("CII", (7, 5)))
+        assert catalog._classifying_result.cache_info().misses == 1
+        assert cii55.witness == cii75.witness
+        assert cii55.transcript[:-2] == cii75.transcript[:-2]
+        assert cii75.transcript[-2].description == "CII(7,5) -> BSp(5) is a 22-equivalence"
+
+    def test_refused_base_is_the_row_refusal(self, monkeypatch):
+        # BSO(5) tries Sq^3, then Sq^4; with both refused the row keeps the last
+        # refusal and a note for the first, as an unlifted plan does
+        def refuse(inst):
+            entry = TranscriptEntry(MACHINE, "fail", f"{inst.op.label} refused")
+            return Refusal(inst.space, "Steenrod", f"condition (4): {inst.op.label}", (entry,))
+
+        monkeypatch.setattr(catalog, "check_steenrod_criterion", refuse)
+        result = check(instantiate("BDI", (8, 5)))
+        assert isinstance(result, Refusal)
+        assert (result.space, result.failed) == ("BDI(8,5)", "condition (4): Sq^4")
+        assert [e.description for e in result.transcript] == [
+            "Sq^4 refused",
+            "plan step 'Steenrod Sq^3 on BSO(5)' refused: condition (4): Sq^3",
+        ]
 
 
 _DATA = Path(catalog.__file__).parent / "data"
@@ -518,6 +598,21 @@ class TestDataset:
             assert cli_main(argv) == 1, argv
             err = capsys.readouterr().err
             assert "error: FI-aux.pres: presentation line 7: relation degree must be non-negative, got -2" in err
+
+    def test_words_split_as_shlex_splits_them(self):
+        def split(split_words, line):
+            try:
+                return split_words(line)
+            except ValueError as exc:
+                return str(exc)
+
+        rng = random.Random(16)
+        alphabet = ("a", "=", "x8^2", '"', "'", "\\", "#", " ", "\t", "\r", "\n", "\x0c", "\xa0", "é")
+        lines = (_DATA / "facts.txt").read_text(encoding="utf-8").splitlines()
+        lines += ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12))) for _ in range(10_000)]
+        for line in lines:
+            want = split(lambda text: shlex.split(text, comments=True), line)
+            assert split(catalog._shell_words, line) == want, repr(line)
 
     def test_hash_inside_a_quoted_value_is_text(self, tmp_path, monkeypatch, capsys):
         # a # outside quotes starts a comment; inside a quoted cite it is part of the text

@@ -4,6 +4,7 @@ import ast
 import hashlib
 import importlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -162,6 +163,20 @@ class TestSteenrodCommand:
             )
             assert code == 1
             assert "odd" in err and str(prime) in err
+
+    def test_large_primes_are_decided_at_once(self, capsys, tmp_path):
+        p = 10**18 + 3
+        args = ("steenrod", "--group", "su", "--rank", "3", "--class", "c2", "--op", "p0", "--prime")
+        start = time.perf_counter()
+        assert run(capsys, *args, str(p)) == (0, "c2\n", "")
+        f = tmp_path / "big.pres"
+        f.write_text(f"field prime {p}\ngenerator x2 2\nrelation 6 explicit\nterm 1 3\nend\n", encoding="utf-8")
+        code, out, _ = run(capsys, "hilbert", "--file", str(f), "--up-to", "6")
+        assert code == 0 and out.splitlines()[-1] == "6: 0"
+        assert time.perf_counter() - start < 1
+        code, _, err = run(capsys, *args, "3317044064679887385961981")
+        assert code == 1
+        assert "primality is decided only below 3317044064679887385961981" in err
 
 
 class TestFileCommands:

@@ -1,6 +1,7 @@
 """Core graded-commutative arithmetic, Hilbert functions, serialization."""
 
 import itertools
+import math
 import random
 import re
 import time
@@ -35,7 +36,7 @@ from loopcomm.gradedalg import (
 )
 from loopcomm.cli import main as cli_main
 from loopcomm import gradedalg
-from loopcomm.gradedalg import _bit_rank, _ideal_rows, _rank, graded_dimension
+from loopcomm.gradedalg import _bit_rank, _ideal_rows, _is_prime, _rank, graded_dimension
 
 QQ = FieldSpec(0)
 _G_PRES = Path(__file__).parent.parent / "src" / "loopcomm" / "data" / "presentations" / "G.pres"
@@ -66,6 +67,25 @@ class TestFieldSpec:
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             FieldSpec(6)
+
+    def test_primality_agrees_with_a_sieve_below_200000(self):
+        n = 200_000
+        sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+        for d in range(2, math.isqrt(n) + 1):
+            if sieve[d]:
+                sieve[d * d :: d] = bytearray(len(range(d * d, n, d)))
+        assert [p for p in range(n) if _is_prime(p)] == [p for p in range(n) if sieve[p]]
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # the least strong pseudoprimes to the bases 2..7, 2..23 and 2..37
+        for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+            assert not _is_prime(n), n
+        assert _is_prime(10**18 + 3)
+        assert FieldSpec(10**18 + 3).normalize(-1) == 10**18 + 2
+
+    def test_primality_above_the_cap_is_refused(self):
+        with pytest.raises(ValueError, match="primality is decided only below 3317044064679887385961981"):
+            FieldSpec(3317044064679887385961981)
 
     def test_fraction_over_prime_field_is_a_quotient(self):
         # 1/2 = 3 in F_5 and -1/2 = 1 in F_3

@@ -27,6 +27,7 @@ from loopcomm.steenrod import (
     SteenrodOp,
     SuspensionModel,
     _e_coefficients,
+    _raised_class,
     binomial,
     char_class_operation,
     check_steenrod_criterion,
@@ -393,7 +394,35 @@ def ref_quasi_projective_actions(m, prime):
     return actions
 
 
+def ref_raised_class(model, i, prime, raise_by):
+    """`_raised_class` with every count tried at every raise, the last one included."""
+    w = model.class_power
+    out = {}
+
+    def walk(c, slots, left, parts, coeff):
+        if c == 0:
+            if left == 0 and coeff % prime:
+                out[parts + (w,) * slots] = coeff % prime
+            return
+        for n in range(min(slots, left // c), -1, -1):
+            walk(c - 1, slots - n, left - n * c, parts + (w + c * (prime - 1),) * n, coeff * binomial(w, c) ** n)
+
+    walk(w, i, raise_by, (), 1)
+    return {tuple(part // w for part in lam) if w == 2 else lam: c for lam, c in out.items()}
+
+
 class TestPartitionEngineDifferential:
+    @pytest.mark.parametrize("group", sorted(_GROUPS))
+    def test_raised_class_matches_unpruned_walk(self, group):
+        ranks = [_FIXED_RANK[group]] if group in _FIXED_RANK else range(1, 9)
+        for rank in ranks:
+            model = torus_model(group, rank)
+            for name in model.class_names():
+                i = model.class_index(name)
+                for prime, raise_by in itertools.product((2, 3, 5), range(7)):
+                    want = ref_raised_class(model, i, prime, raise_by)
+                    assert _raised_class(model, i, prime, raise_by) == want, (group, rank, name, prime, raise_by)
+
     def test_express_symmetric_on_random_symmetric_inputs(self):
         rng = random.Random(31)
         for _ in range(60):
