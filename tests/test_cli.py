@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from loopcomm import cli
+from loopcomm import catalog, cli
 from loopcomm.catalog import FAMILIES, instantiate
 from loopcomm.cli import main
 
@@ -62,6 +62,24 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "--max" in err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            ((), "command"),
+            (("check",), "family"),
+            (("hilbert", "--file", "x"), "--up-to"),
+            (("report", "--max", "abc"), "--max"),
+            (("bogus",), "bogus"),
+            (("check", "AI", "--n", "3", "--format", "json"), "--format"),
+            (("steenrod", "--group", "xx", "--class", "c1", "--op", "sq2"), "--group"),
+        ],
+    )
+    def test_argv_error_is_one(self, capsys, argv, named):
+        # one, the usage code, not argparse's 2, which is the refusal code
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and named in err
 
     def test_ai_64_certifies(self, capsys):
         # condition (4) reads one degree of the indecomposables, not every monomial of it
@@ -256,6 +274,16 @@ class TestFileCommands:
 
 
 class TestFormats:
+    @pytest.mark.parametrize("fmt, built", [("structured", "to_dict"), ("text", "render_text")])
+    def test_report_renders_only_the_format_asked_for(self, capsys, monkeypatch, fmt, built):
+        calls = []
+        for name in ("to_dict", "render_text"):
+            original = getattr(catalog.Report, name)
+            monkeypatch.setattr(catalog.Report, name, lambda rep, _f=original, _n=name: calls.append(_n) or _f(rep))
+        code, out, _ = run(capsys, "report", "--family", "EIV", "--format", fmt)
+        assert code == 0 and out
+        assert calls == [built]
+
     def test_structured_check_matches_text(self, capsys):
         code, text_out, _ = run(capsys, "check", "EII")
         code2, json_out, _ = run(capsys, "check", "EII", "--format", "structured")

@@ -170,15 +170,36 @@ def test_a_required_field_after_a_default_is_rejected():
             y: int
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    code = (
-        "import sys; before = set(sys.modules); import loopcomm.cli; "
-        "print(' '.join(sorted(set(sys.modules) - before)))"
-    )
+def _modules_loaded_by(code: str) -> list:
+    """The modules a fresh interpreter adds to sys.modules while it runs `code`."""
+    script = f"import sys; before = set(sys.modules); {code}; print(*sorted(set(sys.modules) - before), file=sys.stderr)"
     env = {**os.environ, "PYTHONPATH": str(_SRC)}
-    new = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout.split()
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stderr.split()
+
+
+_NOT_AT_IMPORT = ("dataclasses", "inspect", "argparse", "gettext", "locale")
+_CATALOG_SIDE = ("loopcomm.catalog", "loopcomm.steenrod", "loopcomm.criteria")
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    new = _modules_loaded_by("import loopcomm.cli")
     assert "loopcomm.cli" in new
-    assert "dataclasses" not in new
-    assert "inspect" not in new
+    assert not set(new) & {*_NOT_AT_IMPORT, *_CATALOG_SIDE, "loopcomm.gradedalg", "loopcomm.sullivan"}
+
+
+def test_hilbert_and_model_load_only_what_they_run(tmp_path):
+    pres = tmp_path / "cp3.pres"
+    pres.write_text("field rational\ngenerator x2 2\nrelation 8 explicit\nterm 1 4\nend\n", encoding="utf-8")
+    runs = {
+        command: _modules_loaded_by(
+            f"from loopcomm.cli import main; assert main([{command!r}, '--file', {str(pres)!r}{extra}]) == 0"
+        )
+        for command, extra in (("hilbert", ", '--up-to', '8', '--complete-intersection'"), ("model", ""))
+    }
+    hilbert = {name for name in runs["hilbert"] if name.startswith("loopcomm")}
+    assert hilbert == {"loopcomm", "loopcomm.cli", "loopcomm.gradedalg"}
+    assert {name for name in runs["model"] if name.startswith("loopcomm")} == hilbert | {"loopcomm.sullivan"}
+    for loaded in runs.values():
+        assert not set(loaded) & set(_NOT_AT_IMPORT)
