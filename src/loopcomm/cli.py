@@ -45,12 +45,44 @@ def __getattr__(name: str):
 _cli = sys.modules[__name__]
 
 
-def _emit(fmt: str, payload, text) -> None:
-    """Print `payload()` as JSON or `text()`, building only the one asked for."""
-    if fmt == "structured":
-        import json
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
-        print(json.dumps(payload(), indent=2))
+
+def _json_text(value, quote, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2) for str, int, bool, None, and lists, tuples and str-keyed dicts of them.
+
+    `quote` is json's own string encoder; `indent` is the newline and
+    indentation that precede the closing bracket of value.
+    """
+    if isinstance(value, str):
+        return quote(value)
+    if value is None or isinstance(value, bool):
+        return _JSON_CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{quote(key)}: {_json_text(v, quote, inner)}" for key, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(v, quote, inner) for v in value]) + indent + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _emit(fmt: str, payload, text) -> None:
+    """Print `payload()` as JSON or `text()`, building only the one asked for.
+
+    The JSON is written by _json_text, byte for byte as json.dumps(indent=2)
+    writes it, so no process imports the json package.
+    """
+    if fmt == "structured":
+        from _json import encode_basestring_ascii
+
+        print(_json_text(payload(), encode_basestring_ascii))
     else:
         out = text()
         print(out, end="" if out.endswith("\n") else "\n")

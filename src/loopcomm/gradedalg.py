@@ -2,15 +2,16 @@
 
 Monomials are exponent vectors over a fixed, ordered generator list; every
 polynomial is kept in canonical form (no zero coefficients, Koszul signs
-resolved at multiplication time).  Coefficients are `fractions.Fraction`
-in characteristic 0 and canonical residues 0..p-1 in characteristic p.
+resolved at multiplication time).  In characteristic 0 a coefficient is an
+`int` when it is integral and a `fractions.Fraction` only otherwise, so
+integral input never imports `fractions`; in characteristic p it is the
+canonical residue 0..p-1.
 """
 
 from __future__ import annotations
 
 import re
 from contextlib import contextmanager
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add, attrgetter
@@ -158,30 +159,52 @@ class FieldSpec:
             raise ValueError(f"characteristic must be 0 or a prime, got {self.characteristic}")
 
     def normalize(self, c):
-        """The canonical element for c; over F_p a fraction a/b is a * b^-1."""
+        """The canonical element for c; over F_p a fraction a/b is a * b^-1.
+
+        Over Q it is an int when c is integral (a bool becomes 0 or 1) and a
+        Fraction only otherwise, so a sum or product whose denominator cancels
+        collapses back to an int.
+        """
         p = self.characteristic
         if p == 0:
-            return Fraction(c)
+            if type(c) is int:
+                return c
+            if isinstance(c, int):
+                return int(c)
+            c = _rational(c)
+            return c.numerator if c.denominator == 1 else c
         if isinstance(c, int):
             return c % p
-        c = Fraction(c)
+        c = _rational(c)
         if c.denominator % p == 0:
             raise ValueError(f"coefficient {c} is not defined over {self}: {p} divides its denominator")
         return c.numerator * pow(c.denominator, -1, p) % p
 
     def parse(self, text: str):
-        return self.normalize(_fraction(text))
+        return self.normalize(_coefficient(text))
 
     def __str__(self) -> str:
         return "Q" if self.characteristic == 0 else f"F{self.characteristic}"
 
 
-def _fraction(text: str) -> Fraction:
-    """A coefficient in the form poly_to_text prints, an int or int/int in ASCII digits."""
+def _rational(c):
+    """c as a fractions.Fraction; the module is imported only when a coefficient needs it."""
+    from fractions import Fraction
+
+    return Fraction(c)
+
+
+def _coefficient(text: str):
+    """A coefficient in the form poly_to_text prints, an int or int/int in ASCII digits.
+
+    An int stays an int; only int/int is read as a Fraction.
+    """
     if not re.fullmatch(r"-?[0-9]+(?:/[0-9]+)?", text):
         raise ValueError(f"not a coefficient: {text!r}")
+    if "/" not in text:
+        return int(text)
     try:
-        return Fraction(text)
+        return _rational(text)
     except ZeroDivisionError:
         raise ValueError(f"coefficient {text!r} has a zero denominator") from None
 
@@ -828,12 +851,12 @@ def parse_poly(text: str, alg: Algebra) -> Poly:
         raise ValueError(f"not a polynomial: {text!r}")
     result = alg.zero()
     for term in re.findall(r"[+-]?[^+-]+", "".join(text.split())):
-        coeff = Fraction(-1 if term[0] == "-" else 1)
+        coeff = -1 if term[0] == "-" else 1
         exps = [0] * len(alg.generators)
         for factor in term.lstrip("+-").split("*"):
             name, _, e = factor.partition("^")
             if name[0].isdigit():
-                coeff *= _fraction(factor)
+                coeff *= _coefficient(factor)
             elif name in alg.index:
                 exps[alg.index[name]] += int(e or 1)
             else:

@@ -4,6 +4,7 @@ import ast
 import hashlib
 import importlib
 import json
+import random
 import time
 from pathlib import Path
 
@@ -349,3 +350,39 @@ def test_trace_targets_stay_bound():
         if owner is None:
             missing.add(f"{module_name}.{attr}")
     assert missing <= _STALE_TRACE_TARGETS
+
+
+_AWKWARD_TEXT = ('"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028", "\u2029", "é", "Λ", "\ud7ff", "\U0001f600", "𝔽")
+
+
+def _random_text(rng: random.Random) -> str:
+    return "".join(rng.choice(_AWKWARD_TEXT + ("a", " ", "Z9")) for _ in range(rng.randrange(6)))
+
+
+def _random_payload(rng: random.Random, depth: int = 0):
+    """A nested value of the kinds structured output holds: str, int, bool, None, list and dict."""
+    kind = rng.randrange(9 if depth < 4 else 6)
+    if kind == 0:
+        return _random_text(rng)
+    if kind == 1:
+        return rng.choice((0, 1, -1, 2**63, 2**64 + 1, -(2**70), rng.randint(-(10**30), 10**30)))
+    if kind == 2:
+        return rng.choice((True, False, None))
+    if kind in (3, 4, 5):
+        return rng.choice(("", "x", 7, None, [], {}))
+    if kind in (6, 7):
+        return [_random_payload(rng, depth + 1) for _ in range(rng.randrange(5))]
+    return {_random_text(rng): _random_payload(rng, depth + 1) for _ in range(rng.randrange(5))}
+
+
+def test_structured_writer_matches_json_dumps():
+    from _json import encode_basestring_ascii
+
+    rng = random.Random("structured writer")
+    payloads = [_random_payload(rng) for _ in range(600)]
+    payloads += [{}, [], "", {"": [[], {}]}, ("tuple", 1), {"k": ("a", (None,))}]
+    assert sum(isinstance(p, dict) and len(p) > 1 for p in payloads) > 40
+    for payload in payloads:
+        assert cli._json_text(payload, encode_basestring_ascii) == json.dumps(payload, indent=2), payload
+    with pytest.raises(TypeError, match="float is not JSON serializable"):
+        cli._json_text([1.5], encode_basestring_ascii)

@@ -516,6 +516,49 @@ class TestGrassmannians:
         assert is_complete_intersection(pres)
 
 
+def _assert_canonical_coefficients(p: Poly) -> None:
+    """Every coefficient is an int, or a Fraction that is not integral: never a float or a bool."""
+    for exps, c in p.terms.items():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (exps, c, type(c))
+
+
+class TestIntegralCoefficientsAreInts:
+    def test_catalog_presentations_and_values(self):
+        from loopcomm.catalog import load_dataset
+
+        ds = load_dataset()
+        for space, (pres, _cite) in ds.presentations.items():
+            for rel in pres.relations:
+                _assert_canonical_coefficients(rel.terms)
+        values = [rec["value"] for _kind, rec in ds.facts if "value" in rec]
+        assert values
+        for value in values:
+            _assert_canonical_coefficients(value)
+
+    @pytest.mark.parametrize("k, n", [(2, 6), (3, 8), (3, 10), (4, 9)])
+    def test_seeded_grassmannian_parses(self, k, n):
+        pres = parse_presentation(print_presentation(_grassmannian(k, n, seed=7 * k + n)))
+        for rel in pres.relations:
+            _assert_canonical_coefficients(rel.terms)
+            _assert_canonical_coefficients(rel.terms * rel.terms)
+
+    def test_fractions_stay_fractions_until_they_cancel(self):
+        alg = q_algebra(Generator("x2", 2))
+        half = parse_poly("3/6*x2", alg)
+        assert half.terms == {(1,): Fraction(1, 2)}
+        _assert_canonical_coefficients(half)
+        for whole in (parse_poly("1/2*x2 + 1/2*x2", alg), half + half, half.scale(2), (half * half).scale(4)):
+            assert [type(c) for c in whole.terms.values()] == [int], whole
+            _assert_canonical_coefficients(whole)
+        assert parse_poly("4/2*x2", alg).terms == {(1,): 2}
+        _assert_canonical_coefficients(parse_poly("4/2*x2", alg))
+
+    def test_normalize_keeps_ints(self):
+        for c, expected in ((True, 1), (False, 0), (7, 7), (Fraction(6, 3), 2), (0.5, Fraction(1, 2))):
+            out = QQ.normalize(c)
+            assert out == expected and type(out) is type(expected), (c, out)
+
+
 class TestCompleteIntersection:
     def test_accepts_truncated_polynomial(self):
         alg = q_algebra(Generator("x2", 2))

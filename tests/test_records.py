@@ -170,13 +170,17 @@ def test_a_required_field_after_a_default_is_rejected():
             y: int
 
 
-def _modules_loaded_by(code: str) -> list:
-    """The modules a fresh interpreter adds to sys.modules while it runs `code`."""
+def _fresh_run(code: str) -> tuple:
+    """(the modules a fresh interpreter adds to sys.modules while it runs `code`, its stdout)."""
     script = f"import sys; before = set(sys.modules); {code}; print(*sorted(set(sys.modules) - before), file=sys.stderr)"
     env = {**os.environ, "PYTHONPATH": str(_SRC)}
-    return subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-    ).stderr.split()
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    return done.stderr.split(), done.stdout
+
+
+def _modules_loaded_by(code: str) -> list:
+    """The modules a fresh interpreter adds to sys.modules while it runs `code`."""
+    return _fresh_run(code)[0]
 
 
 _NOT_AT_IMPORT = ("dataclasses", "inspect", "argparse", "gettext", "locale")
@@ -203,3 +207,24 @@ def test_hilbert_and_model_load_only_what_they_run(tmp_path):
     assert {name for name in runs["model"] if name.startswith("loopcomm")} == hilbert | {"loopcomm.sullivan"}
     for loaded in runs.values():
         assert not set(loaded) & set(_NOT_AT_IMPORT)
+
+
+_NUMERIC_AND_JSON = ("fractions", "decimal", "json")
+
+
+def test_integral_input_and_structured_output_load_no_fractions_or_json(tmp_path):
+    integral = tmp_path / "cp3.pres"
+    integral.write_text("field rational\ngenerator x2 2\nrelation 8 explicit\nterm 1 4\nend\n", encoding="utf-8")
+    fractional = tmp_path / "half.pres"
+    fractional.write_text("field rational\ngenerator x2 2\nrelation 6 explicit\nterm 1/2 3\nend\n", encoding="utf-8")
+    for argv in (
+        ["hilbert", "--file", str(integral), "--up-to", "8", "--complete-intersection", "--format", "structured"],
+        ["model", "--file", str(integral), "--format", "structured"],
+        ["model", "--file", str(integral)],
+        ["report", "--all", "--format", "structured"],
+    ):
+        loaded = _modules_loaded_by(f"from loopcomm.cli import main; assert main({argv!r}) == 0")
+        assert not set(loaded) & set(_NUMERIC_AND_JSON), (argv, loaded)
+    loaded, out = _fresh_run(f"from loopcomm.cli import main; assert main(['model', '--file', {str(fractional)!r}]) == 0")
+    assert "fractions" in loaded
+    assert out.endswith("d x2 = 0\nd y5 = 1/2*x2^3\nd^2 = 0: True\n"), out
