@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 import re
 from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -207,7 +206,7 @@ def load_dataset() -> DataSet:
     key = os.environ.get(DATA_ENV, "")
     if key in _DATASET_CACHE:
         return _DATASET_CACHE[key]
-    root = Path(key) if key else resources.files("loopcomm") / "data"
+    root = Path(key) if key else Path(__file__).parent / "data"
     facts = []
     valued = []  # (lineno, record) of the records with a value
     presentations = {}
@@ -292,14 +291,17 @@ class RationalStep:
 class SteenrodStep:
     instance: SteenrodCriterionInstance
     crosscheck: Optional[ClassifyingCrossCheck] = None
-    label: str = "Steenrod"
+
+    @property
+    def label(self) -> str:
+        return f"Steenrod {self.instance.op.label} on {self.instance.space}"
 
 
 @record
 class ProjectiveStep:
     data: ExteriorActionData
     witness: GeneratingMapWitness
-    label: str = "PartialProjectivePlane"
+    label = "PartialProjectivePlane"
 
 
 @record
@@ -406,7 +408,7 @@ def _wu_steps(n: int, space: str, pres: Presentation, prefix: str, restriction="
             pullback_b={f"{prefix}{i}": (f"su{i - 1}" if i <= b else None) for i in range(2, n + 1)},
             pullback_citation="reflection-map restriction g*(w_i) = Sigma u^{i-1} (Whitehead)",
         )
-        steps.append(SteenrodStep(criterion, label=f"Steenrod Sq^{b} on {space}"))
+        steps.append(SteenrodStep(criterion))
     return steps
 
 
@@ -486,7 +488,7 @@ def _bsp_step(n: int) -> SteenrodStep:
         pullback_b={f"q{i}": (f"sx{i}" if i <= b_index else None) for i in range(1, n + 1)},
         pullback_citation="quasi-projective restriction g*(q_i) = Sigma x_i (James)",
     )
-    return SteenrodStep(criterion, label=f"Steenrod {op.label} on BSp({n})")
+    return SteenrodStep(criterion)
 
 
 @lru_cache(maxsize=None)
@@ -532,7 +534,7 @@ def _bottom_cell_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
         pullback_b=dict(table),
         pullback_citation=f"bottom cell S^8 -> {space} detecting {gen}",
     )
-    return CriterionPlan((SteenrodStep(criterion, crosscheck=cc, label=f"Steenrod {op.label} on {space}"),))
+    return CriterionPlan((SteenrodStep(criterion, crosscheck=cc),))
 
 
 def _g_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
@@ -562,7 +564,7 @@ def _g_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
         pullback_b={"x2": "s2", "x3": None},
         pullback_citation="restriction to the 3-skeleton S^2 cup_2 e^3 and its bottom cell",
     )
-    return CriterionPlan((SteenrodStep(criterion, label="Steenrod Sq^2 on G"),))
+    return CriterionPlan((SteenrodStep(criterion),))
 
 
 def _aii_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
@@ -638,7 +640,6 @@ def _aiii_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
             cell_degrees=(2,),
             citation="bottom cell of CP^3",
         ),
-        label="PartialProjectivePlane on CP^3",
     )
     return CriterionPlan((rational, projective), exception_note=ds.one("exception", space="CP3")["cite"])
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 import sys
+from functools import cache
 from importlib import import_module
 
 EXIT_OK = 0
@@ -24,7 +25,7 @@ _USAGE_ERRORS = (ValueError, LookupError, OSError)
 
 # name -> the loopcomm module that defines it, imported on first access
 _LAZY = {
-    **dict.fromkeys(("DATA_ENV", "ParameterError", "check", "family", "instantiate", "report"), "catalog"),
+    **dict.fromkeys(("ParameterError", "check", "family", "instantiate", "report"), "catalog"),
     **dict.fromkeys(("Certificate", "conclude_noncommutative"), "criteria"),
     **dict.fromkeys(
         ("hilbert_function", "is_complete_intersection", "parse_presentation", "poly_to_text"), "gradedalg"
@@ -282,94 +283,15 @@ COMMANDS = {
         _FORMAT,
     )),
 }
-_HELP = ("-h", "--help")
+_ARGPARSE_KIND = {"int": {"type": int}, "str": {}, "flag": {"action": "store_true"}, "append": {"action": "append"}}
 
 
 class ArgvError(ValueError):
     """An argv that the command table does not accept."""
 
 
-class _Help(Exception):
-    """-h or --help was given; args[0] is the usage text."""
-
-
 def _dest(flag: str) -> str:
     return flag[2:].replace("-", "_")
-
-
-def _metavar(flag: str, kind) -> str:
-    if kind == "flag":
-        return flag
-    return f"{flag} {{{','.join(kind)}}}" if isinstance(kind, tuple) else f"{flag} {_dest(flag).upper()}"
-
-
-def _usage(command=None) -> str:
-    if command is None:
-        lines = [
-            "usage: loopcomm COMMAND [options]",
-            "",
-            "Certified non-commutativity checks for loop spaces of irreducible symmetric spaces.",
-            f"Set {_cli.DATA_ENV} to override the catalog data directory.",
-            "",
-            "commands:",
-        ]
-        lines += [f"  {name:<10}{entry[1]}" for name, entry in COMMANDS.items()]
-        lines += ["", "Run `loopcomm COMMAND --help` for the options of a command."]
-        return "\n".join(lines) + "\n"
-    _, help_text, positional, options = COMMANDS[command]
-    words = [positional[0].upper()] if positional else []
-    words += [
-        _metavar(flag, kind) if default == _REQUIRED else f"[{_metavar(flag, kind)}]"
-        for flag, kind, default, _help, _noun in options
-    ]
-    lines = [f"usage: loopcomm {command} {' '.join(words)}", "", help_text, "", "arguments:"]
-    if positional:
-        lines.append(f"  {positional[0].upper():<30}{positional[1]}")
-    lines += [f"  {_metavar(flag, kind):<30}{text}".rstrip() for flag, kind, _d, text, _n in options]
-    lines.append(f"  {'-h, --help':<30}show this help and exit")
-    return "\n".join(lines) + "\n"
-
-
-def _is_negative_number(token: str) -> bool:
-    """True when `token` matches ^-\\d+$|^-\\d*\\.\\d+$, the numbers read as positionals."""
-    digits = token[1:-1] if token.endswith("\n") else token[1:]
-    whole, dot, fraction = digits.partition(".")
-    return digits.isdecimal() or bool(dot and (not whole or whole.isdecimal()) and fraction.isdecimal())
-
-
-def _classify(token: str, flags: tuple):
-    """None for a positional token, else (flag, explicit value or None).
-
-    The flag is None for an option that no command declares.  A long option
-    may be abbreviated to a unique prefix, and -h letters may run together.
-    """
-    if not token.startswith("-") or token == "-":
-        return None
-    if token in flags:
-        return token, None
-    name, eq, value = token.partition("=")
-    if eq and name in flags:
-        return name, value
-    if token[1] == "-":
-        matches = [flag for flag in flags if flag.startswith(name)]
-        explicit = value if eq else None
-    else:
-        matches = ["-h"] if token.startswith("-h") else []
-        explicit = token[2:]
-    if len(matches) > 1:
-        raise ArgvError(f"ambiguous option: {token} could match {', '.join(matches)}")
-    if matches:
-        return matches[0], explicit
-    if _is_negative_number(token) or " " in token:
-        return None
-    return None, None
-
-
-def _help_or_error(flag: str, explicit, command=None):
-    """Raise _Help for -h/--help (-hh too), or the error for a value given to it."""
-    if explicit is None or (flag == "-h" and explicit and not explicit.strip("h")):
-        raise _Help(_usage(command))
-    raise ArgvError(f"argument -h/--help: ignored explicit argument {explicit!r}")
 
 
 def _convert(flag: str, kind, raw: str):
@@ -384,110 +306,93 @@ def _convert(flag: str, kind, raw: str):
     return raw
 
 
-def _parse_command(command: str, tokens: list, extras: list) -> dict:
-    """The values of `command`'s options and positional, read from `tokens` as
-    argparse reads them; unknown tokens are appended to `extras`."""
-    _, _, positional, options = COMMANDS[command]
-    spec = {flag: (kind, default) for flag, kind, default, _help, _noun in options}
-    values = {_dest(flag): None if default == _REQUIRED else default for flag, (kind, default) in spec.items()}
-    if positional:
-        values[positional[0]] = None
-    flags = (*spec, *_HELP)
-    # argparse's reading of each token: "A" an argument, "O" an option, "-" the first "--"
-    kinds, found = [], {}
-    for i, token in enumerate(tokens):
-        if token == "--" and "-" not in kinds:
-            kinds.append("-")
-        elif "-" in kinds or (hit := _classify(token, flags)) is None:
-            kinds.append("A")
-        else:
-            kinds.append("O")
-            found[i] = hit
+def _read_exact(argv: list):
+    """(command, {dest: value}) for an argv of exact spellings, else None.
+
+    Every token after the command is a declared flag, a switch, a flag's
+    value that does not start with "-", or the command's positional, and
+    every required flag is given.  Every argparse reads such an argv the
+    same way, with these values.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, _, positional, options = COMMANDS[argv[0]]
+    kinds = {flag: kind for flag, kind, *_ in options}
+    values = {_dest(flag): None if default == _REQUIRED else default for flag, _kind, default, *_ in options}
+    missing = {flag for flag, _kind, default, *_ in options if default == _REQUIRED}
     pending = [positional[0]] if positional else []
-    seen = set()
-
-    def take_positional(i: int) -> int:
-        # one argument, with any "--" before or after it
-        j = i
-        while j < len(kinds) and kinds[j] == "-":
-            j += 1
-        if not pending or j == len(kinds) or kinds[j] != "A":
-            return i
-        values[pending.pop()] = tokens[j]
-        j += 1
-        while j < len(kinds) and kinds[j] == "-":
-            j += 1
-        return j
-
-    def take_option(i: int) -> int:
-        flag, explicit = found[i]
-        if flag is None:
-            extras.append(tokens[i])
-            return i + 1
-        if flag in _HELP:
-            _help_or_error(flag, explicit, command)
-        kind, _default = spec[flag]
-        seen.add(flag)
-        dest = _dest(flag)
-        if kind == "flag":
-            if explicit is not None:
-                raise ArgvError(f"argument {flag}: ignored explicit argument {explicit!r}")
-            values[dest] = True
-            return i + 1
-        if explicit is not None:
-            raw, stop = explicit, i + 1
-        elif i + 1 < len(kinds) and kinds[i + 1] == "A":
-            raw, stop = tokens[i + 1], i + 2
-        else:
-            raise ArgvError(f"argument {flag}: expected one argument")
-        value = _convert(flag, kind, raw)
-        values[dest] = [*(values[dest] or ()), value] if kind == "append" else value
-        return stop
-
-    # positionals and options alternately, up to the last option, as argparse does
-    i, last = 0, max(found, default=-1)
-    while i <= last:
-        nxt = min(j for j in found if j >= i)
-        if i != nxt:
-            end = take_positional(i)
-            if end > i:
-                i = end
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in kinds:
+            kind, dest = kinds[token], _dest(token)
+            missing.discard(token)
+            if kind == "flag":
+                values[dest] = True
                 continue
-            extras.extend(tokens[i:nxt])
-            i = nxt
-        i = take_option(i)
-    end = take_positional(i)
-    extras.extend(tokens[end:])
-    missing = pending + [flag for flag, (_k, default) in spec.items() if default == _REQUIRED and flag not in seen]
-    if missing:
-        raise ArgvError(f"the following arguments are required: {', '.join(missing)}")
-    return values
+            raw = next(tokens, "-")
+            if raw.startswith("-"):
+                return None
+            try:
+                value = _convert(token, kind, raw)
+            except ArgvError:
+                return None
+            values[dest] = [*(values[dest] or ()), value] if kind == "append" else value
+        elif pending and not token.startswith("-"):
+            values[pending.pop()] = token
+        else:
+            return None
+    return None if missing or pending else (argv[0], values)
+
+
+@cache
+def _parser():
+    """The argparse parser that `COMMANDS` declares; its errors raise ArgvError."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise ArgvError(message)
+
+    parser = Parser(
+        prog="loopcomm",
+        description="Certified non-commutativity checks for loop spaces of irreducible symmetric spaces. "
+        "Set LOOPCOMM_DATA_DIR to override the catalog data directory.",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (_handler, help_text, positional, options) in COMMANDS.items():
+        sub = commands.add_parser(command, help=help_text, description=help_text)
+        if positional:
+            sub.add_argument(positional[0], help=positional[1])
+        for flag, kind, default, text, _noun in options:
+            how = {"choices": kind} if isinstance(kind, tuple) else _ARGPARSE_KIND[kind]
+            if default == _REQUIRED:
+                sub.add_argument(flag, required=True, help=text or None, **how)
+            else:
+                sub.add_argument(flag, default=default, help=text or None, **how)
+    return parser
 
 
 def parse_argv(argv: list) -> tuple:
     """(command, {dest: value}) for an argv that `COMMANDS` accepts.
 
-    It accepts what an argparse parser declaring the same table accepts, with
-    the same values.  Raises ArgvError for any other argv, and _Help, with
-    the usage text, for -h or --help.
+    An argv of exact spellings is read without importing argparse; any
+    other (abbreviations, --flag=value, -h, a value that starts with "-",
+    "--", every error) is read by argparse.  Raises ArgvError for an argv
+    that argparse rejects, and SystemExit after printing the help for -h.
     """
-    extras = []
-    for i, token in enumerate(argv):
-        if token == "--":
-            raise ArgvError("unknown command '--'")
-        hit = _classify(token, _HELP)
-        if hit is None:
-            if token not in COMMANDS:
-                raise ArgvError(f"unknown command {token!r} (choose from {', '.join(COMMANDS)})")
-            values = _parse_command(token, list(argv[i + 1 :]), extras)
-            if extras:
-                raise ArgvError(f"unrecognized arguments: {' '.join(extras)}")
-            return token, values
-        if hit[0] is None:
-            extras.append(token)
-        else:
-            _help_or_error(*hit)
-    raise ArgvError(f"a command is required: {', '.join(COMMANDS)}")
+    exact = _read_exact(argv)
+    if exact is not None:
+        return exact
+    values = vars(_parser().parse_args(argv))
+    command = values.pop("command")
+    for flag, kind, _default, _help, _noun in COMMANDS[command][3]:
+        # argparse before Python 3.13 drops the "--" of --flag=-- and stores []
+        dest = _dest(flag)
+        if kind == "append" and values[dest]:
+            values[dest] = ["--" if value == [] else value for value in values[dest]]
+        elif values[dest] == []:
+            values[dest] = _convert(flag, kind, "--")
+    return command, values
 
 
 def main(argv=None) -> int:
@@ -499,8 +404,7 @@ def main(argv=None) -> int:
             if noun and value is not None and value < 0:
                 raise ArgvError(f"{flag} must be a non-negative {noun}, got {value}")
         return handler(opts)
-    except _Help as shown:
-        print(shown.args[0], end="")
+    except SystemExit:  # argparse printed the help for -h or --help
         return EXIT_OK
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -345,15 +345,6 @@ class SuspensionModel:
         return ((c, target),) if c else ()
 
 
-@lru_cache(maxsize=None)
-def suspension_rp(m: int) -> SuspensionModel:
-    """Sigma RP^m: classes Sigma u^j (degree j+1), Sq^k Sigma u^j = C(j,k) Sigma u^{j+k}."""
-    classes = [(f"su{j}", j + 1) for j in range(1, m + 1)]
-    return SuspensionModel(
-        f"Sigma RP^{m}", classes, lambda degree, op: binomial(degree - 1, op.k) if op.family == "Sq" else 0
-    )
-
-
 def suspended_coefficient(model: TorusModel, class_name: str, op: SteenrodOp, target: str) -> int:
     """Coefficient of the class `target` alone in one operation component.
 
@@ -373,6 +364,19 @@ def suspended_coefficient(model: TorusModel, class_name: str, op: SteenrodOp, ta
         pairing = n * math.factorial(len(lam) - 1) // math.prod(map(math.factorial, Counter(lam).values()))
         total += (-1) ** (n - len(lam)) * c * pairing
     return total % op.prime
+
+
+@lru_cache(maxsize=None)
+def suspension_rp(m: int) -> SuspensionModel:
+    """Sigma RP^m: classes Sigma u^j (degree j+1); actions induced from BSO(m+1), w_{j+1} -> Sigma u^j."""
+    model = torus_model("so", m + 1)
+
+    def coefficient(degree: int, op: SteenrodOp) -> int:
+        if op.family != "Sq":
+            return 0
+        return suspended_coefficient(model, f"w{degree}", op, f"w{degree + op.shift}")
+
+    return SuspensionModel(f"Sigma RP^{m}", [(f"su{j}", j + 1) for j in range(1, m + 1)], coefficient)
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,4 @@
-"""The argv table against the argparse parser it replaced (argparse_reference.py)."""
+"""cli.parse_argv against the argparse parser the CLI first shipped (argparse_reference.py)."""
 
 import contextlib
 import io
@@ -7,7 +7,7 @@ import random
 import pytest
 
 from argparse_reference import build_parser
-from loopcomm import cli
+from loopcomm import catalog, cli
 from loopcomm.cli import ArgvError, main, parse_argv
 
 _REFERENCE = build_parser()
@@ -99,8 +99,9 @@ def _expected(argv):
 
 def _ours(argv):
     try:
-        return parse_argv(argv)
-    except cli._Help:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return parse_argv(argv)
+    except SystemExit:
         return "help"
     except ArgvError:
         return "error"
@@ -127,6 +128,30 @@ def test_argv_table_reads_argv_as_argparse_did(capsys):
                 assert err.startswith("error: "), argv
     assert mismatches[:5] == [], len(mismatches)
     assert min(outcomes.values()) >= 200, outcomes  # every outcome is well represented
+
+
+_REQUIRED = {"--file", "--up-to", "--group", "--class", "--op"}
+
+
+def _exact_argv(rng):
+    """A seeded argv of exact spellings: full flag names, each value in the next token,
+    every required flag given, optional ones missing, once or repeated."""
+    command = rng.choice(list(_GRAMMAR))
+    pieces = [[rng.choice(["AI", "CII", "EIV", "XYZ", "a b", ""])]] if command == "check" else []
+    for flag, pools in _GRAMMAR[command]:
+        for _ in range(rng.choice((1, 1, 2)) if flag in _REQUIRED else rng.choice((0, 1, 1, 2))):
+            if pools is None:
+                pieces.append([flag])
+            else:
+                pieces.append([flag, rng.choice([v for v in pools[0] if not v.startswith("-")])])
+    rng.shuffle(pieces)
+    return [command] + [token for piece in pieces for token in piece]
+
+
+def test_exact_spellings_skip_argparse():
+    rng = random.Random(20)
+    for argv in (_exact_argv(rng) for _ in range(500)):
+        assert cli._read_exact(argv) == _reference(argv), argv
 
 
 @pytest.mark.parametrize(
@@ -159,6 +184,7 @@ def test_help_prints_usage_from_the_table(capsys, argv):
     out, err = capsys.readouterr()
     assert err == ""
     if len(argv) == 1:
+        assert catalog.DATA_ENV in out
         for command, (_, help_text, _, _) in cli.COMMANDS.items():
             assert f"  {command}" in out and help_text in out
     else:

@@ -205,8 +205,23 @@ def test_hilbert_and_model_load_only_what_they_run(tmp_path):
     hilbert = {name for name in runs["hilbert"] if name.startswith("loopcomm")}
     assert hilbert == {"loopcomm", "loopcomm.cli", "loopcomm.gradedalg"}
     assert {name for name in runs["model"] if name.startswith("loopcomm")} == hilbert | {"loopcomm.sullivan"}
+    for argv in (["report", "--all", "--format", "structured"], ["check", "CII", "--m", "5", "--n", "5"]):
+        runs[argv[0]] = _modules_loaded_by(f"from loopcomm.cli import main; main({argv!r})")
     for loaded in runs.values():
         assert not set(loaded) & set(_NOT_AT_IMPORT)
+    # an abbreviation is read by argparse, to the same values
+    exact, abbreviated = (
+        _fresh_run(f"from loopcomm.cli import main; assert main(['hilbert', '--file', {str(pres)!r}, {up!r}, '8', {ci!r}]) == 0")
+        for up, ci in (("--up-to", "--complete-intersection"), ("--up", "--comp"))
+    )
+    assert "argparse" in abbreviated[0]
+    assert {name for name in abbreviated[0] if name.startswith("loopcomm")} == hilbert
+    cp3 = "".join(f"{d}: {int(d % 2 == 0 and d < 8)}\n" for d in range(9)) + "complete intersection: True\n"
+    assert abbreviated[1] == exact[1] == cp3
+
+
+def test_the_catalog_finds_its_data_without_importlib_resources():
+    assert "importlib.resources" not in _modules_loaded_by("from loopcomm.cli import main; assert main(['check', 'EIV']) == 0")
 
 
 _NUMERIC_AND_JSON = ("fractions", "decimal", "json")
