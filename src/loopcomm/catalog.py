@@ -54,8 +54,9 @@ from .steenrod import (
     restrict,
     suspended_coefficient,
     suspension_moore,
-    suspension_quasi_projective,
-    suspension_rp,
+    suspension_of,
+    suspension_quasi_projective,  # unused here, but bound for the perfbench/bench_trace.py spans
+    suspension_rp,  # likewise
     suspension_sphere,
     torus_model,
 )
@@ -361,55 +362,69 @@ def _cp_mod2_data(N: int) -> ExteriorActionData:
     return ExteriorActionData(pres, {"x2": x2 + x2 * x2}, citation="total square of the projective-space generator")
 
 
-def _power_candidates(n: int) -> list:
-    """Operation degrees to try for the orthogonal-type criterion at rank n."""
-    first = 2 if n % 4 in (0, 3) else 3
-    out = [first]
-    k = 4
-    while k < n:
-        if k not in out:
-            out.append(k)
-        k *= 2
-    return out
+def _top_class_ops(model) -> list:
+    """(op, b) per step on the top class of BSO(n) or BSp(n), all at one prime; b indexes the class b.
+
+    BSO(n): Sq^2 or Sq^3 by n mod 4, then Sq^b for each power of two 4 <= b < n.
+    BSp(n): P^1 with b = (p-1)/2, p the smallest odd prime dividing n; Sq^4
+    with b = 1 if n is a power of 2.  At n = 1 condition (2) forbids the mod-2
+    instance (a = b), and the diagonal one at p = 3 meets condition (3).
+    """
+    n = model.rank
+    if model.group == "so":
+        powers = [2**j for j in range(2, (n - 1).bit_length())]
+        return [(SteenrodOp("Sq", b, 2), b) for b in [2 if n % 4 in (0, 3) else 3] + powers]
+    p = _smallest_odd_prime_divisor(n)
+    if p is None and n >= 2:
+        return [(SteenrodOp("Sq", 4, 2), 1)]
+    p = p or 3
+    return [(SteenrodOp("P", 1, p), (p - 1) // 2)]
 
 
 _WU_CITE = "Wu formula computed by the splitting principle"
+# group -> (classifying space, action citation, pullback citation)
+_CLASSIFYING = {
+    "so": ("BSO", _WU_CITE + " in BSO(n)", "reflection-map restriction g*(w_i) = Sigma u^{i-1} (Whitehead)"),
+    "sp": ("BSp", "mod-p " + _WU_CITE + " in BSp(n)", "quasi-projective restriction g*(q_i) = Sigma x_i (James)"),
+}
 
 
-def _wu_steps(n: int, space: str, pres: Presentation, prefix: str, restriction="") -> list:
-    """One Sq^b instance on the rank-n top class per candidate b, sourced on Sigma RP.
+def _top_class_steps(model, space: str, prefix: str, pres: Optional[Presentation] = None, restriction="") -> tuple:
+    """One Steenrod step per `_top_class_ops(model)`, x = a = the top class.
 
-    The action is the Wu-formula component on w_n in BSO(n), carried to the
-    presentation along w_i -> <prefix>i.
+    theta is the op on the top class, carried along class i -> <prefix>i to
+    `pres` (by default the class algebra at the ops' prime).  The sources come
+    from `suspension_of`, and a generator pulls back to its source's class of
+    the same degree, or to zero.
     """
-    alg = pres.algebra
-    so = torus_model("so", n)
-    images = {f"w{i}": alg.gen(f"{prefix}{i}") for i in range(2, n + 1)}
-    top = f"{prefix}{n}"
+    _, action_citation, pullback_citation = _CLASSIFYING[model.group]
+    ops = _top_class_ops(model)
+    pres = pres or Presentation(class_algebra(model, ops[0][0].prime))
+    names = model.class_names()
+    images = {c: pres.algebra.gen(f"{prefix}{model.class_index(c)}") for c in names}
+    source_a = suspension_of(model)
     steps = []
-    for b in _power_candidates(n):
-        op = SteenrodOp("Sq", b, 2)
-        action, unresolved = restrict(char_class_operation(so, f"w{n}", op), images, pres)
-        if unresolved:
-            raise DataIncomplete(f"restriction images are not recorded for {', '.join(unresolved)}")
+    for op, b in ops:
+        theta, _ = restrict(char_class_operation(model, names[-1], op), images, pres)  # no class lacks an image
+        source_b = suspension_of(torus_model(model.group, b))
         criterion = SteenrodCriterionInstance(
             space=space,
             presentation=pres,
-            theta=action,
+            theta=theta,
             action_provenance="derived",
-            action_citation=_WU_CITE + " in BSO(n)" + restriction,
+            action_citation=action_citation + restriction,
             op=op,
-            a=top,
+            a=f"{prefix}{model.rank}",
             b=f"{prefix}{b}",
-            x=top,
-            source_a=suspension_rp(n - 1),
-            source_b=suspension_rp(b - 1),
-            pullback_a={f"{prefix}{i}": f"su{i - 1}" for i in range(2, n + 1)},
-            pullback_b={f"{prefix}{i}": (f"su{i - 1}" if i <= b else None) for i in range(2, n + 1)},
-            pullback_citation="reflection-map restriction g*(w_i) = Sigma u^{i-1} (Whitehead)",
+            x=f"{prefix}{model.rank}",
+            source_a=source_a,
+            source_b=source_b,
+            pullback_a={g.name: source_a.class_in.get(g.degree) for g in pres.generators},
+            pullback_b={g.name: source_b.class_in.get(g.degree) for g in pres.generators},
+            pullback_citation=pullback_citation,
         )
         steps.append(SteenrodStep(criterion))
-    return steps
+    return tuple(steps)
 
 
 def _ai_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
@@ -424,7 +439,7 @@ def _ai_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     gens = [Generator(f"v{i}", i, squares_to_zero=True) for i in range(2, n + 1)]
     pres = Presentation(Algebra(FieldSpec(2), gens))
     restriction = ", restricted along v_i = iota^*(w_i) (Mimura-Toda)"
-    return CriterionPlan(tuple(_wu_steps(n, inst.label, pres, "v", restriction)))
+    return CriterionPlan(_top_class_steps(torus_model("so", n), inst.label, "v", pres, restriction))
 
 
 def _bdi_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
@@ -435,7 +450,8 @@ def _bdi_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     citation = (
         "the classifying map of the tautological bundle BDI(m,n) -> BSO(n) is an n-equivalence for m >= n"
     )
-    return CriterionPlan((LiftStep("so", n, inst.label, threshold=n, source_dim=n, citation=citation),))
+    top = torus_model("so", n).class_degree(n)
+    return CriterionPlan((LiftStep("so", n, inst.label, threshold=n, source_dim=top, citation=citation),))
 
 
 def _smallest_odd_prime_divisor(n: int) -> Optional[int]:
@@ -456,48 +472,16 @@ def _cii_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     """BSp(n) is certified once per rank; each CII(m,n) row only lifts that certificate."""
     _, n = inst.params
     citation = "the classifying map CII(m,n) -> BSp(n) is a (4n+2)-equivalence for m >= n"
-    lift = LiftStep("sp", n, inst.label, threshold=4 * n + 2, source_dim=4 * n, citation=citation)
+    top = torus_model("sp", n).class_degree(n)
+    lift = LiftStep("sp", n, inst.label, threshold=4 * n + 2, source_dim=top, citation=citation)
     return CriterionPlan((lift,))
-
-
-def _bsp_step(n: int) -> SteenrodStep:
-    """P^1 q_n with b = q_{(p-1)/2}, p the smallest odd prime dividing n; Sq^4 q_n if n is a power of 2."""
-    p = _smallest_odd_prime_divisor(n)
-    if p is not None:
-        prime, op, b_index = p, SteenrodOp("P", 1, p), (p - 1) // 2
-    elif n >= 2:
-        prime, op, b_index = 2, SteenrodOp("Sq", 4, 2), 1
-    else:
-        # n = 1: the mod-2 instance would need a = b, which condition (2) forbids;
-        # the diagonal odd-primary instance at p = 3 satisfies condition (3) instead.
-        prime, op, b_index = 3, SteenrodOp("P", 1, 3), 1
-    model = torus_model("sp", n)
-    criterion = SteenrodCriterionInstance(
-        space=f"BSp({n})",
-        presentation=Presentation(class_algebra(model, prime)),
-        theta=char_class_operation(model, f"q{n}", op),
-        action_provenance="derived",
-        action_citation="mod-p " + _WU_CITE + " in BSp(n)",
-        op=op,
-        a=f"q{n}",
-        b=f"q{b_index}",
-        x=f"q{n}",
-        source_a=suspension_quasi_projective(n),
-        source_b=suspension_quasi_projective(b_index),
-        pullback_a={f"q{i}": f"sx{i}" for i in range(1, n + 1)},
-        pullback_b={f"q{i}": (f"sx{i}" if i <= b_index else None) for i in range(1, n + 1)},
-        pullback_citation="quasi-projective restriction g*(q_i) = Sigma x_i (James)",
-    )
-    return SteenrodStep(criterion)
 
 
 @lru_cache(maxsize=None)
 def _classifying_plan(group: str, rank: int) -> CriterionPlan:
     """The plan on BSO(rank) (group "so") or BSp(rank) (group "sp") that lift steps start from."""
-    if group == "so":
-        pres = Presentation(class_algebra(torus_model("so", rank), 2))
-        return CriterionPlan(tuple(_wu_steps(rank, f"BSO({rank})", pres, "w")))
-    return CriterionPlan((_bsp_step(rank),))
+    model = torus_model(group, rank)
+    return CriterionPlan(_top_class_steps(model, f"{_CLASSIFYING[group][0]}({rank})", model.class_prefix))
 
 
 def _bottom_cell_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
@@ -644,6 +628,13 @@ def _aiii_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     return CriterionPlan((rational, projective), exception_note=ds.one("exception", space="CP3")["cite"])
 
 
+def _diii_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
+    """DIII(3) = SO(6)/U(3) is CP^3, since Spin(6) = SU(4) (Helgason X.6), so it runs CP^3's plan."""
+    if inst.params == (3,):
+        return _aiii_plan(ds, instantiate("AIII", (1, 3)))
+    return _recorded_plan(ds, inst)
+
+
 def _rational_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     """The rational criterion on the space, or on the auxiliary space of its recorded fibration."""
     space, label, transfer = inst.family, inst.label, None
@@ -724,7 +715,7 @@ FAMILIES = (
         summary_note="the CP^3 instance AIII(1,3) is the known exception; see its own row",
     ),
     Family("BDI", _bdi_plan, arity=2, least=2, normalize=_descending, default_range=_pairs(2, 8)),
-    Family("DIII", _recorded_plan, arity=1, least=2, default_range=(), summary=_IN_RANGE),
+    Family("DIII", _diii_plan, arity=1, least=2, default_range=(), summary=_IN_RANGE),
     Family("CI", _recorded_plan, arity=1, least=2, default_range=(), summary=_IN_RANGE),
     Family("CII", _cii_plan, arity=2, least=1, normalize=_descending, default_range=_pairs(1, 6)),
     Family("EI", _bottom_cell_plan),

@@ -366,28 +366,41 @@ def suspended_coefficient(model: TorusModel, class_name: str, op: SteenrodOp, ta
     return total % op.prime
 
 
+# group -> (base, class name, shift) of the suspension mapping to B<group>(rank)
+# that pulls class i back to the class named by i + shift, in the same degree:
+# w_i -> Sigma u^{i-1} on Sigma RP^{rank-1}, q_i -> Sigma x_i on Sigma Q_rank.
+_SUSPENSIONS = {
+    "so": ("Sigma RP^{}", "su{}", -1),
+    "sp": ("Sigma Q_{}", "sx{}", 0),
+}
+
+
 @lru_cache(maxsize=None)
-def suspension_rp(m: int) -> SuspensionModel:
-    """Sigma RP^m: classes Sigma u^j (degree j+1); actions induced from BSO(m+1), w_{j+1} -> Sigma u^j."""
-    model = torus_model("so", m + 1)
+def suspension_of(model: TorusModel) -> SuspensionModel:
+    """The suspension detecting each class of the model in its degree.
+
+    It acts by the linear coefficients `suspended_coefficient` reads in the model.
+    """
+    base, name, shift = _SUSPENSIONS[model.group]
+    by_degree = {model.class_degree(model.class_index(c)): c for c in model.class_names()}
 
     def coefficient(degree: int, op: SteenrodOp) -> int:
-        if op.family != "Sq":
+        if op.family == "P" and model.var_degree != 2:  # no power operations on degree-1 variables
             return 0
-        return suspended_coefficient(model, f"w{degree}", op, f"w{degree + op.shift}")
+        return suspended_coefficient(model, by_degree[degree], op, by_degree[degree + op.shift])
 
-    return SuspensionModel(f"Sigma RP^{m}", [(f"su{j}", j + 1) for j in range(1, m + 1)], coefficient)
+    classes = [(name.format(model.class_index(c) + shift), d) for d, c in by_degree.items()]
+    return SuspensionModel(base.format(model.rank + shift), classes, coefficient)
 
 
-@lru_cache(maxsize=None)
+def suspension_rp(m: int) -> SuspensionModel:
+    """Sigma RP^m, the source of BSO(m+1)."""
+    return suspension_of(torus_model("so", m + 1))
+
+
 def suspension_quasi_projective(m: int) -> SuspensionModel:
-    """Sigma Q_m: classes Sigma x_i (degree 4i); actions induced from BSp(m)."""
-    model = torus_model("sp", m)
-
-    def coefficient(degree: int, op: SteenrodOp) -> int:
-        return suspended_coefficient(model, f"q{degree // 4}", op, f"q{(degree + op.shift) // 4}")
-
-    return SuspensionModel(f"Sigma Q_{m}", [(f"sx{i}", 4 * i) for i in range(1, m + 1)], coefficient)
+    """Sigma Q_m, the source of BSp(m)."""
+    return suspension_of(torus_model("sp", m))
 
 
 @lru_cache(maxsize=None)

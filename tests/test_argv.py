@@ -3,6 +3,7 @@
 import contextlib
 import io
 import random
+import sys
 
 import pytest
 
@@ -172,8 +173,12 @@ def test_argv_values(argv, values):
 
 
 def test_an_int_flag_rejects_the_value_argparse_dropped(capsys):
-    # argparse stored m=[] for `--m=--` and the handler then failed on it
-    assert _reference(["check", "AI", "--m=--"])[1]["m"] == []
+    # argparse stored m=[] for `--m=--` and the handler then failed on it; Python 3.13's argparse rejects the argv
+    reference = _reference(["check", "AI", "--m=--"])
+    if sys.version_info >= (3, 13):
+        assert reference == "error"
+    else:
+        assert reference[1]["m"] == []
     assert main(["check", "AI", "--m=--"]) == 1
     assert capsys.readouterr() == ("", "error: argument --m: invalid int value: '--'\n")
 

@@ -1,5 +1,6 @@
 """Catalog routing, per-family certificates, data validation, invariants."""
 
+import itertools
 import json
 import random
 from collections import Counter
@@ -19,8 +20,8 @@ from loopcomm.catalog import (
     RecordedStep,
     SteenrodStep,
     _classifying_plan,
-    _power_candidates,
     _smallest_odd_prime_divisor,
+    _top_class_ops,
     check,
     family,
     instantiate,
@@ -76,8 +77,8 @@ class TestInstantiate:
 class TestRouting:
     def test_mod_four_branches(self):
         for n in range(3, 20):
-            first = _power_candidates(n)[0]
-            assert first == (2 if n % 4 in (0, 3) else 3)
+            (first, b), *_ = _top_class_ops(steenrod.torus_model("so", n))
+            assert first.k == b == (2 if n % 4 in (0, 3) else 3)
 
     def test_odd_prime_xor_power_of_two(self):
         for n in range(1, 200):
@@ -125,6 +126,22 @@ class TestRouting:
         plan = route(instantiate("AIII", (1, 3)))
         assert plan.exception_note
         assert len(plan.steps) == 2
+
+
+def test_only_cp3_refuses_at_small_parameters():
+    # every family at parameters <= 8; the CP^3 instances, AIII(1,3) and DIII(3) = SO(6)/U(3), are the only refusals
+    cp3_note = load_dataset().one("exception", space="CP3")["cite"]
+    refused, certified = [], 0
+    for fam in FAMILIES:
+        for params in itertools.product(range(fam.least, 9), repeat=fam.arity):
+            result = check(instantiate(fam.id, params))
+            if isinstance(result, Refusal):
+                assert result.exception_note == cp3_note, result.space
+                refused.append(result.space)
+            else:
+                certified += 1
+    assert sorted(refused) == ["AIII(1,3)", "AIII(1,3)", "DIII(3)"]
+    assert certified + len(refused) == 217
 
 
 class TestChecks:

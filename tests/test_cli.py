@@ -6,6 +6,7 @@ import importlib
 import json
 import random
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -307,6 +308,15 @@ class TestFormats:
         assert payload["kind"] == "refusal"
         assert payload["exception_note"]
 
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_diii3_is_cp3(self, capsys, fmt):
+        # DIII(3) = SO(6)/U(3) is CP^3: the same refusal and exception note as AIII(1,3), under its own name
+        code, out, err = run(capsys, "check", "DIII", "--n", "3", "--format", fmt)
+        cp3 = run(capsys, "check", "AIII", "--m", "1", "--n", "3", "--format", fmt)
+        assert code == cp3[0] == 2 and err == ""
+        assert out == cp3[1].replace("AIII(1,3)", "DIII(3)")
+        assert "generator x2 has even degree 2" in out and "CP^3 IS homotopy commutative" in out
+
     def test_structured_report_matches_text_rows(self, capsys):
         _, text_out, _ = run(capsys, "report", "--family", "CII", "--max", "3")
         _, json_out, _ = run(capsys, "report", "--family", "CII", "--max", "3", "--format", "structured")
@@ -332,6 +342,43 @@ class TestDeterminism:
         _, a, _ = run(capsys, "check", "CII", "--m", "5", "--n", "5", "--format", "structured")
         _, b, _ = run(capsys, "check", "CII", "--m", "5", "--n", "5", "--format", "structured")
         assert a == b
+
+    def test_checks_beyond_the_report_ranges_are_pinned(self, capsys):
+        # the classifying-space rows past the desk ranges, CP^N, and every fixed family in both formats
+        fixed = [f.id for f in FAMILIES if not f.arity]
+        argvs = [["AI", "--n", str(n)] for n in range(2, 31)]
+        argvs += [["BDI", "--m", str(m), "--n", str(n)] for n in range(2, 25) for m in (n, n + 2)]
+        argvs += [["CII", "--m", str(n), "--n", str(n)] for n in range(1, 22)]
+        argvs += [["AII", "--n", str(n)] for n in range(2, 30)]
+        argvs += [["AIII", "--m", "1", "--n", str(n)] for n in range(1, 9)]
+        argvs = [a + ["--format", "structured"] for a in argvs + [[f] for f in fixed]]
+        argvs += [[f, "--format", "text"] for f in fixed]
+        digest = hashlib.sha256()
+        for argv in argvs:
+            code, out, _ = run(capsys, "check", *argv)
+            digest.update(f"{code}\n{out}".encode("utf-8"))
+        assert len(argvs) == 156
+        assert digest.hexdigest() == "9543dd1f166ec54d9c9a887074f92dac85ccd8325fc7ad7a4c11eae12a2afc2d"
+
+    def test_report_matches_the_benchmark_pins(self, capsys):
+        """The report meets perfbench/bench_inputs.py's DESK_* pins, read without importing perfbench/."""
+        source = (Path(__file__).resolve().parent.parent / "perfbench" / "bench_inputs.py").read_text(encoding="utf-8")
+        pins = {
+            target.id: ast.literal_eval(node.value)
+            for node in ast.parse(source).body
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if getattr(target, "id", "").startswith("DESK_")
+        }
+        _, out, _ = run(capsys, "report", "--all", "--format", "structured")
+        rows = json.loads(out)["rows"]
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == pins["DESK_DIGEST"]
+        assert len(rows) == pins["DESK_ROWS"]
+        assert dict(Counter(r["criterion"] for r in rows)) == pins["DESK_CRITERIA"]
+        assert [r["space"] for r in rows if r["exception"]] == [pins["DESK_EXCEPTION"]]
+        assert [r["space"] for r in rows if "is not homotopy commutative" not in r["conclusion"]] == [
+            pins["DESK_EXCEPTION"]
+        ]
 
 
 def test_trace_targets_stay_bound():

@@ -37,6 +37,7 @@ from loopcomm.steenrod import (
     restrict,
     suspended_coefficient,
     suspension_moore,
+    suspension_of,
     suspension_quasi_projective,
     suspension_rp,
     suspension_sphere,
@@ -525,6 +526,24 @@ class TestPartitionEngineDifferential:
 
 
 class TestSuspensionModels:
+    def test_one_factory_gives_each_source(self):
+        # Sigma RP^{n-1} detects w_i as su_{i-1} (degree i); Sigma Q_n detects q_i as sx_i (degree 4i)
+        cases = [("so", n, f"Sigma RP^{n - 1}", [(f"su{i - 1}", i) for i in range(2, n + 1)]) for n in range(2, 17)]
+        cases += [("sp", n, f"Sigma Q_{n}", [(f"sx{i}", 4 * i) for i in range(1, n + 1)]) for n in range(1, 17)]
+        ops = [SteenrodOp("Sq", k, 2) for k in range(1, 9)] + [SteenrodOp("P", k, p) for p in (3, 5) for k in (1, 2)]
+        for group, n, base, classes in cases:
+            model = torus_model(group, n)
+            source = suspension_of(model)
+            assert (source.base, source.classes) == (base, tuple(classes))
+            assert source is suspension_of(torus_model(group, n))
+            model_class = (lambda d: f"w{d}") if group == "so" else (lambda d: f"q{d // 4}")
+            for (name, degree), op in itertools.product(classes, ops):
+                target = source.class_in.get(degree + op.shift)
+                c = 0
+                if target is not None and (group == "sp" or op.family == "Sq"):
+                    c = suspended_coefficient(model, model_class(degree), op, model_class(degree + op.shift))
+                assert source.act(name, op) == (((c, target),) if c else ()), (group, n, name, op.label)
+
     def test_rp_bottom_bockstein(self):
         m = suspension_rp(2)
         assert m.act("su1", SteenrodOp("Sq", 1, 2)) == ((1, "su2"),)
