@@ -93,6 +93,8 @@ _REQUIRED_KEYS = {  # every key of a kind is required, once, and no other key is
     "exception": {"space", "cite"},
 }
 _INTEGER_KEYS = ("threshold", "k", "prime")  # loaded as int
+# kind -> the keys whose values name a record of that kind; a second record with those values is rejected
+_UNIQUE_BY = {"presentation": ("space",), "pullback": ("space", "class"), "sq-table": ("space", "gen")}
 
 
 # one piece of a facts.txt word, or the blank or comment between words
@@ -211,6 +213,7 @@ def load_dataset() -> DataSet:
     facts = []
     valued = []  # (lineno, record) of the records with a value
     presentations = {}
+    first_line = {}  # (kind, values of its _UNIQUE_BY keys) -> line of the record
     text = (root / "facts.txt").read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
         try:
@@ -220,6 +223,14 @@ def load_dataset() -> DataSet:
         if parsed is None:
             continue
         kind, rec = parsed
+        if kind in _UNIQUE_BY:
+            ident = (kind,) + tuple(rec[k] for k in _UNIQUE_BY[kind])
+            if ident in first_line:
+                what = " ".join(f"{k}={rec[k]}" for k in _UNIQUE_BY[kind])
+                raise CatalogDataError(
+                    f"facts.txt line {lineno}: a second {kind} record for {what} (first on line {first_line[ident]})"
+                )
+            first_line[ident] = lineno
         facts.append((kind, rec))
         if "value" in rec:
             valued.append((lineno, rec))
@@ -274,7 +285,6 @@ class LiftStep:
     rank: int
     target: str
     threshold: int
-    source_dim: int
     citation: str
     label = "Lift"
 
@@ -389,42 +399,62 @@ _CLASSIFYING = {
 }
 
 
+def _derived_action(model, class_name: str, op: SteenrodOp, images: dict, pres: Presentation):
+    """op on a class of the model, carried to `pres` along `images`; a class without an image is DataIncomplete."""
+    theta, unresolved = restrict(char_class_operation(model, class_name, op), images, pres)
+    if unresolved:
+        raise DataIncomplete(f"restriction images are not recorded for {', '.join(unresolved)}")
+    return theta
+
+
+def _steenrod_step(
+    space: str, pres: Presentation, op: SteenrodOp, a: str, b: str, source_a, source_b, theta,
+    action_citation: str, pullback_citation: str, provenance="derived", crosscheck=None,
+) -> SteenrodStep:
+    """The Steenrod step with x = a, a detected on source_a and b on source_b.
+
+    Each generator pulls back to its source's class of the same degree, or to zero.
+    """
+    criterion = SteenrodCriterionInstance(
+        space=space,
+        presentation=pres,
+        theta=theta,
+        action_provenance=provenance,
+        action_citation=action_citation,
+        op=op,
+        a=a,
+        b=b,
+        x=a,
+        source_a=source_a,
+        source_b=source_b,
+        pullback_a={g.name: source_a.class_in.get(g.degree) for g in pres.generators},
+        pullback_b={g.name: source_b.class_in.get(g.degree) for g in pres.generators},
+        pullback_citation=pullback_citation,
+    )
+    return SteenrodStep(criterion, crosscheck)
+
+
 def _top_class_steps(model, space: str, prefix: str, pres: Optional[Presentation] = None, restriction="") -> tuple:
     """One Steenrod step per `_top_class_ops(model)`, x = a = the top class.
 
     theta is the op on the top class, carried along class i -> <prefix>i to
-    `pres` (by default the class algebra at the ops' prime).  The sources come
-    from `suspension_of`, and a generator pulls back to its source's class of
-    the same degree, or to zero.
+    `pres` (by default the class algebra at the ops' prime); the sources come
+    from `suspension_of`.
     """
     _, action_citation, pullback_citation = _CLASSIFYING[model.group]
     ops = _top_class_ops(model)
     pres = pres or Presentation(class_algebra(model, ops[0][0].prime))
     names = model.class_names()
     images = {c: pres.algebra.gen(f"{prefix}{model.class_index(c)}") for c in names}
-    source_a = suspension_of(model)
-    steps = []
-    for op, b in ops:
-        theta, _ = restrict(char_class_operation(model, names[-1], op), images, pres)  # no class lacks an image
-        source_b = suspension_of(torus_model(model.group, b))
-        criterion = SteenrodCriterionInstance(
-            space=space,
-            presentation=pres,
-            theta=theta,
-            action_provenance="derived",
-            action_citation=action_citation + restriction,
-            op=op,
-            a=f"{prefix}{model.rank}",
-            b=f"{prefix}{b}",
-            x=f"{prefix}{model.rank}",
-            source_a=source_a,
-            source_b=source_b,
-            pullback_a={g.name: source_a.class_in.get(g.degree) for g in pres.generators},
-            pullback_b={g.name: source_b.class_in.get(g.degree) for g in pres.generators},
-            pullback_citation=pullback_citation,
+    return tuple(
+        _steenrod_step(
+            space, pres, op, f"{prefix}{model.rank}", f"{prefix}{b}",
+            suspension_of(model), suspension_of(torus_model(model.group, b)),
+            _derived_action(model, names[-1], op, images, pres),
+            action_citation + restriction, pullback_citation,
         )
-        steps.append(SteenrodStep(criterion))
-    return tuple(steps)
+        for op, b in ops
+    )
 
 
 def _ai_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
@@ -450,8 +480,7 @@ def _bdi_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     citation = (
         "the classifying map of the tautological bundle BDI(m,n) -> BSO(n) is an n-equivalence for m >= n"
     )
-    top = torus_model("so", n).class_degree(n)
-    return CriterionPlan((LiftStep("so", n, inst.label, threshold=n, source_dim=top, citation=citation),))
+    return CriterionPlan((LiftStep("so", n, inst.label, threshold=n, citation=citation),))
 
 
 def _smallest_odd_prime_divisor(n: int) -> Optional[int]:
@@ -472,12 +501,9 @@ def _cii_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     """BSp(n) is certified once per rank; each CII(m,n) row only lifts that certificate."""
     _, n = inst.params
     citation = "the classifying map CII(m,n) -> BSp(n) is a (4n+2)-equivalence for m >= n"
-    top = torus_model("sp", n).class_degree(n)
-    lift = LiftStep("sp", n, inst.label, threshold=4 * n + 2, source_dim=top, citation=citation)
-    return CriterionPlan((lift,))
+    return CriterionPlan((LiftStep("sp", n, inst.label, threshold=4 * n + 2, citation=citation),))
 
 
-@lru_cache(maxsize=None)
 def _classifying_plan(group: str, rank: int) -> CriterionPlan:
     """The plan on BSO(rank) (group "so") or BSp(rank) (group "sp") that lift steps start from."""
     model = torus_model(group, rank)
@@ -490,7 +516,6 @@ def _bottom_cell_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     pres = ds.presentation(space)
     rec = ds.one("action", space=space)
     gen = rec["gen"]
-    op = SteenrodOp(rec["family"], rec["k"], rec["prime"])
     pb = ds.one("pullback", space=space)
     cc = ClassifyingCrossCheck(
         model=torus_model(pb["model"], 4),
@@ -498,27 +523,12 @@ def _bottom_cell_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
         pullback={pb["class"]: pb["value"]},
         citation=pb["cite"],
     )
-    sphere = suspension_sphere(8)
-    # the bottom cell S^8 detects the acted-on generator; every other generator restricts to 0
-    table = {gen: "s8"}
-    table.update({g.name: None for g in pres.generators if g.name != gen})
-    criterion = SteenrodCriterionInstance(
-        space=space,
-        presentation=pres,
-        theta=rec["value"],
-        action_provenance="asserted",
-        action_citation=rec["cite"],
-        op=op,
-        a=gen,
-        b=gen,
-        x=gen,
-        source_a=sphere,
-        source_b=sphere,
-        pullback_a=dict(table),
-        pullback_b=dict(table),
-        pullback_citation=f"bottom cell S^8 -> {space} detecting {gen}",
+    sphere = suspension_sphere(pres.algebra.degrees[pres.algebra.index[gen]])  # the bottom cell, detecting gen
+    step = _steenrod_step(
+        space, pres, SteenrodOp(rec["family"], rec["k"], rec["prime"]), gen, gen, sphere, sphere, rec["value"],
+        rec["cite"], f"bottom cell {sphere.base} -> {space} detecting {gen}", provenance="asserted", crosscheck=cc,
     )
-    return CriterionPlan((SteenrodStep(criterion, crosscheck=cc),))
+    return CriterionPlan((step,))
 
 
 def _g_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
@@ -529,26 +539,13 @@ def _g_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
         raise DataIncomplete(f"pullback records for G must name one torus model, not {models}")
     images = {rec["class"]: rec["value"] for rec in records}
     op = SteenrodOp("Sq", 2, 2)
-    action, unresolved = restrict(char_class_operation(torus_model(models[0], 4), "w3", op), images, pres)
-    if unresolved:
-        raise DataIncomplete(f"restriction images are not recorded for {', '.join(unresolved)}")
-    criterion = SteenrodCriterionInstance(
-        space="G",
-        presentation=pres,
-        theta=action,
-        action_provenance="derived",
-        action_citation=_WU_CITE + " in BSO(4), restricted along x_i = iota^*(w_i) (Borel-Hirzebruch)",
-        op=op,
-        a="x3",
-        b="x2",
-        x="x3",
-        source_a=suspension_moore(),
-        source_b=suspension_sphere(2),
-        pullback_a={"x2": "u2", "x3": "u3"},
-        pullback_b={"x2": "s2", "x3": None},
-        pullback_citation="restriction to the 3-skeleton S^2 cup_2 e^3 and its bottom cell",
+    step = _steenrod_step(
+        "G", pres, op, "x3", "x2", suspension_moore(), suspension_sphere(2),
+        _derived_action(torus_model(models[0], 4), "w3", op, images, pres),
+        _WU_CITE + " in BSO(4), restricted along x_i = iota^*(w_i) (Borel-Hirzebruch)",
+        "restriction to the 3-skeleton S^2 cup_2 e^3 and its bottom cell",
     )
-    return CriterionPlan((SteenrodStep(criterion),))
+    return CriterionPlan((step,))
 
 
 def _aii_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
@@ -872,14 +869,15 @@ def _run_lift(lift: LiftStep):
             citation=lift.citation,
         ),
     )
-    if lift.source_dim > lift.threshold:
-        failed = f"source dimension {lift.source_dim} > {lift.threshold}: the maps need not lift"
+    source_dim = torus_model(lift.group, lift.rank).class_degree(lift.rank)  # a, the top class, is its top cell
+    if source_dim > lift.threshold:
+        failed = f"source dimension {source_dim} > {lift.threshold}: the maps need not lift"
         return Refusal(lift.target, STEENROD, failed, transcript)
     transcript += (
         TranscriptEntry(
             MACHINE,
             "pass",
-            f"source dimension {lift.source_dim} <= {lift.threshold}: both maps lift, and the "
+            f"source dimension {source_dim} <= {lift.threshold}: both maps lift, and the "
             f"lifted Whitehead product maps onto the verified non-trivial one",
         ),
     )

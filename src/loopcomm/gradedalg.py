@@ -909,6 +909,7 @@ def parse_presentation(text: str) -> Presentation:
     formal_dimension: Optional[int] = None
     gens: list = []  # (lineno, Generator)
     rel_specs: list = []  # (lineno, degree, kind, asserted, [(lineno, coeff_text, exps)])
+    once: dict = {}  # record word -> line, for the records a presentation has at most one of
     lineno = end = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -918,7 +919,10 @@ def parse_presentation(text: str) -> Presentation:
         with _at_line(lineno):
             if end:
                 raise ValueError(f"{words[0]!r} record after the end record of line {end}")
+            if words[0] in once:
+                raise ValueError(f"a second {words[0]!r} record (first on line {once[words[0]]})")
             if words[0] == "field":
+                once["field"] = lineno
                 if words[1] == "rational":
                     field = FieldSpec(0)
                 elif words[1] == "prime":
@@ -926,6 +930,7 @@ def parse_presentation(text: str) -> Presentation:
                 else:
                     raise ValueError(f"bad field kind {words[1]!r}")
             elif words[0] == "formal-dimension":
+                once["formal-dimension"] = lineno
                 formal_dimension = _integer(words[1])
             elif words[0] == "generator":
                 _only_flags(words[3:], ("squares-to-zero",))

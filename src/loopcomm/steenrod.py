@@ -409,8 +409,8 @@ def suspension_sphere(k: int) -> SuspensionModel:
 
 
 def suspension_moore() -> SuspensionModel:
-    """Sigma RP^2 = S^2 cup_2 e^3: the bottom Bockstein Sq^1 u2 = u3 is the only action."""
-    return SuspensionModel("S^2 cup_2 e^3", [("u2", 2), ("u3", 3)], lambda degree, op: 1)
+    """Sigma RP^2 = S^2 cup_2 e^3, acting as the source of BSO(3) does: Sq^1 u2 = u3 is the only action."""
+    return SuspensionModel("S^2 cup_2 e^3", [("u2", 2), ("u3", 3)], suspension_of(torus_model("so", 3)).coefficient)
 
 
 def product_slice_vanishes(

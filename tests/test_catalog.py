@@ -105,7 +105,9 @@ class TestRouting:
 
     def test_cii_odd_prime_plan(self):
         (lift,) = route(instantiate("CII", (5, 5))).steps
-        assert (lift.group, lift.rank, lift.threshold, lift.source_dim) == ("sp", 5, 22, 20)
+        assert (lift.group, lift.rank, lift.threshold) == ("sp", 5, 22)
+        lifted = check(instantiate("CII", (5, 5))).transcript
+        assert any(e.description.startswith("source dimension 20 <= 22:") for e in lifted)
         inst = _classifying_plan("sp", 5).steps[0].instance
         assert inst.op.label == "P^1 (p=5)"
         assert inst.b == "q2"
@@ -142,6 +144,54 @@ def test_only_cp3_refuses_at_small_parameters():
                 certified += 1
     assert sorted(refused) == ["AIII(1,3)", "AIII(1,3)", "DIII(3)"]
     assert certified + len(refused) == 217
+
+
+# (family, params) of the names of one space, by the low-rank coincidences of Helgason X.6
+_ONE_SPACE = [
+    [("AI", (4,)), ("BDI", (3, 3))],
+    [("CI", (2,)), ("BDI", (3, 2))],
+    [("AIII", (2, 2)), ("BDI", (4, 2))],
+    [("DIII", (4,)), ("BDI", (6, 2))],
+    [("DIII", (2,)), ("AI", (2,)), ("AIII", (1, 1))],
+    [("DIII", (3,)), ("AIII", (1, 3))],
+]
+
+
+@pytest.mark.parametrize("names", _ONE_SPACE, ids=lambda names: " = ".join(f"{f}{p}" for f, p in names))
+def test_every_name_of_one_space_reaches_the_same_outcome(names):
+    """Every name certifies, or every name refuses with the CP^3 note; which route each takes is free.
+
+    Each Lie-algebra isomorphism (Helgason X.6) fixes only the universal
+    cover, so each identification is made globally:
+    - AI(4) = SU(4)/SO(4) = SO(6)/(SO(3)xSO(3)) = BDI(3,3): SU(4) -> SO(6) on
+      the real form of Lambda^2 C^4 has kernel {+-1}, which lies in SO(4),
+      and SO(4) maps onto SO(3)xSO(3) through Lambda^2 R^4 = Lambda^2_+ + Lambda^2_-.
+    - CI(2) = Sp(2)/U(2) = SO(5)/(SO(3)xSO(2)) = BDI(3,2): Sp(2) -> SO(5) on
+      the symplectic-traceless part of Lambda^2 C^4 has kernel {+-1}, inside
+      U(2), and U(2) maps onto SO(3)xSO(2) by (Ad on su(2), det).
+    - AIII(2,2) = Gr_2(C^4) = Q^4 = SO(6)/(SO(4)xSO(2)) = BDI(4,2): the
+      Pluecker map P -> Lambda^2 P lands on the Klein quadric, and an
+      oriented 2-plane <e1, e2> of R^6 is the null line [e1 + i e2].
+    - DIII(4) = SO(8)/U(4) = Q^6 = BDI(6,2): a positive complex structure on
+      R^8 is a pure spinor line of S_+, the pure spinors of S_+ form the
+      quadric Q^6 in P(S_+), and triality carries it to the null lines of
+      C^8, the oriented 2-planes of R^8.
+    - DIII(2) = SO(4)/U(2) = S^2 (unit self-dual 2-forms), AI(2) =
+      SU(2)/SO(2) = S^2 and AIII(1,1) = CP^1 = S^2.
+    - DIII(3) = SO(6)/U(3) = CP^3 = AIII(1,3): every spinor of Spin(6) =
+      SU(4) is pure, so positive complex structures on R^6 are the lines of
+      S_+ = C^4.
+    """
+    cp3_note = load_dataset().one("exception", space="CP3")["cite"]
+    kinds = set()
+    for fam, params in names:
+        result = check(instantiate(fam, params))
+        if isinstance(result, Certificate):
+            kinds.add("certified")
+        else:
+            assert result.exception_note == cp3_note, result.space
+            kinds.add("refused as CP^3")
+    assert len(kinds) == 1, names
 
 
 class TestChecks:
@@ -222,11 +272,12 @@ class TestChecks:
 
     def test_lift_beyond_threshold_refuses(self, monkeypatch):
         plan = route(instantiate("BDI", (7, 4)))
-        steps = tuple(replace(s, source_dim=5) for s in plan.steps)
+        # the source dimension is read off BSO(4)'s top class; a threshold below it refuses
+        steps = tuple(replace(s, threshold=3) for s in plan.steps)
         monkeypatch.setattr("loopcomm.catalog.route", lambda instance: CriterionPlan(steps))
         result = check(instantiate("BDI", (7, 4)))
         assert isinstance(result, Refusal)
-        assert result.failed == "source dimension 5 > 4: the maps need not lift"
+        assert result.failed == "source dimension 4 > 3: the maps need not lift"
 
     def test_rational_model_must_be_cocycles(self, monkeypatch):
         # dz6 = x2^2*y3 with dy3 = x2^2 gives d(dz6) = x2^4 != 0
@@ -500,6 +551,35 @@ class TestDataset:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert f"error: facts.txt line {lineno}: {message}" in captured.err
+
+    @pytest.mark.parametrize(
+        "first,record,argv,message",
+        [
+            ("presentation space=EII ", 'presentation space=EII file=EV.pres cite="dup"', ["check", "EII"],
+             "a second presentation record for space=EII"),
+            ("pullback space=G model=so class=w3 ", 'pullback space=G model=so class=w3 value="x2" cite="dup"',
+             ["check", "G"], "a second pullback record for space=G class=w3"),
+            ("sq-table space=EIV gen=x9 ", 'sq-table space=EIV gen=x9 value="x9" cite="dup"', ["check", "EIV"],
+             "a second sq-table record for space=EIV gen=x9"),
+        ],
+    )
+    def test_a_repeated_record_fails_at_load_naming_both_lines(
+        self, tmp_path, monkeypatch, capsys, first, record, argv, message
+    ):
+        # read over the first record, a repeat can certify the wrong space: EII on EV's presentation
+        data = tmp_path / "data"
+        shutil.copytree(_DATA, data)
+        lines = (_DATA / "facts.txt").read_text(encoding="utf-8").splitlines()
+        (first_line,) = [i for i, line in enumerate(lines, start=1) if line.startswith(first)]
+        (data / "facts.txt").write_text("\n".join(lines + [record]) + "\n", encoding="utf-8")
+        monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(data))
+        monkeypatch.setattr(catalog, "_DATASET_CACHE", {})
+        for run in (argv, ["report", "--all"]):
+            assert cli_main(run) == 1, run
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            want = f"error: facts.txt line {len(lines) + 1}: {message} (first on line {first_line})"
+            assert captured.err.strip() == want
 
     def test_loads_and_validates(self):
         ds = load_dataset()

@@ -338,6 +338,12 @@ class TestDeterminism:
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digest == "7b161385d3507c5b3e87f54f386bc14ebac06696d02b6e8fff799b3945ab8e9d"
 
+    def test_text_report_is_pinned(self, capsys):
+        # the table as it prints: a change that reaches only the text rendering shows here
+        _, out, _ = run(capsys, "report", "--all")
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == "217ab3e9d9dafe5feaae0a899d3b05dabb7d3272ba9d89439df2cffc26b28e96"
+
     def test_check_byte_identical(self, capsys):
         _, a, _ = run(capsys, "check", "CII", "--m", "5", "--n", "5", "--format", "structured")
         _, b, _ = run(capsys, "check", "CII", "--m", "5", "--n", "5", "--format", "structured")

@@ -803,6 +803,11 @@ class TestSerialization:
             ("field rational\ngenerator x2 2\nend\n\n# done\nend\n", 6),
             ("field rational\ngenerator x2 2\nend now\n", 3),
             ("field rational\ngenerator x2 2\nrelation -2 explicit\nend\n", 3),
+            # a second field or formal-dimension is rejected, as a repeated generator is, not read over the first
+            ("field rational\nfield prime 2\ngenerator x2 2\nend\n", 2),
+            ("field prime 3\ngenerator x2 2\n\n# again\nfield prime 3\nend\n", 5),
+            ("field rational\nformal-dimension 4\ngenerator x2 2\nrelation 6 explicit\nterm 1 3\n"
+             "formal-dimension 6\nend\n", 6),
         ],
     )
     def test_record_errors_name_their_line(self, text, line):

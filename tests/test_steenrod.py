@@ -510,6 +510,22 @@ class TestPartitionEngineDifferential:
             got = suspended_coefficient(torus_model("so", n), f"w{i}", SteenrodOp("Sq", b, 2), f"w{i + b}")
             assert got == math.comb(i - 1, b) % 2, (n, i, b)
 
+    def test_aii_reads_match_the_wu_linear_coefficient(self):
+        # x_{4k+1} of AII(n) suspends c_{2k+1} of BSU(2n-1), and its total square reads
+        # Sq^{4r} c_{2k+1} -> c_{2(k+r)+1} for 1 <= r < n - k.  Wu's formula gives that linear
+        # term C(2k, 2r) c_{2(k+r)+1}, which is 0 for r > k (instability).  Every read for n <= 40:
+        reads, moved = 0, set()
+        for n in range(2, 41):
+            su = torus_model("su", 2 * n - 1)
+            for k, r in ((k, r) for k in range(1, n) for r in range(1, n - k)):
+                got = suspended_coefficient(su, f"c{2 * k + 1}", SteenrodOp("Sq", 4 * r, 2), f"c{2 * (k + r) + 1}")
+                assert got == math.comb(2 * k, 2 * r) % 2, (n, k, r)
+                reads += 1
+                if got and n == 39:
+                    moved.add(k)
+        assert reads == math.comb(40, 3)
+        assert len(moved) == 35  # the total squares at n = 39 that are not x_{4k+1} alone
+
     @pytest.mark.parametrize("prime", [2, 3, 5, 7])
     def test_quasi_projective_actions_match_full_expansion(self, prime):
         # every component on every class, past the top class too, not only the P^1 or Sq^4 criteria read
