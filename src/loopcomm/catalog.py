@@ -82,19 +82,19 @@ DATA_ENV = "LOOPCOMM_DATA_DIR"
 # ---------------------------------------------------------------------------
 # catalog data files
 
-_REQUIRED_KEYS = {  # every key of a kind is required, once, and no other key is allowed
-    "presentation": {"space", "file", "cite"},
-    "fibration": {"space", "aux", "aux-label", "threshold", "cite"},
-    "pullback": {"space", "model", "class", "value", "cite"},
-    "action": {"space", "gen", "family", "k", "prime", "value", "cite"},
-    "generating-map": {"space", "cite"},
-    "sq-table": {"space", "gen", "value", "cite"},
-    "external": {"family", "cite"},
-    "exception": {"space", "cite"},
+# kind -> (its keys, the keys whose values name one record of the kind).  Every key of a kind is
+# required, once, and no other key is allowed; a second record with the same naming values is rejected.
+_KINDS = {
+    "presentation": ({"space", "file", "cite"}, ("space",)),
+    "fibration": ({"space", "aux", "aux-label", "threshold", "cite"}, ("space",)),
+    "pullback": ({"space", "model", "class", "value", "cite"}, ("space", "class")),
+    "action": ({"space", "gen", "family", "k", "prime", "value", "cite"}, ("space",)),
+    "generating-map": ({"space", "cite"}, ("space",)),
+    "sq-table": ({"space", "gen", "value", "cite"}, ("space", "gen")),
+    "external": ({"family", "cite"}, ("family",)),
+    "exception": ({"space", "cite"}, ("space",)),
 }
 _INTEGER_KEYS = ("threshold", "k", "prime")  # loaded as int
-# kind -> the keys whose values name a record of that kind; a second record with those values is rejected
-_UNIQUE_BY = {"presentation": ("space",), "pullback": ("space", "class"), "sq-table": ("space", "gen")}
 
 
 # one piece of a facts.txt word, or the blank or comment between words
@@ -146,9 +146,9 @@ def _fact_record(line: str) -> Optional[tuple]:
     if not words:
         return None
     kind, *words = words
-    if kind not in _REQUIRED_KEYS:
+    if kind not in _KINDS:
         raise ValueError(f"unknown record kind {kind!r}")
-    keys = _REQUIRED_KEYS[kind]
+    keys = _KINDS[kind][0]
     rec = {}
     for w in words:
         k, sep, v = w.partition("=")
@@ -171,24 +171,23 @@ def _fact_record(line: str) -> Optional[tuple]:
 
 
 class DataSet:
-    """Parsed catalog data: presentations plus tagged fact records."""
+    """The catalog's (kind, record) pairs in file order, each record's names resolved at load.
 
-    def __init__(self, presentations: dict, facts: list):
-        self.presentations = presentations  # space -> (Presentation, citation)
-        self.facts = facts  # list of (kind, dict)
+    A presentation record carries its parsed `presentation`, every `value` is
+    a polynomial over its space's presentation and every `gen` one of its
+    generators, a fibration's `aux` is the presentation record it names, a
+    pullback's `model` is the rank-4 torus model that has its `class`, and an
+    action's `family`, `k` and `prime` are its `op`.  Plans read these fields.
+    """
+
+    def __init__(self, facts: list):
+        self.facts = facts
 
     def presentation(self, space: str) -> Presentation:
-        return self.presentations[space][0]
-
-    def presentation_cite(self, space: str) -> str:
-        return self.presentations[space][1]
+        return self.one("presentation", space=space)["presentation"]
 
     def find(self, kind: str, **match) -> list:
-        out = []
-        for k, rec in self.facts:
-            if k == kind and all(rec.get(key) == val for key, val in match.items()):
-                out.append(rec)
-        return out
+        return [rec for k, rec in self.facts if k == kind and all(rec.get(key) == v for key, v in match.items())]
 
     def one(self, kind: str, **match) -> dict:
         recs = self.find(kind, **match)
@@ -197,23 +196,44 @@ class DataSet:
         return recs[0]
 
 
-_DATASET_CACHE: dict = {}
-
-
 def load_dataset() -> DataSet:
-    """Load and validate the embedded catalog data (env override honored).
+    """The catalog data in `$LOOPCOMM_DATA_DIR`, or else beside this module, loaded once per directory.
 
-    Every `value=` is parsed once, as a polynomial over the presentation of
-    the record's space, after all presentations are loaded.
+    A record has exactly its kind's keys in `_KINDS` and repeats no earlier
+    record's naming keys; after the presentations load, its names resolve as
+    `DataSet` says.  A failure is a CatalogDataError naming the facts.txt line
+    (or the presentation file that does not parse).
     """
-    key = os.environ.get(DATA_ENV, "")
-    if key in _DATASET_CACHE:
-        return _DATASET_CACHE[key]
-    root = Path(key) if key else Path(__file__).parent / "data"
-    facts = []
-    valued = []  # (lineno, record) of the records with a value
-    presentations = {}
-    first_line = {}  # (kind, values of its _UNIQUE_BY keys) -> line of the record
+    return _load_dataset(os.environ.get(DATA_ENV, ""))
+
+
+def _presentation_record(named: dict, space: str) -> dict:
+    if ("presentation", space) not in named:
+        raise ValueError(f"no presentation record for space {space!r}")
+    return named["presentation", space][1]
+
+
+def _resolve(kind: str, rec: dict, named: dict) -> None:
+    """Resolve the names of one record in place, as `DataSet` says; a name that names nothing raises."""
+    if kind == "fibration":
+        rec["aux"] = _presentation_record(named, rec["aux"])
+    if "value" not in rec:
+        return
+    alg = _presentation_record(named, rec["space"])["presentation"].algebra
+    rec["value"] = parse_poly(rec["value"], alg)
+    if "gen" in rec and rec["gen"] not in alg.index:
+        raise ValueError(f"gen={rec['gen']} is not a generator of the {rec['space']} presentation")
+    if kind == "pullback":
+        rec["model"] = torus_model(rec["model"], 4)
+        rec["model"].class_index(rec["class"])
+    elif kind == "action":
+        rec["op"] = SteenrodOp(rec.pop("family"), rec.pop("k"), rec.pop("prime"))
+
+
+@lru_cache(maxsize=None)
+def _load_dataset(data_dir: str) -> DataSet:
+    root = Path(data_dir) if data_dir else Path(__file__).parent / "data"
+    named = {}  # (kind, values of its naming keys) -> (line, record), in file order
     text = (root / "facts.txt").read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
         try:
@@ -223,36 +243,29 @@ def load_dataset() -> DataSet:
         if parsed is None:
             continue
         kind, rec = parsed
-        if kind in _UNIQUE_BY:
-            ident = (kind,) + tuple(rec[k] for k in _UNIQUE_BY[kind])
-            if ident in first_line:
-                what = " ".join(f"{k}={rec[k]}" for k in _UNIQUE_BY[kind])
-                raise CatalogDataError(
-                    f"facts.txt line {lineno}: a second {kind} record for {what} (first on line {first_line[ident]})"
-                )
-            first_line[ident] = lineno
-        facts.append((kind, rec))
-        if "value" in rec:
-            valued.append((lineno, rec))
+        naming = _KINDS[kind][1]
+        ident = (kind,) + tuple(rec[k] for k in naming)
+        if ident in named:
+            what = " ".join(f"{k}={rec[k]}" for k in naming)
+            raise CatalogDataError(
+                f"facts.txt line {lineno}: a second {kind} record for {what} (first on line {named[ident][0]})"
+            )
+        named[ident] = lineno, rec
         if kind == "presentation":
             try:
                 body = (root / "presentations" / rec["file"]).read_text(encoding="utf-8")
             except OSError as exc:
                 raise CatalogDataError(f"facts.txt line {lineno}: {exc}") from exc
             try:
-                presentations[rec["space"]] = (parse_presentation(body), rec["cite"])
+                rec["presentation"] = parse_presentation(body)
             except ValueError as exc:
                 raise CatalogDataError(f"{rec['file']}: {exc}") from exc
-    for lineno, rec in valued:
+    for (kind, *_), (lineno, rec) in named.items():
         try:
-            if rec["space"] not in presentations:
-                raise ValueError(f"no presentation record for space {rec['space']!r}")
-            rec["value"] = parse_poly(rec["value"], presentations[rec["space"]][0].algebra)
-        except ValueError as exc:
+            _resolve(kind, rec, named)
+        except (ValueError, LookupError) as exc:
             raise CatalogDataError(f"facts.txt line {lineno}: {exc}") from exc
-    ds = DataSet(presentations, facts)
-    _DATASET_CACHE[key] = ds
-    return ds
+    return DataSet([(kind, rec) for (kind, *_), (_, rec) in named.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -517,15 +530,10 @@ def _bottom_cell_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     rec = ds.one("action", space=space)
     gen = rec["gen"]
     pb = ds.one("pullback", space=space)
-    cc = ClassifyingCrossCheck(
-        model=torus_model(pb["model"], 4),
-        class_name=pb["class"],
-        pullback={pb["class"]: pb["value"]},
-        citation=pb["cite"],
-    )
+    cc = ClassifyingCrossCheck(pb["model"], pb["class"], {pb["class"]: pb["value"]}, pb["cite"])
     sphere = suspension_sphere(pres.algebra.degrees[pres.algebra.index[gen]])  # the bottom cell, detecting gen
     step = _steenrod_step(
-        space, pres, SteenrodOp(rec["family"], rec["k"], rec["prime"]), gen, gen, sphere, sphere, rec["value"],
+        space, pres, rec["op"], gen, gen, sphere, sphere, rec["value"],
         rec["cite"], f"bottom cell {sphere.base} -> {space} detecting {gen}", provenance="asserted", crosscheck=cc,
     )
     return CriterionPlan((step,))
@@ -534,14 +542,14 @@ def _bottom_cell_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
 def _g_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     pres = ds.presentation("G")
     records = ds.find("pullback", space="G")
-    models = sorted({rec["model"] for rec in records})
+    models = sorted({rec["model"].group for rec in records})
     if len(models) != 1:
         raise DataIncomplete(f"pullback records for G must name one torus model, not {models}")
     images = {rec["class"]: rec["value"] for rec in records}
     op = SteenrodOp("Sq", 2, 2)
     step = _steenrod_step(
         "G", pres, op, "x3", "x2", suspension_moore(), suspension_sphere(2),
-        _derived_action(torus_model(models[0], 4), "w3", op, images, pres),
+        _derived_action(records[0]["model"], "w3", op, images, pres),
         _WU_CITE + " in BSO(4), restricted along x_i = iota^*(w_i) (Borel-Hirzebruch)",
         "restriction to the 3-skeleton S^2 cup_2 e^3 and its bottom cell",
     )
@@ -584,19 +592,11 @@ def _aii_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
 
 
 def _eiv_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
-    pres = ds.presentation("EIV")
     records = ds.find("sq-table", space="EIV")
     table = {rec["gen"]: rec["value"] for rec in records}
-    cites = [rec["cite"] for rec in records]
+    data = ExteriorActionData(ds.presentation("EIV"), table, "; ".join(rec["cite"] for rec in records))
     gm = ds.one("generating-map", space="EIV")
-    data = ExteriorActionData(pres, table, citation="; ".join(cites))
-    witness = GeneratingMapWitness(
-        source="Sigma OP^2",
-        base="OP^2",
-        target="EIV",
-        cell_degrees=(9, 17),
-        citation=gm["cite"],
-    )
+    witness = GeneratingMapWitness("Sigma OP^2", "OP^2", "EIV", (9, 17), gm["cite"])
     return CriterionPlan((ProjectiveStep(data, witness),))
 
 
@@ -634,13 +634,13 @@ def _diii_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
 
 def _rational_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     """The rational criterion on the space, or on the auxiliary space of its recorded fibration."""
-    space, label, transfer = inst.family, inst.label, None
-    if ds.find("fibration", space=space):
-        fib = ds.one("fibration", space=space)
-        space, label = fib["aux"], fib["aux-label"]
-        transfer = TransferStep(fib["threshold"], inst.label, fib["cite"])
-    step = RationalStep(label, ds.presentation(space), ds.presentation_cite(space), transfer)
-    return CriterionPlan((step,))
+    fibrations = ds.find("fibration", space=inst.family)
+    if fibrations:
+        (fib,) = fibrations
+        rec, label, transfer = fib["aux"], fib["aux-label"], TransferStep(fib["threshold"], inst.label, fib["cite"])
+    else:
+        rec, label, transfer = ds.one("presentation", space=inst.family), inst.label, None
+    return CriterionPlan((RationalStep(label, rec["presentation"], rec["cite"], transfer),))
 
 
 def _recorded_step(ds: DataSet, family_key: str, space_label: str) -> RecordedStep:

@@ -29,7 +29,7 @@ from loopcomm.catalog import (
     report,
     route,
 )
-from loopcomm.cli import _USAGE_ERRORS, main as cli_main
+from loopcomm.cli import main as cli_main
 from loopcomm.criteria import (
     ASSERTED,
     MACHINE,
@@ -39,7 +39,7 @@ from loopcomm.criteria import (
     TranscriptEntry,
     conclude_noncommutative,
 )
-from loopcomm.gradedalg import Algebra, FieldSpec, Generator, parse_poly, poly_to_text, replace
+from loopcomm.gradedalg import Algebra, ContractViolation, FieldSpec, Generator, parse_poly, poly_to_text, replace
 from loopcomm.sullivan import SullivanModel
 
 
@@ -331,7 +331,6 @@ class TestChecks:
         assert record in facts
         (data / "facts.txt").write_text(facts.replace(record, record.replace('"x8^2"', '"2*x8^2"')), encoding="utf-8")
         monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(data))
-        monkeypatch.setattr(catalog, "_DATASET_CACHE", {})
         assert cli_main(["check", "EI", "--format", "structured"]) == 0
         transcript = json.loads(capsys.readouterr().out)["transcript"]
         assert all(e["outcome"] != "fail" for e in transcript)
@@ -457,7 +456,7 @@ class TestLifts:
 
 
 _DATA = Path(catalog.__file__).parent / "data"
-_FACT_KINDS = tuple(catalog._REQUIRED_KEYS) + ("bogus",)
+_FACT_KINDS = tuple(catalog._KINDS) + ("bogus",)
 _FACT_JUNK = ("", "x", "0", "-1", "17", "1/2", "x8^2", "q2", "so", "Sq", "EI", "bogus.pres")
 
 
@@ -535,6 +534,11 @@ class TestDataset:
             ("gen=x8 family=P k=1 prime=5", "gen=x8 family=P k=1 prime=5 prime=7", "repeated key 'prime'"),
             ("gen=x8 family=P k=1 prime=5", "gen=x8 family=P k=1 prime=5 typo=1", "action record has unknown key 'typo'"),
             ("external family=CI", "external family=CI space=CI", "external record has unknown key 'space'"),
+            ("action space=EI gen=x8", "action space=EI gen=x99", "gen=x99 is not a generator of the EI presentation"),
+            ("model=psp4 class=q2", "model=psp4 class=q9", "unknown class 'q9' in the psp4(4) model"),
+            ("model=psp4", "model=xx", "unknown group tag 'xx'; expected one of ['psp4', 'so', 'sp', 'spin9', 'su']"),
+            ("gen=x8 family=P k=1 prime=5", "gen=x8 family=P k=1 prime=4", "power operations live at odd primes, not at 4"),
+            ("aux=FI-aux ", "aux=F4-aux ", "no presentation record for space 'F4-aux'"),
         ],
     )
     def test_bad_records_fail_at_load_naming_their_line(self, tmp_path, monkeypatch, capsys, old, new, message):
@@ -545,7 +549,6 @@ class TestDataset:
         lines[lineno - 1] = lines[lineno - 1].replace(old, new)
         (data / "facts.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
         monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(data))
-        monkeypatch.setattr(catalog, "_DATASET_CACHE", {})
         for argv in (["check", "EI"], ["check", "AI", "--n", "4"], ["report", "--all"]):
             assert cli_main(argv) == 1, argv
             captured = capsys.readouterr()
@@ -561,6 +564,16 @@ class TestDataset:
              ["check", "G"], "a second pullback record for space=G class=w3"),
             ("sq-table space=EIV gen=x9 ", 'sq-table space=EIV gen=x9 value="x9" cite="dup"', ["check", "EIV"],
              "a second sq-table record for space=EIV gen=x9"),
+            ("fibration space=FI ", 'fibration space=FI aux=EVI-aux aux-label=L threshold=5 cite="dup"', ["check", "FI"],
+             "a second fibration record for space=FI"),
+            ("action space=EI ", 'action space=EI gen=x8 family=P k=1 prime=5 value="x8^2" cite="dup"', ["check", "EI"],
+             "a second action record for space=EI"),
+            ("generating-map space=EIV ", 'generating-map space=EIV cite="dup"', ["check", "EIV"],
+             "a second generating-map record for space=EIV"),
+            ("exception space=CP3 ", 'exception space=CP3 cite="dup"', ["check", "AIII", "--m", "1", "--n", "3"],
+             "a second exception record for space=CP3"),
+            ("external family=CI ", 'external family=CI cite="dup"', ["check", "EI"],
+             "a second external record for family=CI"),
         ],
     )
     def test_a_repeated_record_fails_at_load_naming_both_lines(
@@ -573,7 +586,6 @@ class TestDataset:
         (first_line,) = [i for i, line in enumerate(lines, start=1) if line.startswith(first)]
         (data / "facts.txt").write_text("\n".join(lines + [record]) + "\n", encoding="utf-8")
         monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(data))
-        monkeypatch.setattr(catalog, "_DATASET_CACHE", {})
         for run in (argv, ["report", "--all"]):
             assert cli_main(run) == 1, run
             captured = capsys.readouterr()
@@ -583,26 +595,22 @@ class TestDataset:
 
     def test_loads_and_validates(self):
         ds = load_dataset()
-        assert "EII" in ds.presentations
+        assert ds.presentation("EII").generators
         assert ds.one("exception", space="CP3")["cite"]
 
     def test_rejects_malformed_records(self, tmp_path, monkeypatch):
         (tmp_path / "presentations").mkdir()
         (tmp_path / "facts.txt").write_text("bogus-kind space=X\n", encoding="utf-8")
         monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(tmp_path))
-        catalog._DATASET_CACHE.clear()
         with pytest.raises(CatalogDataError, match="unknown record kind"):
             load_dataset()
-        catalog._DATASET_CACHE.clear()
 
     def test_rejects_missing_keys(self, tmp_path, monkeypatch):
         (tmp_path / "presentations").mkdir()
         (tmp_path / "facts.txt").write_text("external cite=x\n", encoding="utf-8")
         monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(tmp_path))
-        catalog._DATASET_CACHE.clear()
         with pytest.raises(CatalogDataError, match="missing keys"):
             load_dataset()
-        catalog._DATASET_CACHE.clear()
 
     def test_rejects_bad_presentation(self, tmp_path, monkeypatch):
         (tmp_path / "presentations").mkdir()
@@ -613,10 +621,8 @@ class TestDataset:
             'presentation space=X file=bad.pres cite="c"\n', encoding="utf-8"
         )
         monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(tmp_path))
-        catalog._DATASET_CACHE.clear()
         with pytest.raises(CatalogDataError):
             load_dataset()
-        catalog._DATASET_CACHE.clear()
 
     @pytest.mark.parametrize(
         "record,message",
@@ -629,18 +635,17 @@ class TestDataset:
     def test_rejects_non_integer_key(self, tmp_path, monkeypatch, record, message):
         (tmp_path / "facts.txt").write_text(f"# header\n{record}\n", encoding="utf-8")
         monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(tmp_path))
-        monkeypatch.setattr(catalog, "_DATASET_CACHE", {})
         with pytest.raises(CatalogDataError, match=re.escape(f"facts.txt line 2: {message} is not an integer")):
             load_dataset()
 
     def test_missing_presentation_file_names_line(self, tmp_path, monkeypatch):
         (tmp_path / "facts.txt").write_text('presentation space=X file=absent.pres cite="c"\n', encoding="utf-8")
         monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(tmp_path))
-        monkeypatch.setattr(catalog, "_DATASET_CACHE", {})
         with pytest.raises(CatalogDataError, match=r"facts\.txt line 1: .*absent\.pres"):
             load_dataset()
 
-    def test_one_line_mutants_load_or_name_a_line(self, tmp_path, monkeypatch):
+    def test_one_line_mutants_load_or_name_a_line(self, tmp_path, monkeypatch, cold_caches):
+        # past a clean load, a check refuses or names a data fault; it never meets a name that resolves to nothing
         data = tmp_path / "data"
         shutil.copytree(_DATA, data)
         monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(data))
@@ -649,7 +654,7 @@ class TestDataset:
         for _ in range(100):
             text = "\n".join(_mutate_fact_line(rng, lines)) + "\n"
             (data / "facts.txt").write_text(text, encoding="utf-8")
-            monkeypatch.setattr(catalog, "_DATASET_CACHE", {})
+            cold_caches()
             try:
                 load_dataset()
             except CatalogDataError as exc:
@@ -659,28 +664,28 @@ class TestDataset:
                 params = fam.default_range[0] if fam.default_range else (fam.least,) * fam.arity
                 try:
                     check(instantiate(fam.id, params))
-                except _USAGE_ERRORS:
+                except (CatalogDataError, DataIncomplete, ContractViolation):
                     pass
 
     @pytest.mark.parametrize(
-        "count,message",
+        "old,new,message",
         [
-            (2, "unknown class 'w3' in the su(4) model"),
-            (1, "pullback records for G must name one torus model, not ['so', 'su']"),
+            ("model=so class=w2", "model=su class=w2", "facts.txt line {}: unknown class 'w2' in the su(4) model"),
+            ("model=so class=w3", "model=su class=w3", "facts.txt line {}: unknown class 'w3' in the su(4) model"),
+            ("model=so class=w3", "model=sp class=q2", "pullback records for G must name one torus model, not ['so', 'sp']"),
         ],
     )
-    def test_g_reads_the_torus_model_of_its_pullbacks(self, tmp_path, monkeypatch, capsys, count, message):
+    def test_g_reads_the_torus_model_of_its_pullbacks(self, tmp_path, monkeypatch, capsys, old, new, message):
+        # a pullback's class must be in its model, checked at load; G's plan needs its pullbacks on one model
         data = tmp_path / "data"
         shutil.copytree(_DATA, data)
-        facts = (_DATA / "facts.txt").read_text(encoding="utf-8")
-        record = "pullback space=G model=so "
-        assert facts.count(record) == 2
-        mutated = facts.replace(record, record.replace("=so", "=su"), count)
-        (data / "facts.txt").write_text(mutated, encoding="utf-8")
+        lines = (_DATA / "facts.txt").read_text(encoding="utf-8").splitlines()
+        (lineno,) = [i for i, line in enumerate(lines, start=1) if line.startswith(f"pullback space=G {old} ")]
+        lines[lineno - 1] = lines[lineno - 1].replace(old, new)
+        (data / "facts.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
         monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(data))
-        monkeypatch.setattr(catalog, "_DATASET_CACHE", {})
         assert cli_main(["check", "G"]) == 1
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err.strip() == "error: " + message.format(lineno)
 
     def test_negative_relation_degree_fails_naming_its_line(self, tmp_path, monkeypatch, capsys):
         data = tmp_path / "data"
@@ -690,7 +695,6 @@ class TestDataset:
         assert "relation 24 partial decomposable" in text
         pres.write_text(text.replace("relation 24 ", "relation -2 "), encoding="utf-8")
         monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(data))
-        monkeypatch.setattr(catalog, "_DATASET_CACHE", {})
         for argv in (["check", "FI"], ["report", "--all"]):
             assert cli_main(argv) == 1, argv
             err = capsys.readouterr().err
@@ -721,7 +725,6 @@ class TestDataset:
         mutated = facts.replace(record, record.replace("S^2 has", "S^2 (see #4) has")) + "# trailing comment\n"
         (data / "facts.txt").write_text(mutated, encoding="utf-8")
         monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(data))
-        monkeypatch.setattr(catalog, "_DATASET_CACHE", {})
         assert catalog._fact_record('external family=CI cite="see #4" # why') == (
             "external", {"family": "CI", "cite": "see #4"}
         )
@@ -738,7 +741,6 @@ class TestDataset:
         assert record in facts
         (data / "facts.txt").write_text(facts.replace(record, record.replace("=5 ", "=17 ")), encoding="utf-8")
         monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(data))
-        monkeypatch.setattr(catalog, "_DATASET_CACHE", {})
         assert cli_main(["check", "FI"]) == 2
         out = capsys.readouterr().out
         assert "failed: witness degree 8 is below the equivalence threshold 17" in out
@@ -774,7 +776,6 @@ class TestDataset:
         assert old in text
         pres.write_text(text.replace(old, new), encoding="utf-8")
         monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(data))
-        monkeypatch.setattr(catalog, "_DATASET_CACHE", {})
         assert cli_main(["check", "FI", "--format", "structured"]) == 2
         out = json.loads(capsys.readouterr().out)
         assert out["failed"] == failed

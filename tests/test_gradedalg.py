@@ -527,8 +527,8 @@ class TestIntegralCoefficientsAreInts:
         from loopcomm.catalog import load_dataset
 
         ds = load_dataset()
-        for space, (pres, _cite) in ds.presentations.items():
-            for rel in pres.relations:
+        for rec in ds.find("presentation"):
+            for rel in rec["presentation"].relations:
                 _assert_canonical_coefficients(rel.terms)
         values = [rec["value"] for _kind, rec in ds.facts if "value" in rec]
         assert values
