@@ -426,7 +426,7 @@ def _steenrod_step(
 ) -> SteenrodStep:
     """The Steenrod step with x = a, a detected on source_a and b on source_b.
 
-    Each generator pulls back to its source's class of the same degree, or to zero.
+    It passes only the sources: the criterion reads each map's pullback off its source.
     """
     criterion = SteenrodCriterionInstance(
         space=space,
@@ -440,8 +440,6 @@ def _steenrod_step(
         x=a,
         source_a=source_a,
         source_b=source_b,
-        pullback_a={g.name: source_a.class_in.get(g.degree) for g in pres.generators},
-        pullback_b={g.name: source_b.class_in.get(g.degree) for g in pres.generators},
         pullback_citation=pullback_citation,
     )
     return SteenrodStep(criterion, crosscheck)
@@ -523,14 +521,29 @@ def _classifying_plan(group: str, rank: int) -> CriterionPlan:
     return CriterionPlan(_top_class_steps(model, f"{_CLASSIFYING[group][0]}({rank})", model.class_prefix))
 
 
+def _pullbacks(ds: DataSet, space: str) -> tuple:
+    """The one torus model of a space's pullback records, and all those records."""
+    records = ds.find("pullback", space=space)
+    models = sorted({rec["model"].group for rec in records})
+    if len(models) != 1:
+        raise DataIncomplete(f"pullback records for {space} must name one torus model, not {models}")
+    return records[0]["model"], records
+
+
 def _bottom_cell_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
-    """Diagonal bottom-cell instance on the recorded action, with a classifying cross-check."""
+    """Diagonal bottom-cell instance on the recorded action, with a classifying cross-check on the
+    class of the one pullback record whose value is the acted-on generator, along every record's image.
+    """
     space = inst.family
     pres = ds.presentation(space)
     rec = ds.one("action", space=space)
     gen = rec["gen"]
-    pb = ds.one("pullback", space=space)
-    cc = ClassifyingCrossCheck(pb["model"], pb["class"], {pb["class"]: pb["value"]}, pb["cite"])
+    model, records = _pullbacks(ds, space)
+    acted = [pb for pb in records if pb["value"] == pres.algebra.gen(gen)]
+    if len(acted) != 1:
+        raise DataIncomplete(f"{space} needs one pullback record with value {gen}, found {len(acted)}")
+    images = {pb["class"]: pb["value"] for pb in records}
+    cc = ClassifyingCrossCheck(model, acted[0]["class"], images, acted[0]["cite"])
     sphere = suspension_sphere(pres.algebra.degrees[pres.algebra.index[gen]])  # the bottom cell, detecting gen
     step = _steenrod_step(
         space, pres, rec["op"], gen, gen, sphere, sphere, rec["value"],
@@ -541,15 +554,12 @@ def _bottom_cell_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
 
 def _g_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     pres = ds.presentation("G")
-    records = ds.find("pullback", space="G")
-    models = sorted({rec["model"].group for rec in records})
-    if len(models) != 1:
-        raise DataIncomplete(f"pullback records for G must name one torus model, not {models}")
+    model, records = _pullbacks(ds, "G")
     images = {rec["class"]: rec["value"] for rec in records}
     op = SteenrodOp("Sq", 2, 2)
     step = _steenrod_step(
         "G", pres, op, "x3", "x2", suspension_moore(), suspension_sphere(2),
-        _derived_action(records[0]["model"], "w3", op, images, pres),
+        _derived_action(model, "w3", op, images, pres),
         _WU_CITE + " in BSO(4), restricted along x_i = iota^*(w_i) (Borel-Hirzebruch)",
         "restriction to the 3-skeleton S^2 cup_2 e^3 and its bottom cell",
     )

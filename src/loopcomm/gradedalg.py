@@ -298,8 +298,9 @@ class Algebra:
         # every monomial in the generators from i on has a degree divisible by reach[i]
         reach = [gcd(*self.degrees[i:]) for i in range(n)]
         out = []
-
-        def rec(i: int, remaining: int, acc: tuple):
+        stack = [(0, degree, ())]  # (next generator, degree left, exponents so far); no recursion
+        while stack:
+            i, remaining, acc = stack.pop()
             if remaining == 0:
                 out.append(acc + (0,) * (n - i))
             elif i < n and remaining > 0 and remaining % reach[i] == 0:
@@ -309,10 +310,7 @@ class Algebra:
                     if top * d == remaining:
                         out.append(acc + (top,))
                 else:
-                    for e in range(top + 1):
-                        rec(i + 1, remaining - e * d, acc + (e,))
-
-        rec(0, degree, ())
+                    stack.extend((i + 1, remaining - e * d, acc + (e,)) for e in range(top + 1))
         return sorted(out)
 
 

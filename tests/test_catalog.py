@@ -122,7 +122,7 @@ class TestRouting:
         assert route(instantiate("CII", (3, 1))).steps[0].rank == 1
         inst = _classifying_plan("sp", 1).steps[0].instance
         assert inst.op.prime == 3 and inst.a == inst.b
-        assert inst.source_a is inst.source_b and inst.pullback_a == inst.pullback_b
+        assert inst.source_a is inst.source_b
 
     def test_cp3_plan_carries_exception(self):
         plan = route(instantiate("AIII", (1, 3)))
@@ -687,6 +687,47 @@ class TestDataset:
         assert cli_main(["check", "G"]) == 1
         assert capsys.readouterr().err.strip() == "error: " + message.format(lineno)
 
+    def test_a_second_ei_pullback_is_read_with_the_first(self, tmp_path, monkeypatch, capsys):
+        # EI reads all its pullback records, as G does; q1 restricts to zero, which the cross-check already assumed
+        argvs = (["check", "EI"], ["report", "--all"])
+        shipped = []
+        for argv in argvs:
+            assert cli_main(argv) == 0, argv
+            shipped.append(capsys.readouterr().out)
+        data = tmp_path / "data"
+        shutil.copytree(_DATA, data)
+        with (data / "facts.txt").open("a", encoding="utf-8") as facts:
+            facts.write('pullback space=EI model=psp4 class=q1 value="0" cite="c"\n')
+        monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(data))
+        for argv, out in zip(argvs, shipped):
+            assert cli_main(argv) == 0, argv
+            assert capsys.readouterr().out == out, argv
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            (None, 'pullback space=EI model=so class=w2 value="0" cite="c"',
+             "pullback records for EI must name one torus model, not ['psp4', 'so']"),
+            ('value="x8"', 'value="2*x8"', "EI needs one pullback record with value x8, found 0"),
+        ],
+    )
+    def test_ei_reads_its_pullbacks_as_g_does(self, tmp_path, monkeypatch, capsys, old, new, message):
+        # the cross-check needs one torus model, and one record whose value is the acted-on generator
+        data = tmp_path / "data"
+        shutil.copytree(_DATA, data)
+        lines = (_DATA / "facts.txt").read_text(encoding="utf-8").splitlines()
+        if old is None:
+            lines.append(new)
+        else:
+            (lineno,) = [i for i, line in enumerate(lines) if line.startswith("pullback space=EI ")]
+            lines[lineno] = lines[lineno].replace(old, new)
+        (data / "facts.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(data))
+        assert cli_main(["check", "EI"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == "error: " + message
+
     def test_negative_relation_degree_fails_naming_its_line(self, tmp_path, monkeypatch, capsys):
         data = tmp_path / "data"
         shutil.copytree(_DATA, data)
@@ -783,6 +824,24 @@ class TestDataset:
         assert cli_main(["report", "--all"]) == 0
         row = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("FI "))
         assert "no conclusion" in row
+
+    def test_report_reads_every_shipped_record(self, monkeypatch):
+        # a record no plan reads is dead: it would load silently while a row no longer rests on it
+        ds = load_dataset()
+        read = set()
+        find = catalog.DataSet.find
+
+        def spy(self, kind, **match):
+            recs = find(self, kind, **match)
+            read.update(id(rec) for rec in recs)
+            read.update(id(rec["aux"]) for rec in recs if kind == "fibration")  # the auxiliary presentation
+            return recs
+
+        monkeypatch.setattr(catalog.DataSet, "find", spy)
+        report()
+        assert len(ds.facts) == 31
+        unread = [(kind, rec) for kind, rec in ds.facts if id(rec) not in read]
+        assert not unread
 
 
 class TestReport:

@@ -223,6 +223,12 @@ class TestFileCommands:
         assert code == 0
         assert out == "Λ(x2:2, y7:7)\nd x2 = 0\nd y7 = x2^4\nd^2 = 0: True\n"
 
+    def test_hilbert_walks_many_generators_without_recursion(self, capsys, tmp_path):
+        # one monomial walk level per generator: 1200 of them are past Python's recursion limit
+        f = tmp_path / "wide.pres"
+        f.write_text("field rational\n" + "".join(f"generator x{i} 2\n" for i in range(1200)) + "end\n", encoding="utf-8")
+        assert run(capsys, "hilbert", "--file", str(f), "--up-to", "2") == (0, "0: 1\n1: 0\n2: 1200\n", "")
+
     def test_negative_hilbert_bound_is_one(self, capsys, tmp_path):
         f = tmp_path / "cp3.pres"
         f.write_text(

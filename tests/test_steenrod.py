@@ -555,8 +555,12 @@ class TestSuspensionModels:
             model_class = (lambda d: f"w{d}") if group == "so" else (lambda d: f"q{d // 4}")
             for (name, degree), op in itertools.product(classes, ops):
                 target = source.class_in.get(degree + op.shift)
+                if target is not None and group == "so" and op.family == "P":  # no power operations on BSO
+                    with pytest.raises(ContractViolation, match="degree-1 variables"):
+                        source.act(name, op)
+                    continue
                 c = 0
-                if target is not None and (group == "sp" or op.family == "Sq"):
+                if target is not None:
                     c = suspended_coefficient(model, model_class(degree), op, model_class(degree + op.shift))
                 assert source.act(name, op) == (((c, target),) if c else ()), (group, n, name, op.label)
 
@@ -585,10 +589,10 @@ class TestSuspensionModels:
         m = suspension_sphere(8)
         assert m.act("s8", SteenrodOp("Sq", 4, 2)) == ()
 
-    def test_power_operations_vanish_on_rp(self):
-        # P^1 at p = 3 raises degree by 4, and Sigma RP^8 has a class there
-        m = suspension_rp(8)
-        assert m.act("su1", SteenrodOp("P", 1, 3)) == ()
+    def test_power_operations_are_refused_on_rp(self):
+        # the so model has no power operations, so condition (6) cannot pass for one on Sigma RP^6
+        with pytest.raises(ContractViolation, match="degree-1 variables of the so model"):
+            product_slice_vanishes(suspension_rp(6), suspension_rp(6), SteenrodOp("P", 1, 3), 6)
 
     def test_zeroth_component_is_the_identity(self):
         m = suspension_quasi_projective(3)
@@ -673,8 +677,6 @@ def _ai_instance(n, b, mutate_source_b=None):
         x=f"v{n}",
         source_a=suspension_rp(n - 1),
         source_b=source_b,
-        pullback_a={f"v{i}": f"su{i - 1}" for i in range(2, n + 1)},
-        pullback_b={f"v{i}": (f"su{i - 1}" if i - 1 <= b - 1 else None) for i in range(2, n + 1)},
         pullback_citation="reflection restriction",
     )
 
@@ -699,8 +701,6 @@ def _ei_instance(square, citation):
         x="x8",
         source_a=sphere,
         source_b=sphere,
-        pullback_a={"x8": "s8", "x9": None, "x17": None},
-        pullback_b={"x8": "s8", "x9": None, "x17": None},
     )
 
 
@@ -736,20 +736,18 @@ class TestCriterionChecker:
         assert "condition (6)" in result.failed
 
     def test_condition_two_refusal(self):
-        inst = _ai_instance(7, 2)
-        bad = SteenrodCriterionInstance(
-            **{**inst.__dict__, "pullback_b": {f"v{i}": f"su{i - 1}" for i in range(2, 8)}}
-        )
+        # Sigma RP^6 has a class in |a| = 7, so the second map does not kill a
+        bad = replace(_ai_instance(7, 2), source_b=suspension_rp(6))
         result = check_steenrod_criterion(bad)
-        assert isinstance(result, Refusal) and "condition (2)" in result.failed
+        assert isinstance(result, Refusal)
+        assert result.failed == "condition (2): v7 does not pull back to zero on Sigma RP^6"
 
     @pytest.mark.parametrize(
         "field,value,failed",
         [
-            ("pullback_a", {"v7": None}, "condition (1): v7 pulls back to zero on Sigma RP^6"),
-            ("pullback_a", {"v7": "su1"}, "condition (1): pullback table sends v7 to su1 of the wrong degree"),
-            ("pullback_b", {"v2": None}, "condition (1): v2 pulls back to zero on Sigma RP^1"),
-            ("pullback_b", {"v2": "su2"}, "condition (1): pullback table sends v2 to su2 of the wrong degree"),
+            # each map pulls a generator back to its source's class of the same degree, or to zero
+            ("source_a", suspension_rp(5), "condition (1): v7 pulls back to zero on Sigma RP^5"),
+            ("source_b", suspension_sphere(3), "condition (1): v2 pulls back to zero on S^3"),
         ],
     )
     def test_condition_one_refusals(self, field, value, failed):
@@ -789,7 +787,6 @@ class TestCriterionChecker:
         alg = Algebra(FieldSpec(3), [Generator("x2", 2), Generator("a3", 3, True)])
         pres = Presentation(alg, (Relation(8, "explicit", alg.monomial((4, 0))),))
         sphere = suspension_sphere(3)
-        pullback = {"x2": None, "a3": "s3"}
         inst = SteenrodCriterionInstance(
             space="X",
             presentation=pres,
@@ -802,8 +799,6 @@ class TestCriterionChecker:
             x="x2",
             source_a=sphere,
             source_b=sphere,
-            pullback_a=pullback,
-            pullback_b=pullback,
         )
         result = check_steenrod_criterion(inst)
         assert isinstance(result, Refusal)
