@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import re
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -77,6 +77,9 @@ class CatalogDataError(ValueError):
 
 
 DATA_ENV = "LOOPCOMM_DATA_DIR"
+
+# family -> the key of the external record its rank-2 instances read; every other external record names a family
+_RANK2_EXTERNAL = {"AI": "AI-rank2", "BDI": "BDI-rank2"}
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +218,9 @@ def _presentation_record(named: dict, space: str) -> dict:
 
 def _resolve(kind: str, rec: dict, named: dict) -> None:
     """Resolve the names of one record in place, as `DataSet` says; a name that names nothing raises."""
+    if kind == "external" and rec["family"] not in _BY_ID and rec["family"] not in _RANK2_EXTERNAL.values():
+        known = ", ".join([*_BY_ID, *_RANK2_EXTERNAL.values()])
+        raise ValueError(f"family={rec['family']} is neither a family id nor a rank-2 key; expected one of {known}")
     if kind == "fibration":
         rec["aux"] = _presentation_record(named, rec["aux"])
     if "value" not in rec:
@@ -313,12 +319,13 @@ class RationalStep:
 
 @record
 class SteenrodStep:
-    instance: SteenrodCriterionInstance
+    label: str
+    build: Callable  # () -> the SteenrodCriterionInstance, its action derived on the call
     crosscheck: Optional[ClassifyingCrossCheck] = None
 
     @property
-    def label(self) -> str:
-        return f"Steenrod {self.instance.op.label} on {self.instance.space}"
+    def instance(self) -> SteenrodCriterionInstance:
+        return self.build()
 
 
 @record
@@ -421,28 +428,33 @@ def _derived_action(model, class_name: str, op: SteenrodOp, images: dict, pres: 
 
 
 def _steenrod_step(
-    space: str, pres: Presentation, op: SteenrodOp, a: str, b: str, source_a, source_b, theta,
+    space: str, pres: Presentation, op: SteenrodOp, a: str, b: str, source_a, source_b, action: Callable,
     action_citation: str, pullback_citation: str, provenance="derived", crosscheck=None,
 ) -> SteenrodStep:
     """The Steenrod step with x = a, a detected on source_a and b on source_b.
 
     It passes only the sources: the criterion reads each map's pullback off its source.
+    `action()` gives theta; a plan run calls it only when it reaches the step,
+    so a step after the first certificate derives nothing.
     """
-    criterion = SteenrodCriterionInstance(
-        space=space,
-        presentation=pres,
-        theta=theta,
-        action_provenance=provenance,
-        action_citation=action_citation,
-        op=op,
-        a=a,
-        b=b,
-        x=a,
-        source_a=source_a,
-        source_b=source_b,
-        pullback_citation=pullback_citation,
-    )
-    return SteenrodStep(criterion, crosscheck)
+
+    def instance() -> SteenrodCriterionInstance:
+        return SteenrodCriterionInstance(
+            space=space,
+            presentation=pres,
+            theta=action(),
+            action_provenance=provenance,
+            action_citation=action_citation,
+            op=op,
+            a=a,
+            b=b,
+            x=a,
+            source_a=source_a,
+            source_b=source_b,
+            pullback_citation=pullback_citation,
+        )
+
+    return SteenrodStep(f"Steenrod {op.label} on {space}", instance, crosscheck)
 
 
 def _top_class_steps(model, space: str, prefix: str, pres: Optional[Presentation] = None, restriction="") -> tuple:
@@ -461,7 +473,7 @@ def _top_class_steps(model, space: str, prefix: str, pres: Optional[Presentation
         _steenrod_step(
             space, pres, op, f"{prefix}{model.rank}", f"{prefix}{b}",
             suspension_of(model), suspension_of(torus_model(model.group, b)),
-            _derived_action(model, names[-1], op, images, pres),
+            partial(_derived_action, model, names[-1], op, images, pres),
             action_citation + restriction, pullback_citation,
         )
         for op, b in ops
@@ -471,7 +483,7 @@ def _top_class_steps(model, space: str, prefix: str, pres: Optional[Presentation
 def _ai_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     (n,) = inst.params
     if n == 2:
-        rec = ds.one("external", family="AI-rank2")
+        rec = ds.one("external", family=_RANK2_EXTERNAL["AI"])
         statement = (
             f"Omega({inst.label}) is not homotopy commutative: AI(2) = S^2 carries "
             "the non-trivial Whitehead square [1,1]"
@@ -487,7 +499,7 @@ def _bdi_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     """BSO(n) is certified once per rank; each BDI(m,n) row only lifts that certificate."""
     _, n = inst.params
     if n == 2:
-        return CriterionPlan((_recorded_step(ds, "BDI-rank2", inst.label),))
+        return CriterionPlan((_recorded_step(ds, _RANK2_EXTERNAL["BDI"], inst.label),))
     citation = (
         "the classifying map of the tautological bundle BDI(m,n) -> BSO(n) is an n-equivalence for m >= n"
     )
@@ -546,7 +558,7 @@ def _bottom_cell_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     cc = ClassifyingCrossCheck(model, acted[0]["class"], images, acted[0]["cite"])
     sphere = suspension_sphere(pres.algebra.degrees[pres.algebra.index[gen]])  # the bottom cell, detecting gen
     step = _steenrod_step(
-        space, pres, rec["op"], gen, gen, sphere, sphere, rec["value"],
+        space, pres, rec["op"], gen, gen, sphere, sphere, lambda: rec["value"],
         rec["cite"], f"bottom cell {sphere.base} -> {space} detecting {gen}", provenance="asserted", crosscheck=cc,
     )
     return CriterionPlan((step,))
@@ -559,7 +571,7 @@ def _g_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     op = SteenrodOp("Sq", 2, 2)
     step = _steenrod_step(
         "G", pres, op, "x3", "x2", suspension_moore(), suspension_sphere(2),
-        _derived_action(model, "w3", op, images, pres),
+        partial(_derived_action, model, "w3", op, images, pres),
         _WU_CITE + " in BSO(4), restricted along x_i = iota^*(w_i) (Borel-Hirzebruch)",
         "restriction to the 3-skeleton S^2 cup_2 e^3 and its bottom cell",
     )
@@ -854,9 +866,10 @@ def _run_rational(step: RationalStep):
 
 
 def _run_steenrod(step: SteenrodStep):
-    result = check_steenrod_criterion(step.instance)
+    inst = step.instance
+    result = check_steenrod_criterion(inst)
     if isinstance(result, Certificate) and step.crosscheck is not None:
-        result = crosscheck(step.instance, step.crosscheck, result)
+        result = crosscheck(inst, step.crosscheck, result)
     return result
 
 

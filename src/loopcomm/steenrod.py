@@ -226,6 +226,7 @@ _GROUPS = {
 _FIXED_RANK = {"spin9": 4, "psp4": 4}
 
 
+@lru_cache(maxsize=None)
 def torus_model(group: str, rank: int) -> TorusModel:
     if group not in _GROUPS:
         raise LookupError(f"unknown group tag {group!r}; expected one of {sorted(_GROUPS)}")
@@ -257,11 +258,12 @@ def _op_compatible(model: TorusModel, op: SteenrodOp) -> None:
         )
 
 
-def _raised_class(model: TorusModel, i: int, prime: int, raise_by: int) -> dict:
-    """Partition-basis part of the total operation on the i-th class that
-    raises torus degree by exactly raise_by, reduced mod prime.
+def _raised_class(w: int, i: int, prime: int, raise_by: int) -> dict:
+    """Partition-basis part of the total operation on the i-th class of a
+    model of class power w that raises torus degree by exactly raise_by,
+    reduced mod prime.
 
-    The class restricts to m_{(w^i)}, w = class_power, and each of its i
+    The class restricts to m_{(w^i)}, and each of its i
     factors t^w becomes sum_c C(w, c) t^(w + c(p-1)).  A choice of how many
     factors take each raise c is one partition, whose coefficient is that of
     m_lambda; no choice passes raise_by.  Squared-class models collapse t^2 to
@@ -269,7 +271,6 @@ def _raised_class(model: TorusModel, i: int, prime: int, raise_by: int) -> dict:
     last raise, c = 1, must take all the degree that is left; a choice that
     leaves more than its remaining factors can take is dropped.
     """
-    w = model.class_power
     out: dict = {}
 
     def walk(c: int, slots: int, left: int, parts: tuple, coeff: int):
@@ -306,7 +307,7 @@ def char_class_operation(model: TorusModel, class_name: str, op: SteenrodOp) -> 
     step = model.var_degree * (op.prime - 1)
     if op.shift % step:
         return class_algebra(model, op.prime).zero()
-    mcoeffs = _raised_class(model, i, op.prime, op.shift // step)
+    mcoeffs = _raised_class(model.class_power, i, op.prime, op.shift // step)
     return _classes_from_e(model, _e_coefficients(mcoeffs, model.rank, op.prime), op.prime)
 
 
@@ -359,11 +360,21 @@ def suspended_coefficient(model: TorusModel, class_name: str, op: SteenrodOp, ta
     i, n = model.class_index(class_name), model.class_index(target)
     if model.class_degree(n) != model.class_degree(i) + op.shift:
         return 0
+    return _linear_coefficient(model.class_power, i, n, op.prime, op.shift // (model.var_degree * (op.prime - 1)))
+
+
+@lru_cache(maxsize=None)
+def _linear_coefficient(w: int, i: int, n: int, prime: int, raise_by: int) -> int:
+    """The power-sum pairing of `suspended_coefficient`, read once per process.
+
+    It depends on the model only through its class power w, so every model
+    and operation with the same raise shares one read.
+    """
     total = 0
-    for lam, c in _raised_class(model, i, op.prime, op.shift // (model.var_degree * (op.prime - 1))).items():
+    for lam, c in _raised_class(w, i, prime, raise_by).items():
         pairing = n * math.factorial(len(lam) - 1) // math.prod(map(math.factorial, Counter(lam).values()))
         total += (-1) ** (n - len(lam)) * c * pairing
-    return total % op.prime
+    return total % prime
 
 
 # group -> (base, class name, shift) of the suspension mapping to B<group>(rank)
@@ -426,7 +437,7 @@ def product_slice_vanishes(
         (na, nb) for na, da in unit + model_a.classes for nb, db in unit + model_b.classes if da + db == degree
     ]
     p = op.prime
-    components = [SteenrodOp(op.family, j, p) for j in range(op.k + 1)]
+    components = _components(op)
     violations = []
     for na, nb in basis:
         acc: dict = {}
@@ -441,6 +452,12 @@ def product_slice_vanishes(
         if nonzero:
             violations.append(((na, nb), nonzero))
     return basis, violations
+
+
+@lru_cache(maxsize=None)
+def _components(op: SteenrodOp) -> tuple:
+    """The components of op's Cartan formula, op's family at degrees 0..k, built once per op."""
+    return tuple(SteenrodOp(op.family, j, op.prime) for j in range(op.k + 1))
 
 
 # ---------------------------------------------------------------------------

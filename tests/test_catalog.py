@@ -360,9 +360,9 @@ class TestChecks:
         asked = []
         raised = steenrod._raised_class
 
-        def spy(model, i, prime, raise_by):
+        def spy(class_power, i, prime, raise_by):
             asked.append((prime, raise_by))
-            return raised(model, i, prime, raise_by)
+            return raised(class_power, i, prime, raise_by)
 
         monkeypatch.setattr(steenrod, "_raised_class", spy)
         assert isinstance(check(instantiate("CII", (25, 25))), Certificate)
@@ -430,6 +430,29 @@ class TestLifts:
                     check(instantiate(fam_id, (m, n)))
         assert Counter(checked) == in_report
         assert in_report["BSO(8)"] == in_report["BSp(5)"] == 1
+
+    def test_report_computes_only_what_its_steps_read(self, monkeypatch):
+        # 35 Steenrod steps are built and 31 run: a step derives its action only when the run reaches it,
+        # and a suspension coefficient is read once per (class power, i, n, prime, raise)
+        built, ran = [], []
+        build, run_steenrod = catalog._steenrod_step, catalog._run_steenrod
+
+        def building(*args, **kwargs):
+            built.append(args[0])
+            return build(*args, **kwargs)
+
+        def running(step):
+            ran.append(step.label)
+            return run_steenrod(step)
+
+        monkeypatch.setattr(catalog, "_steenrod_step", building)
+        monkeypatch.setattr(catalog, "_run_steenrod", running)
+        report()
+        assert (len(built), len(ran)) == (35, 31)
+        ops = steenrod.char_class_operation.cache_info()
+        assert ops.hits + ops.misses == len(ran)  # AI(n) and BSO(n) share their reads: 23 misses
+        reads = steenrod._linear_coefficient.cache_info()
+        assert 0 < reads.misses <= 44 < reads.hits + reads.misses
 
     def test_rows_of_one_rank_share_the_base_certificate(self):
         cii55, cii75 = check(instantiate("CII", (5, 5))), check(instantiate("CII", (7, 5)))
@@ -539,6 +562,7 @@ class TestDataset:
             ("model=psp4", "model=xx", "unknown group tag 'xx'; expected one of ['psp4', 'so', 'sp', 'spin9', 'su']"),
             ("gen=x8 family=P k=1 prime=5", "gen=x8 family=P k=1 prime=4", "power operations live at odd primes, not at 4"),
             ("aux=FI-aux ", "aux=F4-aux ", "no presentation record for space 'F4-aux'"),
+            ("external family=EIII ", "external family=EIIIX ", "family=EIIIX is neither a family id nor a rank-2 key"),
         ],
     )
     def test_bad_records_fail_at_load_naming_their_line(self, tmp_path, monkeypatch, capsys, old, new, message):

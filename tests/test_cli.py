@@ -4,7 +4,10 @@ import ast
 import hashlib
 import importlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -31,6 +34,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
+_LAUNCH = "import sys; from loopcomm.cli import main; sys.exit(main())"  # as the `loopcomm` script
+
+
+def _fresh(args: list, cwd, **streams) -> subprocess.CompletedProcess:
+    """A fresh interpreter running `args`, its environment stripped of PYTHON* and LOOPCOMM_* variables."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHON", "LOOPCOMM_"))}
+    env["PYTHONPATH"] = str(_SRC)
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, text=True, timeout=60, **streams)
 
 
 class TestExitCodes:
@@ -391,6 +406,52 @@ class TestDeterminism:
         assert [r["space"] for r in rows if "is not homotopy commutative" not in r["conclusion"]] == [
             pins["DESK_EXCEPTION"]
         ]
+
+
+class TestProcessExit:
+    """`main()` without argv ends its process once the output is flushed; `main(argv)` returns."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "EIV"],
+            ["check", "AIII", "--m", "1", "--n", "3"],
+            ["check", "AI", "--n", "1"],
+            ["hilbert", "--file", "cp3.pres", "--up-to", "10", "--complete-intersection", "--format", "structured"],
+            ["report", "--all", "--format", "structured"],
+        ],
+        ids=lambda argv: "-".join(argv[:2]),
+    )
+    def test_fresh_process_matches_in_process(self, capsys, tmp_path, monkeypatch, argv):
+        (tmp_path / "cp3.pres").write_text(
+            "field rational\ngenerator x2 2\nrelation 8 explicit\nterm 1 4\nend\n", encoding="utf-8"
+        )
+        monkeypatch.chdir(tmp_path)
+        fresh = _fresh(["-c", _LAUNCH, *argv], tmp_path)
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == run(capsys, *argv)
+        assert fresh.returncode == {"EIV": 0, "AIII": 2, "AI": 1}.get(argv[1], 0)
+        if argv[0] == "report":
+            digest = hashlib.sha256(fresh.stdout.encode("utf-8")).hexdigest()
+            assert digest == "7b161385d3507c5b3e87f54f386bc14ebac06696d02b6e8fff799b3945ab8e9d"
+
+    @pytest.mark.parametrize("argv", [["check", "AI", "--n", "3"], ["report", "--all", "--format", "structured"]])
+    def test_closed_output_pipe_is_one_error(self, tmp_path, argv):
+        # the pipe's reader is gone before the process starts: the final flush fails (and, for the report,
+        # which outgrows the stdout buffer, the print before it); one error line, exit 1, no traceback
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = _fresh(["-c", _LAUNCH, *argv], tmp_path, stdout=write)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (1, "error: [Errno 32] Broken pipe\n")
+
+    def test_a_profiler_sees_a_normal_exit(self, tmp_path):
+        (tmp_path / "launch.py").write_text(_LAUNCH.replace("; ", "\n") + "\n", encoding="utf-8")
+        done = _fresh(["-m", "cProfile", "launch.py", "check", "EIV"], tmp_path)
+        assert done.returncode == 0
+        assert "conclusion: Omega(EIV) is not homotopy commutative" in done.stdout
+        assert "function calls" in done.stdout and "ncalls" in done.stdout
 
 
 def test_trace_targets_stay_bound():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from loopcomm.catalog import FAMILIES, check, instantiate, report, route
+from loopcomm.catalog import FAMILIES, SteenrodStep, check, instantiate, report, route
 from loopcomm.criteria import Certificate, conclude_noncommutative
 from loopcomm.gradedalg import Algebra, ContractViolation, _frozen_setattr, record, replace
 from loopcomm.steenrod import SteenrodOp
@@ -53,7 +53,10 @@ def _samples() -> dict:
     for fam in FAMILIES:
         for params in fam.default_range[:1]:
             instance = instantiate(fam.id, params)
-            walk([instance, route(instance), check(instance)])
+            plan = route(instance)
+            walk([instance, plan, check(instance)])
+            # a Steenrod step builds its criterion instance when a run reaches it
+            walk([step.instance for step in plan.steps if isinstance(step, SteenrodStep)])
     walk(conclude_noncommutative(next(v for v in found.values() if isinstance(v, Certificate))))
     (eii,) = route(instantiate("EII")).steps
     walk(find_rational_witness(build_formal_model(eii.presentation)))

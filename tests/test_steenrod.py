@@ -422,7 +422,7 @@ class TestPartitionEngineDifferential:
                 i = model.class_index(name)
                 for prime, raise_by in itertools.product((2, 3, 5), range(7)):
                     want = ref_raised_class(model, i, prime, raise_by)
-                    assert _raised_class(model, i, prime, raise_by) == want, (group, rank, name, prime, raise_by)
+                    assert _raised_class(model.class_power, i, prime, raise_by) == want, (group, rank, name, prime, raise_by)
 
     def test_express_symmetric_on_random_symmetric_inputs(self):
         rng = random.Random(31)
