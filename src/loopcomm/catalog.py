@@ -80,6 +80,7 @@ DATA_ENV = "LOOPCOMM_DATA_DIR"
 
 # family -> the key of the external record its rank-2 instances read; every other external record names a family
 _RANK2_EXTERNAL = {"AI": "AI-rank2", "BDI": "BDI-rank2"}
+_CP3 = "CP3"  # the space of the one exception record, which the CP^3 plan reads
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +175,15 @@ def _fact_record(line: str) -> Optional[tuple]:
 
 
 class DataSet:
-    """The catalog's (kind, record) pairs in file order, each record's names resolved at load.
+    """The catalog's (kind, record) pairs in file order, each record's names and links resolved at load.
 
     A presentation record carries its parsed `presentation`, every `value` is
     a polynomial over its space's presentation and every `gen` one of its
     generators, a fibration's `aux` is the presentation record it names, a
-    pullback's `model` is the rank-4 torus model that has its `class`, and an
-    action's `family`, `k` and `prime` are its `op`.  Plans read these fields.
+    pullback's `model` is the rank-4 torus model that has its `class`, one
+    model per space, and an action's `family`, `k` and `prime` are its `op`
+    and its `pullback` the one pullback record of its space valued `gen`.
+    Plans read these fields and check none.
     """
 
     def __init__(self, facts: list):
@@ -203,9 +206,10 @@ def load_dataset() -> DataSet:
     """The catalog data in `$LOOPCOMM_DATA_DIR`, or else beside this module, loaded once per directory.
 
     A record has exactly its kind's keys in `_KINDS` and repeats no earlier
-    record's naming keys; after the presentations load, its names resolve as
-    `DataSet` says.  A failure is a CatalogDataError naming the facts.txt line
-    (or the presentation file that does not parse).
+    record's naming keys; after the presentations load, its names and then
+    its links to other records resolve as `DataSet` says.  A failure is a
+    CatalogDataError naming the facts.txt line (or the presentation file that
+    does not parse).
     """
     return _load_dataset(os.environ.get(DATA_ENV, ""))
 
@@ -218,9 +222,10 @@ def _presentation_record(named: dict, space: str) -> dict:
 
 def _resolve(kind: str, rec: dict, named: dict) -> None:
     """Resolve the names of one record in place, as `DataSet` says; a name that names nothing raises."""
-    if kind == "external" and rec["family"] not in _BY_ID and rec["family"] not in _RANK2_EXTERNAL.values():
-        known = ", ".join([*_BY_ID, *_RANK2_EXTERNAL.values()])
-        raise ValueError(f"family={rec['family']} is neither a family id nor a rank-2 key; expected one of {known}")
+    if kind in _READ_BY_NAME:
+        key, names = _KINDS[kind][1][0], ", ".join(_READ_BY_NAME[kind])
+        if rec[key] not in _READ_BY_NAME[kind]:
+            raise ValueError(f"{key}={rec[key]} names no {kind} record a plan reads; expected one of {names}")
     if kind == "fibration":
         rec["aux"] = _presentation_record(named, rec["aux"])
     if "value" not in rec:
@@ -236,10 +241,32 @@ def _resolve(kind: str, rec: dict, named: dict) -> None:
         rec["op"] = SteenrodOp(rec.pop("family"), rec.pop("k"), rec.pop("prime"))
 
 
+def _link(kind: str, rec: dict, pullbacks: dict) -> None:
+    """Resolve one record's links to the pullback records (space -> [(line, record)]) as `DataSet` says."""
+    if kind == "pullback":
+        line, first = pullbacks[rec["space"]][0]
+        if rec["model"] != first["model"]:
+            raise ValueError(
+                f"model={rec['model'].group}, but the {rec['space']} pullback record on line {line} has "
+                f"model={first['model'].group}; the pullback records of a space name one torus model"
+            )
+    elif kind == "action":
+        records = pullbacks.get(rec["space"], [])
+        acted = [pb for _, pb in records if pb["value"] == pb["value"].algebra.gen(rec["gen"])]
+        if len(acted) != 1:
+            lines = ", ".join(str(line) for line, _ in records) or "none"
+            raise ValueError(
+                f"gen={rec['gen']} is the value of {len(acted)} {rec['space']} pullback records, "
+                f"not of one (pullback lines: {lines})"
+            )
+        rec["pullback"] = acted[0]
+
+
 @lru_cache(maxsize=None)
 def _load_dataset(data_dir: str) -> DataSet:
     root = Path(data_dir) if data_dir else Path(__file__).parent / "data"
     named = {}  # (kind, values of its naming keys) -> (line, record), in file order
+    pullbacks = {}  # space -> its (line, pullback record) pairs, in file order
     text = (root / "facts.txt").read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
         try:
@@ -257,6 +284,8 @@ def _load_dataset(data_dir: str) -> DataSet:
                 f"facts.txt line {lineno}: a second {kind} record for {what} (first on line {named[ident][0]})"
             )
         named[ident] = lineno, rec
+        if kind == "pullback":
+            pullbacks.setdefault(rec["space"], []).append((lineno, rec))
         if kind == "presentation":
             try:
                 body = (root / "presentations" / rec["file"]).read_text(encoding="utf-8")
@@ -266,11 +295,12 @@ def _load_dataset(data_dir: str) -> DataSet:
                 rec["presentation"] = parse_presentation(body)
             except ValueError as exc:
                 raise CatalogDataError(f"{rec['file']}: {exc}") from exc
-    for (kind, *_), (lineno, rec) in named.items():
-        try:
-            _resolve(kind, rec, named)
-        except (ValueError, LookupError) as exc:
-            raise CatalogDataError(f"facts.txt line {lineno}: {exc}") from exc
+    for resolve, context in ((_resolve, named), (_link, pullbacks)):
+        for (kind, *_), (lineno, rec) in named.items():
+            try:
+                resolve(kind, rec, context)
+            except (ValueError, LookupError) as exc:
+                raise CatalogDataError(f"facts.txt line {lineno}: {exc}") from exc
     return DataSet([(kind, rec) for (kind, *_), (_, rec) in named.items()])
 
 
@@ -399,11 +429,12 @@ def _top_class_ops(model) -> list:
     BSp(n): P^1 with b = (p-1)/2, p the smallest odd prime dividing n; Sq^4
     with b = 1 if n is a power of 2.  At n = 1 condition (2) forbids the mod-2
     instance (a = b), and the diagonal one at p = 3 meets condition (3).
+    Every b names a class of the model, so BSO(2), which lacks w3, gets none.
     """
     n = model.rank
     if model.group == "so":
         powers = [2**j for j in range(2, (n - 1).bit_length())]
-        return [(SteenrodOp("Sq", b, 2), b) for b in [2 if n % 4 in (0, 3) else 3] + powers]
+        return [(SteenrodOp("Sq", b, 2), b) for b in [2 if n % 4 in (0, 3) else 3] + powers if b <= n]
     p = _smallest_odd_prime_divisor(n)
     if p is None and n >= 2:
         return [(SteenrodOp("Sq", 4, 2), 1)]
@@ -466,6 +497,8 @@ def _top_class_steps(model, space: str, prefix: str, pres: Optional[Presentation
     """
     _, action_citation, pullback_citation = _CLASSIFYING[model.group]
     ops = _top_class_ops(model)
+    if not ops:
+        return ()
     pres = pres or Presentation(class_algebra(model, ops[0][0].prime))
     names = model.class_names()
     images = {c: pres.algebra.gen(f"{prefix}{model.class_index(c)}") for c in names}
@@ -533,29 +566,16 @@ def _classifying_plan(group: str, rank: int) -> CriterionPlan:
     return CriterionPlan(_top_class_steps(model, f"{_CLASSIFYING[group][0]}({rank})", model.class_prefix))
 
 
-def _pullbacks(ds: DataSet, space: str) -> tuple:
-    """The one torus model of a space's pullback records, and all those records."""
-    records = ds.find("pullback", space=space)
-    models = sorted({rec["model"].group for rec in records})
-    if len(models) != 1:
-        raise DataIncomplete(f"pullback records for {space} must name one torus model, not {models}")
-    return records[0]["model"], records
-
-
 def _bottom_cell_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     """Diagonal bottom-cell instance on the recorded action, with a classifying cross-check on the
-    class of the one pullback record whose value is the acted-on generator, along every record's image.
+    class of the action's pullback record, along every pullback record's image.
     """
     space = inst.family
     pres = ds.presentation(space)
     rec = ds.one("action", space=space)
-    gen = rec["gen"]
-    model, records = _pullbacks(ds, space)
-    acted = [pb for pb in records if pb["value"] == pres.algebra.gen(gen)]
-    if len(acted) != 1:
-        raise DataIncomplete(f"{space} needs one pullback record with value {gen}, found {len(acted)}")
-    images = {pb["class"]: pb["value"] for pb in records}
-    cc = ClassifyingCrossCheck(model, acted[0]["class"], images, acted[0]["cite"])
+    gen, acted = rec["gen"], rec["pullback"]
+    images = {pb["class"]: pb["value"] for pb in ds.find("pullback", space=space)}
+    cc = ClassifyingCrossCheck(acted["model"], acted["class"], images, acted["cite"])
     sphere = suspension_sphere(pres.algebra.degrees[pres.algebra.index[gen]])  # the bottom cell, detecting gen
     step = _steenrod_step(
         space, pres, rec["op"], gen, gen, sphere, sphere, lambda: rec["value"],
@@ -566,8 +586,8 @@ def _bottom_cell_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
 
 def _g_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     pres = ds.presentation("G")
-    model, records = _pullbacks(ds, "G")
-    images = {rec["class"]: rec["value"] for rec in records}
+    images = {rec["class"]: rec["value"] for rec in ds.find("pullback", space="G")}
+    model = ds.one("pullback", space="G", **{"class": "w3"})["model"]
     op = SteenrodOp("Sq", 2, 2)
     step = _steenrod_step(
         "G", pres, op, "x3", "x2", suspension_moore(), suspension_sphere(2),
@@ -594,23 +614,13 @@ def _aii_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
             if suspended_coefficient(su, f"c{2 * k + 1}", op, f"c{2 * (k + r) + 1}"):
                 total = total + alg.gen(f"x{4 * (k + r) + 1}")
         table[f"x{4 * k + 1}"] = total
+    citation = (
+        "total squares are linear: Wu formula for Chern classes via the splitting "
+        "principle, transported by the cohomology suspension (decomposables die)"
+    )
     gm = ds.one("generating-map", space="AII")
-    data = ExteriorActionData(
-        pres,
-        table,
-        citation=(
-            "total squares are linear: Wu formula for Chern classes via the splitting "
-            "principle, transported by the cohomology suspension (decomposables die)"
-        ),
-    )
-    witness = GeneratingMapWitness(
-        source=f"Sigma HP^{n - 1}",
-        base=f"HP^{n - 1}",
-        target=inst.label,
-        cell_degrees=tuple(degrees),
-        citation=gm["cite"],
-    )
-    return CriterionPlan((ProjectiveStep(data, witness),))
+    witness = GeneratingMapWitness(f"Sigma HP^{n - 1}", f"HP^{n - 1}", inst.label, tuple(degrees), gm["cite"])
+    return CriterionPlan((ProjectiveStep(ExteriorActionData(pres, table, citation), witness),))
 
 
 def _eiv_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
@@ -627,24 +637,13 @@ def _aiii_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     if m > 1:
         return _recorded_plan(ds, inst)
     # AIII(1,n) is CP^n
-    rational = RationalStep(
-        space=f"CP^{n}",
-        presentation=_cp_presentation(n),
-        citation="truncated polynomial rational cohomology of complex projective space",
-    )
+    citation = "truncated polynomial rational cohomology of complex projective space"
+    rational = RationalStep(f"CP^{n}", _cp_presentation(n), citation)
     if n != 3:
         return CriterionPlan((rational, _recorded_step(ds, "AIII", inst.label)))
-    projective = ProjectiveStep(
-        _cp_mod2_data(n),
-        GeneratingMapWitness(
-            source="S^2",
-            base="S^1",
-            target="CP^3",
-            cell_degrees=(2,),
-            citation="bottom cell of CP^3",
-        ),
-    )
-    return CriterionPlan((rational, projective), exception_note=ds.one("exception", space="CP3")["cite"])
+    bottom_cell = GeneratingMapWitness("S^2", "S^1", "CP^3", (2,), "bottom cell of CP^3")
+    projective = ProjectiveStep(_cp_mod2_data(n), bottom_cell)
+    return CriterionPlan((rational, projective), exception_note=ds.one("exception", space=_CP3)["cite"])
 
 
 def _diii_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
@@ -751,6 +750,8 @@ FAMILIES = (
     Family("G", _g_plan),
 )
 _BY_ID = {f.id: f for f in FAMILIES}
+# kind -> the names its records may carry, for the kinds that plans read by their naming key alone
+_READ_BY_NAME = {"external": (*_BY_ID, *_RANK2_EXTERNAL.values()), "generating-map": (*_BY_ID,), "exception": (_CP3,)}
 
 
 # ---------------------------------------------------------------------------
@@ -876,7 +877,11 @@ def _run_steenrod(step: SteenrodStep):
 @lru_cache(maxsize=None)
 def _classifying_result(group: str, rank: int):
     """The outcome of `_classifying_plan(group, rank)`, computed once and shared by every lift."""
-    return _first_certificate(_classifying_plan(group, rank).steps)
+    steps = _classifying_plan(group, rank).steps
+    if not steps:
+        why = "no candidate operation on the top class lands on a class of the model"
+        return Refusal(f"{_CLASSIFYING[group][0]}({rank})", STEENROD, why, (TranscriptEntry(MACHINE, "fail", why),))
+    return _first_certificate(steps)
 
 
 def _run_lift(lift: LiftStep):

@@ -260,39 +260,24 @@ def _op_compatible(model: TorusModel, op: SteenrodOp) -> None:
 
 def _raised_class(w: int, i: int, prime: int, raise_by: int) -> dict:
     """Partition-basis part of the total operation on the i-th class of a
-    model of class power w that raises torus degree by exactly raise_by,
-    reduced mod prime.
+    model of class power w (1 or 2) that raises torus degree by exactly
+    raise_by, reduced mod prime.
 
-    The class restricts to m_{(w^i)}, and each of its i
-    factors t^w becomes sum_c C(w, c) t^(w + c(p-1)).  A choice of how many
-    factors take each raise c is one partition, whose coefficient is that of
-    m_lambda; no choice passes raise_by.  Squared-class models collapse t^2 to
-    one variable after the reduction, which leaves only even exponents.  The
-    last raise, c = 1, must take all the degree that is left; a choice that
-    leaves more than its remaining factors can take is dropped.
+    The class restricts to m_{(w^i)}, and each of its i factors t^w becomes
+    sum_c C(w, c) t^(w + c(p-1)).  Raising n1 factors once and n2 twice
+    (n2 = 0 when w = 1), with n1 + 2*n2 = raise_by, is one partition, with
+    coefficient C(w, 1)^n1 = w^n1.  Squared-class models collapse t^2 to one
+    variable, so their parts are halved; a part w + p - 1 is odd only at
+    p = 2, where its coefficient 2^n1 vanishes.
     """
     out: dict = {}
-
-    def walk(c: int, slots: int, left: int, parts: tuple, coeff: int):
-        # choose how many of the remaining factors to raise by c, largest c first
-        if c == 0:
-            if left == 0 and coeff % prime:
-                out[parts + (w,) * slots] = coeff % prime
-            return
-        if c == 1:
-            counts = (left,) if left <= slots else ()
-        else:
-            counts = range(min(slots, left // c), -1, -1)
-        for n in counts:
-            part = w + c * (prime - 1)
-            walk(c - 1, slots - n, left - n * c, parts + (part,) * n, coeff * binomial(w, c) ** n)
-
-    walk(w, i, raise_by, (), 1)
-    if w == 1:
-        return out
-    if any(part % 2 for lam in out for part in lam):
-        raise ContractViolation("expected even exponents in a squared-class model")
-    return {tuple(part // 2 for part in lam): c for lam, c in out.items()}
+    for n2 in range(raise_by // 2 + 1 if w == 2 else 1):
+        n1 = raise_by - 2 * n2
+        coeff = w**n1 % prime
+        if coeff and n1 + n2 <= i:
+            parts = (w + 2 * (prime - 1),) * n2 + (w + prime - 1,) * n1 + (w,) * (i - n1 - n2)
+            out[tuple(part // w for part in parts)] = coeff
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -35,11 +35,23 @@ from loopcomm.criteria import (
     MACHINE,
     Certificate,
     DataIncomplete,
+    ExteriorActionData,
+    GeneratingMapWitness,
     Refusal,
     TranscriptEntry,
+    check_partial_projective_criterion,
     conclude_noncommutative,
 )
-from loopcomm.gradedalg import Algebra, ContractViolation, FieldSpec, Generator, parse_poly, poly_to_text, replace
+from loopcomm.gradedalg import (
+    Algebra,
+    ContractViolation,
+    FieldSpec,
+    Generator,
+    Presentation,
+    parse_poly,
+    poly_to_text,
+    replace,
+)
 from loopcomm.sullivan import SullivanModel
 
 
@@ -478,6 +490,49 @@ class TestLifts:
         ]
 
 
+class TestNegativeControls:
+    """Spaces whose loop space IS homotopy commutative: each criterion input built for one must refuse.
+
+    CP^3 (Ganea), the H-spaces S^3 and S^7 (Eckmann-Hilton), and BSO(2) = CP^infinity, whose loop
+    space S^1 is abelian.  A certificate here would contradict a theorem.
+    """
+
+    def test_rational_route_on_cp3(self):
+        step = catalog.RationalStep("CP^3", catalog._cp_presentation(3), "truncated polynomial")
+        refusal = catalog._run_rational(step)
+        assert isinstance(refusal, Refusal)
+        assert refusal.failed == "no quadratic term in any differential"
+
+    @pytest.mark.parametrize("d", [3, 7])
+    def test_rational_route_on_odd_spheres(self, d):
+        pres = Presentation(Algebra(FieldSpec(0), [Generator(f"x{d}", d, squares_to_zero=True)]))
+        refusal = catalog._run_rational(catalog.RationalStep(f"S^{d}", pres, "exterior"))
+        assert isinstance(refusal, Refusal)
+        assert refusal.failed == f"odd generator x{d} in input"
+
+    @pytest.mark.parametrize("d", [3, 7])
+    def test_projective_route_on_odd_spheres(self, d):
+        pres = Presentation(Algebra(FieldSpec(2), [Generator(f"x{d}", d, squares_to_zero=True)]))
+        data = ExteriorActionData(pres, {f"x{d}": pres.algebra.gen(f"x{d}")}, "identity table")
+        witness = GeneratingMapWitness(f"Sigma S^{d - 1}", f"S^{d - 1}", f"S^{d}", (d,), "one cell")
+        refusal = check_partial_projective_criterion(data, witness)
+        assert isinstance(refusal, Refusal)
+        assert refusal.failed == f"minimal generator degree {d} = 2^k - 1"
+
+    def test_steenrod_route_on_bso2(self):
+        # Sq^3 would name w3, which BSO(2) lacks; with no candidate step the plan refuses
+        assert _top_class_ops(steenrod.torus_model("so", 2)) == []
+        refusal = catalog._classifying_result("so", 2)
+        assert isinstance(refusal, Refusal)
+        assert refusal.space == "BSO(2)"
+
+    def test_top_class_ops_name_classes_of_the_model(self):
+        for group, rank in itertools.product(("so", "sp"), range(1, 40)):
+            model = steenrod.torus_model(group, rank)
+            for _op, b in _top_class_ops(model):
+                assert f"{model.class_prefix}{b}" in model.class_names(), (group, rank, b)
+
+
 _DATA = Path(catalog.__file__).parent / "data"
 _FACT_KINDS = tuple(catalog._KINDS) + ("bogus",)
 _FACT_JUNK = ("", "x", "0", "-1", "17", "1/2", "x8^2", "q2", "so", "Sq", "EI", "bogus.pres")
@@ -562,7 +617,12 @@ class TestDataset:
             ("model=psp4", "model=xx", "unknown group tag 'xx'; expected one of ['psp4', 'so', 'sp', 'spin9', 'su']"),
             ("gen=x8 family=P k=1 prime=5", "gen=x8 family=P k=1 prime=4", "power operations live at odd primes, not at 4"),
             ("aux=FI-aux ", "aux=F4-aux ", "no presentation record for space 'F4-aux'"),
-            ("external family=EIII ", "external family=EIIIX ", "family=EIIIX is neither a family id nor a rank-2 key"),
+            ("external family=EIII ", "external family=EIIIX ",
+             "family=EIIIX names no external record a plan reads; expected one of AI, AII, AIII, BDI,"),
+            ("generating-map space=EIV ", "generating-map space=EIVX ",
+             "space=EIVX names no generating-map record a plan reads; expected one of AI, AII, AIII, BDI,"),
+            ("exception space=CP3 ", "exception space=CP3X ",
+             "space=CP3X names no exception record a plan reads; expected one of CP3\n"),
         ],
     )
     def test_bad_records_fail_at_load_naming_their_line(self, tmp_path, monkeypatch, capsys, old, new, message):
@@ -696,11 +756,10 @@ class TestDataset:
         [
             ("model=so class=w2", "model=su class=w2", "facts.txt line {}: unknown class 'w2' in the su(4) model"),
             ("model=so class=w3", "model=su class=w3", "facts.txt line {}: unknown class 'w3' in the su(4) model"),
-            ("model=so class=w3", "model=sp class=q2", "pullback records for G must name one torus model, not ['so', 'sp']"),
         ],
     )
     def test_g_reads_the_torus_model_of_its_pullbacks(self, tmp_path, monkeypatch, capsys, old, new, message):
-        # a pullback's class must be in its model, checked at load; G's plan needs its pullbacks on one model
+        # a pullback's class must be in its model, checked at load
         data = tmp_path / "data"
         shutil.copytree(_DATA, data)
         lines = (_DATA / "facts.txt").read_text(encoding="utf-8").splitlines()
@@ -728,29 +787,41 @@ class TestDataset:
             assert capsys.readouterr().out == out, argv
 
     @pytest.mark.parametrize(
-        "old,new,message",
+        "old,new,blamed,named,message",
         [
-            (None, 'pullback space=EI model=so class=w2 value="0" cite="c"',
-             "pullback records for EI must name one torus model, not ['psp4', 'so']"),
-            ('value="x8"', 'value="2*x8"', "EI needs one pullback record with value x8, found 0"),
+            # a space's pullback records name one torus model: a later record is blamed, naming the first
+            ("pullback space=G model=so class=w3", "pullback space=G model=sp class=q2", "pullback space=G model=sp",
+             "pullback space=G model=so", "model=sp, but the G pullback record on line {} has model=so"),
+            (None, 'pullback space=EI model=so class=w2 value="0" cite="c"', "pullback space=EI model=so",
+             "pullback space=EI model=psp4", "model=so, but the EI pullback record on line {} has model=psp4"),
+            # an action's gen is the value of exactly one pullback record of its space
+            ('value="x8"', 'value="2*x8"', "action space=EI ", "pullback space=EI ",
+             "gen=x8 is the value of 0 EI pullback records, not of one (pullback lines: {})"),
+            (None, 'pullback space=EI model=psp4 class=q1 value="x8" cite="c"', "action space=EI ",
+             "pullback space=EI ",
+             "gen=x8 is the value of 2 EI pullback records, not of one (pullback lines: {})"),
         ],
     )
-    def test_ei_reads_its_pullbacks_as_g_does(self, tmp_path, monkeypatch, capsys, old, new, message):
-        # the cross-check needs one torus model, and one record whose value is the acted-on generator
+    def test_links_between_records_fail_at_load_naming_their_line(
+        self, tmp_path, monkeypatch, capsys, old, new, blamed, named, message
+    ):
         data = tmp_path / "data"
         shutil.copytree(_DATA, data)
         lines = (_DATA / "facts.txt").read_text(encoding="utf-8").splitlines()
         if old is None:
             lines.append(new)
         else:
-            (lineno,) = [i for i, line in enumerate(lines) if line.startswith("pullback space=EI ")]
-            lines[lineno] = lines[lineno].replace(old, new)
+            (i,) = [i for i, line in enumerate(lines) if old in line]
+            lines[i] = lines[i].replace(old, new)
         (data / "facts.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
         monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(data))
-        assert cli_main(["check", "EI"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.strip() == "error: " + message
+        (lineno,) = [i for i, line in enumerate(lines, start=1) if line.startswith(blamed)]
+        named_lines = ", ".join(str(i) for i, line in enumerate(lines, start=1) if line.startswith(named))
+        for argv in (["check", "EIV"], ["check", "AI", "--n", "3"], ["report", "--all"]):
+            assert cli_main(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: facts.txt line {lineno}: {message.format(named_lines)}"), argv
 
     def test_negative_relation_degree_fails_naming_its_line(self, tmp_path, monkeypatch, capsys):
         data = tmp_path / "data"

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from loopcomm import catalog, cli
+from loopcomm import catalog, cli, steenrod
 from loopcomm.catalog import FAMILIES, instantiate
 from loopcomm.cli import main
 
@@ -470,6 +470,24 @@ def test_trace_targets_stay_bound():
         if owner is None:
             missing.add(f"{module_name}.{attr}")
     assert missing <= _STALE_TRACE_TARGETS
+
+
+def test_steenrod_group_choices_are_the_engine_groups():
+    # the CLI does not import steenrod when it loads, so it keeps its own copy of the group tags
+    (choices,) = [kind for flag, kind, *_ in cli.COMMANDS["steenrod"][3] if flag == "--group"]
+    assert choices == tuple(steenrod._GROUPS)
+
+
+def test_the_package_imports_only_the_standard_library():
+    modules = set()
+    for path in sorted((_SRC / "loopcomm").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules.add(node.module.partition(".")[0])
+    assert {"argparse", "_json", "fractions"} <= modules  # imported inside functions, so the walk reaches them
+    assert modules <= sys.stdlib_module_names, sorted(modules - sys.stdlib_module_names)
 
 
 _AWKWARD_TEXT = ('"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028", "\u2029", "é", "Λ", "\ud7ff", "\U0001f600", "𝔽")
