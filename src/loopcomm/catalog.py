@@ -29,6 +29,7 @@ from .criteria import (
     TranscriptEntry,
     check_partial_projective_criterion,
     conclude_noncommutative,
+    total_square_violations,
 )
 from .gradedalg import (
     Algebra,
@@ -175,7 +176,7 @@ def _fact_record(line: str) -> Optional[tuple]:
 
 
 class DataSet:
-    """The catalog's (kind, record) pairs in file order, each record's names and links resolved at load.
+    """The catalog's records, each named by its kind and naming values, with names and links resolved at load.
 
     A presentation record carries its parsed `presentation`, every `value` is
     a polynomial over its space's presentation and every `gen` one of its
@@ -183,23 +184,28 @@ class DataSet:
     pullback's `model` is the rank-4 torus model that has its `class`, one
     model per space, and an action's `family`, `k` and `prime` are its `op`
     and its `pullback` the one pullback record of its space valued `gen`.
-    Plans read these fields and check none.
+    Every value has the degree its record gives it, and a space's sq-table
+    records give a total square of each of its generators.  Each record
+    carries the facts.txt `line` it was read from.  Plans read records by
+    name, through `one` and `of`, and check none.
     """
 
-    def __init__(self, facts: list):
-        self.facts = facts
+    def __init__(self, records: dict, groups: dict):
+        self.records = records  # (kind, its naming values) -> record, in file order
+        self.groups = groups  # (kind, space) -> {class or gen: record}, in file order, for pullback and sq-table
+
+    def one(self, kind: str, *names: str) -> dict:
+        """The record its naming values name, as `ds.one("pullback", "G", "w3")`."""
+        if (kind, *names) not in self.records:
+            raise CatalogDataError(f"facts.txt has no {kind} record for {' '.join(names)}")
+        return self.records[(kind, *names)]
+
+    def of(self, kind: str, space: str) -> dict:
+        """A space's pullback or sq-table records, keyed by class or gen, in file order; none raises as `one` does."""
+        return self.groups.get((kind, space)) or self.one(kind, space)
 
     def presentation(self, space: str) -> Presentation:
-        return self.one("presentation", space=space)["presentation"]
-
-    def find(self, kind: str, **match) -> list:
-        return [rec for k, rec in self.facts if k == kind and all(rec.get(key) == v for key, v in match.items())]
-
-    def one(self, kind: str, **match) -> dict:
-        recs = self.find(kind, **match)
-        if len(recs) != 1:
-            raise CatalogDataError(f"expected one {kind} record matching {match}, found {len(recs)}")
-        return recs[0]
+        return self.one("presentation", space)["presentation"]
 
 
 def load_dataset() -> DataSet:
@@ -214,59 +220,70 @@ def load_dataset() -> DataSet:
     return _load_dataset(os.environ.get(DATA_ENV, ""))
 
 
-def _presentation_record(named: dict, space: str) -> dict:
-    if ("presentation", space) not in named:
-        raise ValueError(f"no presentation record for space {space!r}")
-    return named["presentation", space][1]
-
-
-def _resolve(kind: str, rec: dict, named: dict) -> None:
-    """Resolve the names of one record in place, as `DataSet` says; a name that names nothing raises."""
+def _resolve(kind: str, rec: dict, ds: DataSet) -> None:
+    """Resolve the names of one record in place and check its value, as `DataSet` says."""
     if kind in _READ_BY_NAME:
         key, names = _KINDS[kind][1][0], ", ".join(_READ_BY_NAME[kind])
         if rec[key] not in _READ_BY_NAME[kind]:
             raise ValueError(f"{key}={rec[key]} names no {kind} record a plan reads; expected one of {names}")
     if kind == "fibration":
-        rec["aux"] = _presentation_record(named, rec["aux"])
+        rec["aux"] = ds.one("presentation", rec["aux"])
     if "value" not in rec:
         return
-    alg = _presentation_record(named, rec["space"])["presentation"].algebra
-    rec["value"] = parse_poly(rec["value"], alg)
+    alg = ds.presentation(rec["space"]).algebra
+    value = rec["value"] = parse_poly(rec["value"], alg)
     if "gen" in rec and rec["gen"] not in alg.index:
         raise ValueError(f"gen={rec['gen']} is not a generator of the {rec['space']} presentation")
+    if kind == "sq-table":
+        violations = total_square_violations(alg, rec["gen"], value)
+        if violations:
+            raise ValueError(f"Sq {rec['gen']} = {poly_to_text(value)} is not a total square: {violations[0]}")
+        return
     if kind == "pullback":
-        rec["model"] = torus_model(rec["model"], 4)
-        rec["model"].class_index(rec["class"])
-    elif kind == "action":
-        rec["op"] = SteenrodOp(rec.pop("family"), rec.pop("k"), rec.pop("prime"))
+        model = rec["model"] = torus_model(rec["model"], 4)
+        what, degree = f"g*({rec['class']})", model.class_degree(model.class_index(rec["class"]))
+    else:  # action
+        op = rec["op"] = SteenrodOp(rec.pop("family"), rec.pop("k"), rec.pop("prime"))
+        what, degree = f"{op.label} {rec['gen']}", alg.degrees[alg.index[rec["gen"]]] + op.shift
+    if not value.degrees() <= {degree}:
+        raise ValueError(f"{what} = {poly_to_text(value)} is not a degree-{degree} class of {rec['space']}")
 
 
-def _link(kind: str, rec: dict, pullbacks: dict) -> None:
-    """Resolve one record's links to the pullback records (space -> [(line, record)]) as `DataSet` says."""
+def _link(kind: str, rec: dict, ds: DataSet) -> None:
+    """Resolve one record's links to the other records of its space as `DataSet` says."""
     if kind == "pullback":
-        line, first = pullbacks[rec["space"]][0]
+        first = next(iter(ds.of("pullback", rec["space"]).values()))
         if rec["model"] != first["model"]:
             raise ValueError(
-                f"model={rec['model'].group}, but the {rec['space']} pullback record on line {line} has "
+                f"model={rec['model'].group}, but the {rec['space']} pullback record on line {first['line']} has "
                 f"model={first['model'].group}; the pullback records of a space name one torus model"
             )
     elif kind == "action":
-        records = pullbacks.get(rec["space"], [])
-        acted = [pb for _, pb in records if pb["value"] == pb["value"].algebra.gen(rec["gen"])]
+        records = ds.groups.get(("pullback", rec["space"]), {}).values()
+        acted = [pb for pb in records if pb["value"] == pb["value"].algebra.gen(rec["gen"])]
         if len(acted) != 1:
-            lines = ", ".join(str(line) for line, _ in records) or "none"
+            lines = ", ".join(str(pb["line"]) for pb in records) or "none"
             raise ValueError(
                 f"gen={rec['gen']} is the value of {len(acted)} {rec['space']} pullback records, "
                 f"not of one (pullback lines: {lines})"
             )
         rec["pullback"] = acted[0]
+    elif kind == "sq-table":  # blamed on the space's first sq-table line, which the load reaches first
+        table = ds.of(kind, rec["space"])
+        missing = [gen for gen in rec["value"].algebra.index if gen not in table]
+        if missing:
+            lines = ", ".join(str(sq["line"]) for sq in table.values())
+            raise ValueError(
+                f"the {rec['space']} sq-table records give no total square of {', '.join(missing)} "
+                f"(sq-table lines: {lines})"
+            )
 
 
 @lru_cache(maxsize=None)
 def _load_dataset(data_dir: str) -> DataSet:
     root = Path(data_dir) if data_dir else Path(__file__).parent / "data"
-    named = {}  # (kind, values of its naming keys) -> (line, record), in file order
-    pullbacks = {}  # space -> its (line, pullback record) pairs, in file order
+    records = {}  # (kind, values of its naming keys) -> record, in file order
+    groups = {}  # (kind, space) -> {class or gen: record}, in file order, for pullback and sq-table
     text = (root / "facts.txt").read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
         try:
@@ -278,14 +295,15 @@ def _load_dataset(data_dir: str) -> DataSet:
         kind, rec = parsed
         naming = _KINDS[kind][1]
         ident = (kind,) + tuple(rec[k] for k in naming)
-        if ident in named:
+        if ident in records:
             what = " ".join(f"{k}={rec[k]}" for k in naming)
             raise CatalogDataError(
-                f"facts.txt line {lineno}: a second {kind} record for {what} (first on line {named[ident][0]})"
+                f"facts.txt line {lineno}: a second {kind} record for {what} (first on line {records[ident]['line']})"
             )
-        named[ident] = lineno, rec
-        if kind == "pullback":
-            pullbacks.setdefault(rec["space"], []).append((lineno, rec))
+        records[ident] = rec
+        rec["line"] = lineno
+        if len(ident) == 3:
+            groups.setdefault(ident[:2], {})[ident[2]] = rec
         if kind == "presentation":
             try:
                 body = (root / "presentations" / rec["file"]).read_text(encoding="utf-8")
@@ -295,13 +313,14 @@ def _load_dataset(data_dir: str) -> DataSet:
                 rec["presentation"] = parse_presentation(body)
             except ValueError as exc:
                 raise CatalogDataError(f"{rec['file']}: {exc}") from exc
-    for resolve, context in ((_resolve, named), (_link, pullbacks)):
-        for (kind, *_), (lineno, rec) in named.items():
+    ds = DataSet(records, groups)
+    for resolve in (_resolve, _link):
+        for (kind, *_), rec in records.items():
             try:
-                resolve(kind, rec, context)
+                resolve(kind, rec, ds)
             except (ValueError, LookupError) as exc:
-                raise CatalogDataError(f"facts.txt line {lineno}: {exc}") from exc
-    return DataSet([(kind, rec) for (kind, *_), (_, rec) in named.items()])
+                raise CatalogDataError(f"facts.txt line {rec['line']}: {exc}") from exc
+    return ds
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +535,7 @@ def _top_class_steps(model, space: str, prefix: str, pres: Optional[Presentation
 def _ai_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     (n,) = inst.params
     if n == 2:
-        rec = ds.one("external", family=_RANK2_EXTERNAL["AI"])
+        rec = ds.one("external", _RANK2_EXTERNAL["AI"])
         statement = (
             f"Omega({inst.label}) is not homotopy commutative: AI(2) = S^2 carries "
             "the non-trivial Whitehead square [1,1]"
@@ -572,9 +591,9 @@ def _bottom_cell_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     """
     space = inst.family
     pres = ds.presentation(space)
-    rec = ds.one("action", space=space)
+    rec = ds.one("action", space)
     gen, acted = rec["gen"], rec["pullback"]
-    images = {pb["class"]: pb["value"] for pb in ds.find("pullback", space=space)}
+    images = {name: pb["value"] for name, pb in ds.of("pullback", space).items()}
     cc = ClassifyingCrossCheck(acted["model"], acted["class"], images, acted["cite"])
     sphere = suspension_sphere(pres.algebra.degrees[pres.algebra.index[gen]])  # the bottom cell, detecting gen
     step = _steenrod_step(
@@ -586,8 +605,8 @@ def _bottom_cell_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
 
 def _g_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     pres = ds.presentation("G")
-    images = {rec["class"]: rec["value"] for rec in ds.find("pullback", space="G")}
-    model = ds.one("pullback", space="G", **{"class": "w3"})["model"]
+    images = {name: rec["value"] for name, rec in ds.of("pullback", "G").items()}
+    model = ds.one("pullback", "G", "w3")["model"]
     op = SteenrodOp("Sq", 2, 2)
     step = _steenrod_step(
         "G", pres, op, "x3", "x2", suspension_moore(), suspension_sphere(2),
@@ -618,16 +637,16 @@ def _aii_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
         "total squares are linear: Wu formula for Chern classes via the splitting "
         "principle, transported by the cohomology suspension (decomposables die)"
     )
-    gm = ds.one("generating-map", space="AII")
+    gm = ds.one("generating-map", "AII")
     witness = GeneratingMapWitness(f"Sigma HP^{n - 1}", f"HP^{n - 1}", inst.label, tuple(degrees), gm["cite"])
     return CriterionPlan((ProjectiveStep(ExteriorActionData(pres, table, citation), witness),))
 
 
 def _eiv_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
-    records = ds.find("sq-table", space="EIV")
-    table = {rec["gen"]: rec["value"] for rec in records}
-    data = ExteriorActionData(ds.presentation("EIV"), table, "; ".join(rec["cite"] for rec in records))
-    gm = ds.one("generating-map", space="EIV")
+    records = ds.of("sq-table", "EIV")
+    table = {gen: rec["value"] for gen, rec in records.items()}
+    data = ExteriorActionData(ds.presentation("EIV"), table, "; ".join(rec["cite"] for rec in records.values()))
+    gm = ds.one("generating-map", "EIV")
     witness = GeneratingMapWitness("Sigma OP^2", "OP^2", "EIV", (9, 17), gm["cite"])
     return CriterionPlan((ProjectiveStep(data, witness),))
 
@@ -643,7 +662,7 @@ def _aiii_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
         return CriterionPlan((rational, _recorded_step(ds, "AIII", inst.label)))
     bottom_cell = GeneratingMapWitness("S^2", "S^1", "CP^3", (2,), "bottom cell of CP^3")
     projective = ProjectiveStep(_cp_mod2_data(n), bottom_cell)
-    return CriterionPlan((rational, projective), exception_note=ds.one("exception", space=_CP3)["cite"])
+    return CriterionPlan((rational, projective), exception_note=ds.one("exception", _CP3)["cite"])
 
 
 def _diii_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
@@ -655,17 +674,16 @@ def _diii_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
 
 def _rational_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     """The rational criterion on the space, or on the auxiliary space of its recorded fibration."""
-    fibrations = ds.find("fibration", space=inst.family)
-    if fibrations:
-        (fib,) = fibrations
+    if ("fibration", inst.family) in ds.records:
+        fib = ds.one("fibration", inst.family)
         rec, label, transfer = fib["aux"], fib["aux-label"], TransferStep(fib["threshold"], inst.label, fib["cite"])
     else:
-        rec, label, transfer = ds.one("presentation", space=inst.family), inst.label, None
+        rec, label, transfer = ds.one("presentation", inst.family), inst.label, None
     return CriterionPlan((RationalStep(label, rec["presentation"], rec["cite"], transfer),))
 
 
 def _recorded_step(ds: DataSet, family_key: str, space_label: str) -> RecordedStep:
-    rec = ds.one("external", family=family_key)
+    rec = ds.one("external", family_key)
     return RecordedStep(
         space=space_label,
         statement=f"Omega({space_label}) is not homotopy commutative (recorded external result)",
@@ -786,7 +804,7 @@ def _run_rational(step: RationalStep):
                     "pass",
                     f"relation {i} (degree {rel.degree}) is decomposable; certified terms: "
                     f"{poly_to_text(rel.terms)}",
-                    citation=step.citation,
+                    step.citation,
                 )
             )
     if pres.all_explicit and pres.relations:
@@ -804,7 +822,7 @@ def _run_rational(step: RationalStep):
                 ASSERTED,
                 "pass",
                 "relations form a regular sequence (finite-dimensional cohomology)",
-                citation=step.citation,
+                step.citation,
             )
         )
     if not certified_parts_are_cocycles(model):
@@ -835,7 +853,7 @@ def _run_rational(step: RationalStep):
             f"differential of relation {witness.relation_index} contains the quadratic pair "
             f"{witness.pair}: non-trivial rational Whitehead pairing on homotopy in degrees "
             f"({witness.m},{witness.n}) with target degree {witness.target}",
-            citation="quadratic part of a minimal-model differential detects rational Whitehead products",
+            "quadratic part of a minimal-model differential detects rational Whitehead products",
         )
     )
     final_space = space
@@ -853,7 +871,7 @@ def _run_rational(step: RationalStep):
                 ASSERTED,
                 "pass",
                 f"{space} -> {t.target} induces a rational homotopy isomorphism in degrees >= {t.threshold}",
-                citation=t.citation,
+                t.citation,
             )
         )
         final_space = t.target
@@ -894,7 +912,7 @@ def _run_lift(lift: LiftStep):
             ASSERTED,
             "pass",
             f"{lift.target} -> {base} is a {lift.threshold}-equivalence",
-            citation=lift.citation,
+            lift.citation,
         ),
     )
     source_dim = torus_model(lift.group, lift.rank).class_degree(lift.rank)  # a, the top class, is its top cell
@@ -926,7 +944,7 @@ def _run_step(step):
             step.space,
             RECORDED,
             (("statement", step.statement),),
-            (TranscriptEntry(ASSERTED, "pass", step.statement, citation=step.citation),),
+            (TranscriptEntry(ASSERTED, "pass", step.statement, step.citation),),
         )
     raise TypeError(f"unknown plan step {step!r}")
 
@@ -1055,7 +1073,7 @@ def _row_from_instance(instance: SpaceInstance) -> ReportRow:
 
 
 def _family_level_row(fam: Family) -> ReportRow:
-    rec = load_dataset().one("external", family=fam.id)
+    rec = load_dataset().one("external", fam.id)
     statement = f"Omega({fam.id}) is not homotopy commutative for every instance in range"
     return ReportRow(
         family=fam.id,
@@ -1066,7 +1084,7 @@ def _family_level_row(fam: Family) -> ReportRow:
         conclusion=statement,
         exception=False,
         note=fam.summary_note,
-        transcript=(TranscriptEntry(ASSERTED, "pass", statement, citation=rec["cite"]),),
+        transcript=(TranscriptEntry(ASSERTED, "pass", statement, rec["cite"]),),
     )
 
 

@@ -88,7 +88,7 @@ def conclude_noncommutative(cert) -> Conclusion:
         "pass",
         "a non-trivial Whitehead product adjoins to a non-trivial Samelson product in the loop space, "
         "so the loop space multiplication is not homotopy commutative",
-        citation="Whitehead-Samelson adjunction",
+        "Whitehead-Samelson adjunction",
     )
     enriched = Certificate(cert.space, cert.criterion, cert.witness, cert.transcript + (step,))
     return Conclusion(
@@ -125,27 +125,29 @@ class GeneratingMapWitness:
     citation: str
 
 
+def total_square_violations(alg, name: str, total) -> list:
+    """What keeps `total` from being the total square of generator `name`: unit, instability and top square."""
+    degree, g = alg.degrees[alg.index[name]], alg.gen(name)
+    violations = []
+    if total.degree_component(degree) != g:
+        violations.append(f"Sq^0 component of Sq {name} is not {name}")
+    for d in sorted(total.degrees()):
+        if d < degree or d > 2 * degree:
+            violations.append(f"Sq {name} has a component of degree {d} outside {degree}..{2 * degree}")
+    if total.degree_component(2 * degree) != g * g:
+        violations.append(f"top component of Sq {name} differs from {name}^2")
+    return violations
+
+
 def validate_sq_action(data: ExteriorActionData) -> list:
     """Instability and unit checks on a total-Sq table; violations are data."""
     violations = []
-    alg = data.presentation.algebra
     for g in data.presentation.generators:
         total = data.sq_table.get(g.name)
         if total is None:
             violations.append(f"no table entry for {g.name}")
-            continue
-        if total.degree_component(g.degree) != alg.gen(g.name):
-            violations.append(f"Sq^0 component of Sq {g.name} is not {g.name}")
-        for d in sorted(total.degrees()):
-            if d < g.degree or d > 2 * g.degree:
-                violations.append(
-                    f"Sq {g.name} has a component of degree {d} outside {g.degree}..{2 * g.degree}"
-                )
-        square = alg.gen(g.name) * alg.gen(g.name)
-        if total.degree_component(2 * g.degree) != square:
-            violations.append(
-                f"top component of Sq {g.name} differs from {g.name}^2"
-            )
+        else:
+            violations += total_square_violations(data.presentation.algebra, g.name, total)
     return violations
 
 
@@ -201,7 +203,7 @@ def check_partial_projective_criterion(
             MACHINE,
             "pass",
             "every total square is a linear combination of the generators",
-            citation=data.citation,
+            data.citation,
         )
     )
 
@@ -219,7 +221,7 @@ def check_partial_projective_criterion(
             ASSERTED,
             "pass",
             f"{g.source} -> {g.target} is a generating map from a suspension of {g.base}",
-            citation=g.citation,
+            g.citation,
         )
     )
 
@@ -239,7 +241,7 @@ def check_partial_projective_criterion(
             "pass",
             "a trivial [g,g] would extend g+g over the product and force a square-closed "
             "truncated polynomial ring on a class of non-2-power degree, which is impossible",
-            citation="Toda: truncated polynomial rings admitting total squares; partial projective plane of the extension",
+            "Toda: truncated polynomial rings admitting total squares; partial projective plane of the extension",
         )
     )
     witness = (

@@ -540,7 +540,7 @@ def crosscheck(inst: SteenrodCriterionInstance, cc: ClassifyingCrossCheck, cert:
                 "info",
                 "cross-check terms with unrecorded restriction images, surfaced unresolved: "
                 + ", ".join(surfaced),
-                citation=cc.citation,
+                cc.citation,
             )
         )
     difference = (
@@ -554,7 +554,7 @@ def crosscheck(inst: SteenrodCriterionInstance, cc: ClassifyingCrossCheck, cert:
         text += " surfaced terms may account for it"
     else:
         outcome, text = "fail", f"cross-check contradiction: {difference}"
-    entries.append(TranscriptEntry(MACHINE, outcome, text, citation=cc.citation))
+    entries.append(TranscriptEntry(MACHINE, outcome, text, cc.citation))
     transcript = cert.transcript + tuple(entries)
     if outcome == "fail":
         return Refusal(inst.space, STEENROD, f"cross-check: {difference}", transcript)
@@ -600,7 +600,7 @@ def check_steenrod_criterion(inst: SteenrodCriterionInstance):
             "pass",
             f"(1) {inst.a} restricts to {inst.source_a.class_in[da]} on {inst.source_a.base}; "
             f"{inst.b} restricts to {inst.source_b.class_in[db]} on {inst.source_b.base}",
-            citation=inst.pullback_citation,
+            inst.pullback_citation,
         )
     )
 
@@ -649,7 +649,7 @@ def check_steenrod_criterion(inst: SteenrodCriterionInstance):
             "pass",
             f"(5) {inst.op.label} {inst.x} = {poly_to_text(inst.theta)} is decomposable and the "
             f"{inst.a}*{inst.b} coefficient is {coeff}",
-            citation=inst.action_citation,
+            inst.action_citation,
         )
     )
 

@@ -44,7 +44,6 @@ from loopcomm.criteria import (
 )
 from loopcomm.gradedalg import (
     Algebra,
-    ContractViolation,
     FieldSpec,
     Generator,
     Presentation,
@@ -144,7 +143,7 @@ class TestRouting:
 
 def test_only_cp3_refuses_at_small_parameters():
     # every family at parameters <= 8; the CP^3 instances, AIII(1,3) and DIII(3) = SO(6)/U(3), are the only refusals
-    cp3_note = load_dataset().one("exception", space="CP3")["cite"]
+    cp3_note = load_dataset().one("exception", "CP3")["cite"]
     refused, certified = [], 0
     for fam in FAMILIES:
         for params in itertools.product(range(fam.least, 9), repeat=fam.arity):
@@ -194,7 +193,7 @@ def test_every_name_of_one_space_reaches_the_same_outcome(names):
       SU(4) is pure, so positive complex structures on R^6 are the lines of
       S_+ = C^4.
     """
-    cp3_note = load_dataset().one("exception", space="CP3")["cite"]
+    cp3_note = load_dataset().one("exception", "CP3")["cite"]
     kinds = set()
     for fam, params in names:
         result = check(instantiate(fam, params))
@@ -586,7 +585,7 @@ class TestDataset:
         # printing what was parsed gives back the recorded text
         values = _recorded_values()
         assert len(values) == 8
-        loaded = [rec["value"] for _, rec in load_dataset().facts if "value" in rec]
+        loaded = [rec["value"] for rec in load_dataset().records.values() if "value" in rec]
         assert [poly_to_text(p) for p in loaded] == [text for _, text in values]
 
     def test_one_token_value_mutants_round_trip_or_raise(self):
@@ -608,7 +607,8 @@ class TestDataset:
             ('value="x8^2"', 'value="3*x8^2 - - x8^2"', "not a polynomial: '3*x8^2 - - x8^2'"),
             ('value="x8^2"', 'value="x8^^2"', "not a polynomial: 'x8^^2'"),
             ('value="x9 + x17"', 'value="x9 + x18"', "unknown generator 'x18'"),
-            ("sq-table space=EIV gen=x17", "sq-table space=AII gen=x17", "no presentation record for space 'AII'"),
+            ("sq-table space=EIV gen=x17", "sq-table space=AII gen=x17",
+             "facts.txt has no presentation record for AII"),
             ("gen=x8 family=P k=1 prime=5", "gen=x8 family=P k=1 prime=5 prime=7", "repeated key 'prime'"),
             ("gen=x8 family=P k=1 prime=5", "gen=x8 family=P k=1 prime=5 typo=1", "action record has unknown key 'typo'"),
             ("external family=CI", "external family=CI space=CI", "external record has unknown key 'space'"),
@@ -616,7 +616,7 @@ class TestDataset:
             ("model=psp4 class=q2", "model=psp4 class=q9", "unknown class 'q9' in the psp4(4) model"),
             ("model=psp4", "model=xx", "unknown group tag 'xx'; expected one of ['psp4', 'so', 'sp', 'spin9', 'su']"),
             ("gen=x8 family=P k=1 prime=5", "gen=x8 family=P k=1 prime=4", "power operations live at odd primes, not at 4"),
-            ("aux=FI-aux ", "aux=F4-aux ", "no presentation record for space 'F4-aux'"),
+            ("aux=FI-aux ", "aux=F4-aux ", "facts.txt has no presentation record for F4-aux"),
             ("external family=EIII ", "external family=EIIIX ",
              "family=EIIIX names no external record a plan reads; expected one of AI, AII, AIII, BDI,"),
             ("generating-map space=EIV ", "generating-map space=EIVX ",
@@ -680,7 +680,7 @@ class TestDataset:
     def test_loads_and_validates(self):
         ds = load_dataset()
         assert ds.presentation("EII").generators
-        assert ds.one("exception", space="CP3")["cite"]
+        assert ds.one("exception", "CP3")["cite"]
 
     def test_rejects_malformed_records(self, tmp_path, monkeypatch):
         (tmp_path / "presentations").mkdir()
@@ -729,7 +729,7 @@ class TestDataset:
             load_dataset()
 
     def test_one_line_mutants_load_or_name_a_line(self, tmp_path, monkeypatch, cold_caches):
-        # past a clean load, a check refuses or names a data fault; it never meets a name that resolves to nothing
+        # past a clean load, a check refuses or names a missing record; every value it meets has the right shape
         data = tmp_path / "data"
         shutil.copytree(_DATA, data)
         monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(data))
@@ -748,7 +748,7 @@ class TestDataset:
                 params = fam.default_range[0] if fam.default_range else (fam.least,) * fam.arity
                 try:
                     check(instantiate(fam.id, params))
-                except (CatalogDataError, DataIncomplete, ContractViolation):
+                except (CatalogDataError, DataIncomplete):
                     pass
 
     @pytest.mark.parametrize(
@@ -790,16 +790,16 @@ class TestDataset:
         "old,new,blamed,named,message",
         [
             # a space's pullback records name one torus model: a later record is blamed, naming the first
-            ("pullback space=G model=so class=w3", "pullback space=G model=sp class=q2", "pullback space=G model=sp",
-             "pullback space=G model=so", "model=sp, but the G pullback record on line {} has model=so"),
+            ("pullback space=G model=so class=w2", "pullback space=G model=su class=c1", "pullback space=G model=so",
+             "pullback space=G model=su", "model=so, but the G pullback record on line {} has model=su"),
             (None, 'pullback space=EI model=so class=w2 value="0" cite="c"', "pullback space=EI model=so",
              "pullback space=EI model=psp4", "model=so, but the EI pullback record on line {} has model=psp4"),
             # an action's gen is the value of exactly one pullback record of its space
             ('value="x8"', 'value="2*x8"', "action space=EI ", "pullback space=EI ",
              "gen=x8 is the value of 0 EI pullback records, not of one (pullback lines: {})"),
-            (None, 'pullback space=EI model=psp4 class=q1 value="x8" cite="c"', "action space=EI ",
-             "pullback space=EI ",
-             "gen=x8 is the value of 2 EI pullback records, not of one (pullback lines: {})"),
+            # a second record valued gen would need a second class of its degree, which no model has
+            (None, 'pullback space=EI model=psp4 class=q1 value="x8" cite="c"',
+             "pullback space=EI model=psp4 class=q1", "pullback space=EI ", "g*(q1) = x8 is not a degree-4 class of EI"),
         ],
     )
     def test_links_between_records_fail_at_load_naming_their_line(
@@ -822,6 +822,76 @@ class TestDataset:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith(f"error: facts.txt line {lineno}: {message.format(named_lines)}"), argv
+
+    @pytest.mark.parametrize(
+        "old,new,blamed,argv,message",
+        [
+            ('gen=x17 value="x17"', 'gen=x17 value="x9"', "sq-table space=EIV gen=x17", ["check", "EIV"],
+             "Sq x17 = x9 is not a total square: Sq^0 component of Sq x17 is not x17"),
+            ('gen=x9 value="x9 + x17"', 'gen=x9 value="x9 + x9*x17"', "sq-table space=EIV gen=x9", ["check", "EIV"],
+             "Sq x9 = x9 + x9*x17 is not a total square: Sq x9 has a component of degree 26 outside 9..18"),
+            ("sq-table space=EIV gen=x9 ", None, "sq-table space=EIV gen=x17", ["check", "EIV"],
+             "the EIV sq-table records give no total square of x9 (sq-table lines: {})"),
+            ('value="x8^2"', 'value="3"', "action space=EI ", ["check", "EI"],
+             "P^1 (p=5) x8 = 3 is not a degree-16 class of EI"),
+            ('class=w2 value="x2"', 'class=w2 value="x3"', "pullback space=G model=so class=w2", ["check", "G"],
+             "g*(w2) = x3 is not a degree-2 class of G"),
+        ],
+    )
+    def test_values_fail_at_load_unless_their_record_gives_them_meaning(
+        self, tmp_path, monkeypatch, capsys, old, new, blamed, argv, message
+    ):
+        # each of these used to load: EIV's table then refused, and the degrees failed at check time with no line
+        data = tmp_path / "data"
+        shutil.copytree(_DATA, data)
+        lines = (_DATA / "facts.txt").read_text(encoding="utf-8").splitlines()
+        (i,) = [i for i, line in enumerate(lines) if old in line]
+        if new is None:
+            del lines[i]
+        else:
+            lines[i] = lines[i].replace(old, new)
+        (data / "facts.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(data))
+        (lineno,) = [i for i, line in enumerate(lines, start=1) if line.startswith(blamed)]
+        for run in (argv, ["report", "--all"]):
+            assert cli_main(run) == 1, run
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: facts.txt line {lineno}: {message.format(lineno)}\n", run
+
+    @pytest.mark.parametrize(
+        "deleted,argv,message",
+        [
+            ("action space=EI ", ["check", "EI"], "facts.txt has no action record for EI"),
+            ("external family=CI ", ["check", "CI", "--n", "2"], "facts.txt has no external record for CI"),
+            ("sq-table space=EIV ", ["check", "EIV"], "facts.txt has no sq-table record for EIV"),
+        ],
+    )
+    def test_a_deleted_record_names_what_is_missing(self, tmp_path, monkeypatch, capsys, deleted, argv, message):
+        # a missing record has no line to name, so the read that misses it names its kind and names
+        data = tmp_path / "data"
+        shutil.copytree(_DATA, data)
+        lines = (_DATA / "facts.txt").read_text(encoding="utf-8").splitlines()
+        kept = [line for line in lines if not line.startswith(deleted)]
+        assert len(kept) < len(lines)
+        (data / "facts.txt").write_text("\n".join(kept) + "\n", encoding="utf-8")
+        monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(data))
+        for run in (argv, ["report", "--all"]):
+            assert cli_main(run) == 1, run
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n", run
+
+    def test_records_are_read_by_their_names(self):
+        ds = load_dataset()
+        assert ds.one("pullback", "G", "w3")["value"] == ds.presentation("G").algebra.gen("x3")
+        assert list(ds.of("pullback", "G")) == ["w2", "w3"]
+        assert list(ds.of("sq-table", "EIV")) == ["x9", "x17"]
+        assert ("fibration", "FI") in ds.records and ("fibration", "EII") not in ds.records
+        with pytest.raises(CatalogDataError, match="^facts.txt has no pullback record for G w4$"):
+            ds.one("pullback", "G", "w4")
+        with pytest.raises(CatalogDataError, match="^facts.txt has no pullback record for EIV$"):
+            ds.of("pullback", "EIV")
 
     def test_negative_relation_degree_fails_naming_its_line(self, tmp_path, monkeypatch, capsys):
         data = tmp_path / "data"
@@ -924,18 +994,25 @@ class TestDataset:
         # a record no plan reads is dead: it would load silently while a row no longer rests on it
         ds = load_dataset()
         read = set()
-        find = catalog.DataSet.find
+        one, of = catalog.DataSet.one, catalog.DataSet.of
 
-        def spy(self, kind, **match):
-            recs = find(self, kind, **match)
-            read.update(id(rec) for rec in recs)
-            read.update(id(rec["aux"]) for rec in recs if kind == "fibration")  # the auxiliary presentation
+        def spy_one(self, kind, *names):
+            rec = one(self, kind, *names)
+            read.add(id(rec))
+            if kind == "fibration":
+                read.add(id(rec["aux"]))  # the auxiliary presentation
+            return rec
+
+        def spy_of(self, kind, space):
+            recs = of(self, kind, space)
+            read.update(id(rec) for rec in recs.values())
             return recs
 
-        monkeypatch.setattr(catalog.DataSet, "find", spy)
+        monkeypatch.setattr(catalog.DataSet, "one", spy_one)
+        monkeypatch.setattr(catalog.DataSet, "of", spy_of)
         report()
-        assert len(ds.facts) == 31
-        unread = [(kind, rec) for kind, rec in ds.facts if id(rec) not in read]
+        assert len(ds.records) == 31
+        unread = [name for name, rec in ds.records.items() if id(rec) not in read]
         assert not unread
 
 

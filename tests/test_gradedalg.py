@@ -527,10 +527,11 @@ class TestIntegralCoefficientsAreInts:
         from loopcomm.catalog import load_dataset
 
         ds = load_dataset()
-        for rec in ds.find("presentation"):
-            for rel in rec["presentation"].relations:
-                _assert_canonical_coefficients(rel.terms)
-        values = [rec["value"] for _kind, rec in ds.facts if "value" in rec]
+        for (kind, *_), rec in ds.records.items():
+            if kind == "presentation":
+                for rel in rec["presentation"].relations:
+                    _assert_canonical_coefficients(rel.terms)
+        values = [rec["value"] for rec in ds.records.values() if "value" in rec]
         assert values
         for value in values:
             _assert_canonical_coefficients(value)
