@@ -190,9 +190,8 @@ class DataSet:
     name, through `one` and `of`, and check none.
     """
 
-    def __init__(self, records: dict, groups: dict):
+    def __init__(self, records: dict):
         self.records = records  # (kind, its naming values) -> record, in file order
-        self.groups = groups  # (kind, space) -> {class or gen: record}, in file order, for pullback and sq-table
 
     def one(self, kind: str, *names: str) -> dict:
         """The record its naming values name, as `ds.one("pullback", "G", "w3")`."""
@@ -202,7 +201,10 @@ class DataSet:
 
     def of(self, kind: str, space: str) -> dict:
         """A space's pullback or sq-table records, keyed by class or gen, in file order; none raises as `one` does."""
-        return self.groups.get((kind, space)) or self.one(kind, space)
+        group = {k[2]: rec for k, rec in self.records.items() if k[:2] == (kind, space)}
+        if not group:
+            raise CatalogDataError(f"facts.txt has no {kind} record for {space}")
+        return group
 
     def presentation(self, space: str) -> Presentation:
         return self.one("presentation", space)["presentation"]
@@ -259,10 +261,10 @@ def _link(kind: str, rec: dict, ds: DataSet) -> None:
                 f"model={first['model'].group}; the pullback records of a space name one torus model"
             )
     elif kind == "action":
-        records = ds.groups.get(("pullback", rec["space"]), {}).values()
+        records = ds.of("pullback", rec["space"]).values()
         acted = [pb for pb in records if pb["value"] == pb["value"].algebra.gen(rec["gen"])]
         if len(acted) != 1:
-            lines = ", ".join(str(pb["line"]) for pb in records) or "none"
+            lines = ", ".join(str(pb["line"]) for pb in records)
             raise ValueError(
                 f"gen={rec['gen']} is the value of {len(acted)} {rec['space']} pullback records, "
                 f"not of one (pullback lines: {lines})"
@@ -283,7 +285,6 @@ def _link(kind: str, rec: dict, ds: DataSet) -> None:
 def _load_dataset(data_dir: str) -> DataSet:
     root = Path(data_dir) if data_dir else Path(__file__).parent / "data"
     records = {}  # (kind, values of its naming keys) -> record, in file order
-    groups = {}  # (kind, space) -> {class or gen: record}, in file order, for pullback and sq-table
     text = (root / "facts.txt").read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
         try:
@@ -302,8 +303,6 @@ def _load_dataset(data_dir: str) -> DataSet:
             )
         records[ident] = rec
         rec["line"] = lineno
-        if len(ident) == 3:
-            groups.setdefault(ident[:2], {})[ident[2]] = rec
         if kind == "presentation":
             try:
                 body = (root / "presentations" / rec["file"]).read_text(encoding="utf-8")
@@ -313,13 +312,14 @@ def _load_dataset(data_dir: str) -> DataSet:
                 rec["presentation"] = parse_presentation(body)
             except ValueError as exc:
                 raise CatalogDataError(f"{rec['file']}: {exc}") from exc
-    ds = DataSet(records, groups)
+    ds = DataSet(records)
     for resolve in (_resolve, _link):
         for (kind, *_), rec in records.items():
             try:
                 resolve(kind, rec, ds)
-            except (ValueError, LookupError) as exc:
-                raise CatalogDataError(f"facts.txt line {rec['line']}: {exc}") from exc
+            except (ValueError, LookupError) as exc:  # a name `one` misses is said once, after the line
+                message = str(exc).removeprefix("facts.txt has ")
+                raise CatalogDataError(f"facts.txt line {rec['line']}: {message}") from exc
     return ds
 
 
@@ -674,8 +674,8 @@ def _diii_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
 
 def _rational_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     """The rational criterion on the space, or on the auxiliary space of its recorded fibration."""
-    if ("fibration", inst.family) in ds.records:
-        fib = ds.one("fibration", inst.family)
+    fib = ds.records.get(("fibration", inst.family))
+    if fib:
         rec, label, transfer = fib["aux"], fib["aux-label"], TransferStep(fib["threshold"], inst.label, fib["cite"])
     else:
         rec, label, transfer = ds.one("presentation", inst.family), inst.label, None

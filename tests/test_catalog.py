@@ -608,7 +608,7 @@ class TestDataset:
             ('value="x8^2"', 'value="x8^^2"', "not a polynomial: 'x8^^2'"),
             ('value="x9 + x17"', 'value="x9 + x18"', "unknown generator 'x18'"),
             ("sq-table space=EIV gen=x17", "sq-table space=AII gen=x17",
-             "facts.txt has no presentation record for AII"),
+             "no presentation record for AII"),
             ("gen=x8 family=P k=1 prime=5", "gen=x8 family=P k=1 prime=5 prime=7", "repeated key 'prime'"),
             ("gen=x8 family=P k=1 prime=5", "gen=x8 family=P k=1 prime=5 typo=1", "action record has unknown key 'typo'"),
             ("external family=CI", "external family=CI space=CI", "external record has unknown key 'space'"),
@@ -616,7 +616,7 @@ class TestDataset:
             ("model=psp4 class=q2", "model=psp4 class=q9", "unknown class 'q9' in the psp4(4) model"),
             ("model=psp4", "model=xx", "unknown group tag 'xx'; expected one of ['psp4', 'so', 'sp', 'spin9', 'su']"),
             ("gen=x8 family=P k=1 prime=5", "gen=x8 family=P k=1 prime=4", "power operations live at odd primes, not at 4"),
-            ("aux=FI-aux ", "aux=F4-aux ", "facts.txt has no presentation record for F4-aux"),
+            ("aux=FI-aux ", "aux=F4-aux ", "no presentation record for F4-aux"),
             ("external family=EIII ", "external family=EIIIX ",
              "family=EIIIX names no external record a plan reads; expected one of AI, AII, AIII, BDI,"),
             ("generating-map space=EIV ", "generating-map space=EIVX ",
@@ -797,7 +797,10 @@ class TestDataset:
             # an action's gen is the value of exactly one pullback record of its space
             ('value="x8"', 'value="2*x8"', "action space=EI ", "pullback space=EI ",
              "gen=x8 is the value of 0 EI pullback records, not of one (pullback lines: {})"),
-            # a second record valued gen would need a second class of its degree, which no model has
+            # a second record valued gen is blamed on the action, which is linked before the appended record
+            (None, 'pullback space=EI model=su class=c4 value="x8" cite="c"', "action space=EI ", "pullback space=EI ",
+             "gen=x8 is the value of 2 EI pullback records, not of one (pullback lines: {})"),
+            # a pullback value of the wrong degree for its class fails its own line first
             (None, 'pullback space=EI model=psp4 class=q1 value="x8" cite="c"',
              "pullback space=EI model=psp4 class=q1", "pullback space=EI ", "g*(q1) = x8 is not a degree-4 class of EI"),
         ],
@@ -999,8 +1002,6 @@ class TestDataset:
         def spy_one(self, kind, *names):
             rec = one(self, kind, *names)
             read.add(id(rec))
-            if kind == "fibration":
-                read.add(id(rec["aux"]))  # the auxiliary presentation
             return rec
 
         def spy_of(self, kind, space):
@@ -1008,6 +1009,14 @@ class TestDataset:
             read.update(id(rec) for rec in recs.values())
             return recs
 
+        class SpyRecords(dict):  # a space's optional fibration is read off the index, by name
+            def get(self, name, default=None):
+                rec = super().get(name, default)
+                if rec is not None and name[0] == "fibration":
+                    read.update((id(rec), id(rec["aux"])))  # and its auxiliary presentation
+                return rec
+
+        monkeypatch.setattr(ds, "records", SpyRecords(ds.records))
         monkeypatch.setattr(catalog.DataSet, "one", spy_one)
         monkeypatch.setattr(catalog.DataSet, "of", spy_of)
         report()
