@@ -368,13 +368,12 @@ class RationalStep:
 
 @record
 class SteenrodStep:
-    label: str
-    build: Callable  # () -> the SteenrodCriterionInstance, its action derived on the call
+    instance: SteenrodCriterionInstance
     crosscheck: Optional[ClassifyingCrossCheck] = None
 
     @property
-    def instance(self) -> SteenrodCriterionInstance:
-        return self.build()
+    def label(self) -> str:
+        return f"Steenrod {self.instance.op.label} on {self.instance.space}"
 
 
 @record
@@ -477,57 +476,27 @@ def _derived_action(model, class_name: str, op: SteenrodOp, images: dict, pres: 
     return theta
 
 
-def _steenrod_step(
-    space: str, pres: Presentation, op: SteenrodOp, a: str, b: str, source_a, source_b, action: Callable,
-    action_citation: str, pullback_citation: str, provenance="derived", crosscheck=None,
-) -> SteenrodStep:
-    """The Steenrod step with x = a, a detected on source_a and b on source_b.
-
-    It passes only the sources: the criterion reads each map's pullback off its source.
-    `action()` gives theta; a plan run calls it only when it reaches the step,
-    so a step after the first certificate derives nothing.
-    """
-
-    def instance() -> SteenrodCriterionInstance:
-        return SteenrodCriterionInstance(
-            space=space,
-            presentation=pres,
-            theta=action(),
-            action_provenance=provenance,
-            action_citation=action_citation,
-            op=op,
-            a=a,
-            b=b,
-            x=a,
-            source_a=source_a,
-            source_b=source_b,
-            pullback_citation=pullback_citation,
-        )
-
-    return SteenrodStep(f"Steenrod {op.label} on {space}", instance, crosscheck)
-
-
 def _top_class_steps(model, space: str, prefix: str, pres: Optional[Presentation] = None, restriction="") -> tuple:
     """One Steenrod step per `_top_class_ops(model)`, x = a = the top class.
 
-    theta is the op on the top class, carried along class i -> <prefix>i to
-    `pres` (by default the class algebra at the ops' prime); the sources come
-    from `suspension_of`.
+    The action is `_derived_action` of the op on the top class, carried along
+    class i -> <prefix>i to `pres` (by default the class algebra at the ops'
+    prime); a run calls it only when it reaches the step.  The sources come
+    from `suspension_of`, and the criterion reads each map's pullback off them.
     """
     _, action_citation, pullback_citation = _CLASSIFYING[model.group]
     ops = _top_class_ops(model)
     if not ops:
         return ()
     pres = pres or Presentation(class_algebra(model, ops[0][0].prime))
-    names = model.class_names()
+    names, top = model.class_names(), f"{prefix}{model.rank}"
     images = {c: pres.algebra.gen(f"{prefix}{model.class_index(c)}") for c in names}
     return tuple(
-        _steenrod_step(
-            space, pres, op, f"{prefix}{model.rank}", f"{prefix}{b}",
-            suspension_of(model), suspension_of(torus_model(model.group, b)),
-            partial(_derived_action, model, names[-1], op, images, pres),
-            action_citation + restriction, pullback_citation,
-        )
+        SteenrodStep(SteenrodCriterionInstance(
+            space, pres, partial(_derived_action, model, names[-1], op, images, pres), "derived",
+            action_citation + restriction, op, top, f"{prefix}{b}", top,
+            suspension_of(model), suspension_of(torus_model(model.group, b)), pullback_citation,
+        ))
         for op, b in ops
     )
 
@@ -596,11 +565,11 @@ def _bottom_cell_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     images = {name: pb["value"] for name, pb in ds.of("pullback", space).items()}
     cc = ClassifyingCrossCheck(acted["model"], acted["class"], images, acted["cite"])
     sphere = suspension_sphere(pres.algebra.degrees[pres.algebra.index[gen]])  # the bottom cell, detecting gen
-    step = _steenrod_step(
-        space, pres, rec["op"], gen, gen, sphere, sphere, lambda: rec["value"],
-        rec["cite"], f"bottom cell {sphere.base} -> {space} detecting {gen}", provenance="asserted", crosscheck=cc,
+    criterion = SteenrodCriterionInstance(
+        space, pres, lambda: rec["value"], "asserted", rec["cite"], rec["op"], gen, gen, gen,
+        sphere, sphere, f"bottom cell {sphere.base} -> {space} detecting {gen}",
     )
-    return CriterionPlan((step,))
+    return CriterionPlan((SteenrodStep(criterion, cc),))
 
 
 def _g_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
@@ -608,13 +577,13 @@ def _g_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     images = {name: rec["value"] for name, rec in ds.of("pullback", "G").items()}
     model = ds.one("pullback", "G", "w3")["model"]
     op = SteenrodOp("Sq", 2, 2)
-    step = _steenrod_step(
-        "G", pres, op, "x3", "x2", suspension_moore(), suspension_sphere(2),
-        partial(_derived_action, model, "w3", op, images, pres),
+    criterion = SteenrodCriterionInstance(
+        "G", pres, partial(_derived_action, model, "w3", op, images, pres), "derived",
         _WU_CITE + " in BSO(4), restricted along x_i = iota^*(w_i) (Borel-Hirzebruch)",
+        op, "x3", "x2", "x3", suspension_moore(), suspension_sphere(2),
         "restriction to the 3-skeleton S^2 cup_2 e^3 and its bottom cell",
     )
-    return CriterionPlan((step,))
+    return CriterionPlan((SteenrodStep(criterion),))
 
 
 def _aii_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
@@ -885,10 +854,9 @@ def _run_rational(step: RationalStep):
 
 
 def _run_steenrod(step: SteenrodStep):
-    inst = step.instance
-    result = check_steenrod_criterion(inst)
+    result = check_steenrod_criterion(step.instance)
     if isinstance(result, Certificate) and step.crosscheck is not None:
-        result = crosscheck(inst, step.crosscheck, result)
+        result = crosscheck(step.instance, step.crosscheck, result)
     return result
 
 

@@ -51,6 +51,10 @@ def record(cls):
     if any(name in vars(cls) for name in names[:required]):
         raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
     needed = frozenset(names[:required])
+    default_of = dict(zip(names[required:], defaults))
+    # one attribute at a time, in field order, keeps CPython's compact per-instance
+    # storage; a write to self.__dict__ would give it up and slow every attribute read
+    set_field = object.__setattr__
     values = attrgetter(*names)
     post_init = getattr(cls, "__post_init__", None)
 
@@ -59,10 +63,12 @@ def record(cls):
             given = dict(zip(names, args), **kwargs)
             if len(given) != len(args) + len(kwargs) or not known.issuperset(given) or not given.keys() >= needed:
                 raise _argument_error(cls, args, kwargs)
-            self.__dict__.update(zip(names[required:], defaults))
-            self.__dict__.update(given)
+            given = {**default_of, **given}
+            for name in names:
+                set_field(self, name, given[name])
         else:
-            self.__dict__.update(zip(names, args + defaults[len(args) - required :]))
+            for name, value in zip(names, args + defaults[len(args) - required :]):
+                set_field(self, name, value)
         if post_init is not None:
             post_init(self)
 

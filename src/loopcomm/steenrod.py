@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
+from typing import Callable
 
 from .criteria import (
     ASSERTED,
@@ -39,18 +40,6 @@ from .gradedalg import (
     poly_to_text,
     record,
 )
-
-
-def binomial(m: int, t: int) -> int:
-    """Generalized binomial coefficient (m may be negative)."""
-    if t < 0:
-        return 0
-    num = 1
-    for s in range(t):
-        num *= m - s
-    for s in range(2, t + 1):
-        num //= s
-    return num
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +449,7 @@ class SteenrodCriterionInstance:
 
     space: str
     presentation: Presentation
-    theta: Poly  # the operation on x, over the presentation's algebra, of degree |x| + shift
+    action: Callable  # () -> theta, the operation on x over the presentation's algebra, of degree |x| + shift
     action_provenance: str
     action_citation: str
     op: SteenrodOp
@@ -522,7 +511,10 @@ def crosscheck(inst: SteenrodCriterionInstance, cc: ClassifyingCrossCheck, cert:
     certificate with the cross-check entries appended, or a refusal when every
     computed term restricts and the image still differs from the recorded
     action.  With terms surfaced unresolved a difference is inconclusive.
+    It calls `inst.action` again: a step with a cross-check records its
+    action, so the call returns that record and derives nothing.
     """
+    theta = inst.action()
     computed = char_class_operation(cc.model, cc.class_name, inst.op)
     resolved, surfaced = restrict(computed, cc.pullback, inst.presentation)
     entries = [
@@ -544,9 +536,9 @@ def crosscheck(inst: SteenrodCriterionInstance, cc: ClassifyingCrossCheck, cert:
             )
         )
     difference = (
-        f"resolved image {poly_to_text(resolved)} differs from recorded action {poly_to_text(inst.theta)}"
+        f"resolved image {poly_to_text(resolved)} differs from recorded action {poly_to_text(theta)}"
     )
-    if resolved == inst.theta:
+    if resolved == theta:
         outcome, text = "pass", "resolved part of the cross-check equals the recorded action"
         text += " modulo the surfaced terms" if surfaced else ""
     elif surfaced:
@@ -564,18 +556,21 @@ def crosscheck(inst: SteenrodCriterionInstance, cc: ClassifyingCrossCheck, cert:
 def check_steenrod_criterion(inst: SteenrodCriterionInstance):
     """Mechanically verify the six conditions; certificate or first refusal.
 
-    Plan-level evidence runs on the certificate, in the catalog's Steenrod
-    step: the classifying-space `crosscheck`, then the lift.
+    theta comes from one call of `inst.action`, made first, so an action is
+    derived only when a check runs.  Plan-level evidence runs on the
+    certificate, in the catalog's Steenrod step: the classifying-space
+    `crosscheck`, then the lift.
     """
+    theta = inst.action()
     pres = inst.presentation
     da, db, dx = (_gen_degree(pres, n) for n in (inst.a, inst.b, inst.x))
     if dx + inst.op.shift != da + db:
         raise ContractViolation(
             f"degree mismatch: |theta(x)| = {dx + inst.op.shift} but |a| + |b| = {da + db}"
         )
-    if inst.theta.algebra != pres.algebra or not inst.theta.degrees() <= {da + db}:
+    if theta.algebra != pres.algebra or not theta.degrees() <= {da + db}:
         raise ContractViolation(
-            f"{inst.op.label} {inst.x} = {poly_to_text(inst.theta)} is not a degree-{da + db} "
+            f"{inst.op.label} {inst.x} = {poly_to_text(theta)} is not a degree-{da + db} "
             f"class of {inst.space}"
         )
     transcript = [
@@ -634,20 +629,20 @@ def check_steenrod_criterion(inst: SteenrodCriterionInstance):
     )
 
     # (5) theta(x) decomposable with a non-zero (a, b) coefficient
-    if not is_decomposable(inst.theta):
-        return refuse("5", f"{inst.op.label} {inst.x} = {poly_to_text(inst.theta)} is not decomposable")
+    if not is_decomposable(theta):
+        return refuse("5", f"{inst.op.label} {inst.x} = {poly_to_text(theta)} is not decomposable")
     product = pres.algebra.gen(inst.a) * pres.algebra.gen(inst.b)
-    coeff = next((inst.theta.coefficient(mono) for mono in product.terms), 0)
+    coeff = next((theta.coefficient(mono) for mono in product.terms), 0)
     if not coeff:
         return refuse(
             "5",
-            f"{inst.op.label} {inst.x} = {poly_to_text(inst.theta)} has no {inst.a}*{inst.b} term",
+            f"{inst.op.label} {inst.x} = {poly_to_text(theta)} has no {inst.a}*{inst.b} term",
         )
     transcript.append(
         TranscriptEntry(
             MACHINE if inst.action_provenance == "derived" else ASSERTED,
             "pass",
-            f"(5) {inst.op.label} {inst.x} = {poly_to_text(inst.theta)} is decomposable and the "
+            f"(5) {inst.op.label} {inst.x} = {poly_to_text(theta)} is decomposable and the "
             f"{inst.a}*{inst.b} coefficient is {coeff}",
             inst.action_citation,
         )

@@ -23,7 +23,6 @@ from loopcomm.gradedalg import (
 from loopcomm.steenrod import (
     SteenrodOp,
     SteenrodCriterionInstance,
-    binomial,
     char_class_operation,
     check_steenrod_criterion,
     class_algebra,
@@ -31,7 +30,7 @@ from loopcomm.steenrod import (
     torus_model,
 )
 from loopcomm.sullivan import build_formal_model, check_d_squared
-from torus_reference import total_operation_on_torus, tp_mul
+from torus_reference import binomial, total_operation_on_torus, tp_mul
 
 
 def _line(num, name, ok):

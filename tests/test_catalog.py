@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 from collections import Counter
+from functools import partial
 import re
 import shlex
 import shutil
@@ -446,17 +447,17 @@ class TestLifts:
         # 35 Steenrod steps are built and 31 run: a step derives its action only when the run reaches it,
         # and a suspension coefficient is read once per (class power, i, n, prime, raise)
         built, ran = [], []
-        build, run_steenrod = catalog._steenrod_step, catalog._run_steenrod
+        init, run_steenrod = SteenrodStep.__init__, catalog._run_steenrod
 
-        def building(*args, **kwargs):
-            built.append(args[0])
-            return build(*args, **kwargs)
+        def building(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
 
         def running(step):
             ran.append(step.label)
             return run_steenrod(step)
 
-        monkeypatch.setattr(catalog, "_steenrod_step", building)
+        monkeypatch.setattr(SteenrodStep, "__init__", building)
         monkeypatch.setattr(catalog, "_run_steenrod", running)
         report()
         assert (len(built), len(ran)) == (35, 31)
@@ -525,11 +526,55 @@ class TestNegativeControls:
         assert isinstance(refusal, Refusal)
         assert refusal.space == "BSO(2)"
 
+    @pytest.mark.parametrize("space", ["CP^3", "BSO(2)"])
+    @pytest.mark.parametrize("prime", [2, 3, 5, 7])
+    def test_steenrod_instances_on_commutative_loop_spaces(self, space, prime):
+        # CP^3 = F_p[x2]/(x2^4) carries the actions of c1 in BU(1); BSO(2) has the one class w2
+        if space == "CP^3":
+            model, pres, classes = steenrod.torus_model("su", 1), catalog._cp_presentation(3, prime), {"x2": "c1"}
+        else:
+            model = steenrod.torus_model("so", 2)
+            pres, classes = Presentation(steenrod.class_algebra(model, prime)), {"w2": "w2"}
+        instances = list(_well_formed_steenrod_instances(space, pres, model, classes))
+        # P^k raises degree by a multiple of 2(p - 1) >= 4, never by |a| + |b| - |x| = 2
+        assert len(instances) == (25 if prime == 2 else 0)
+        for inst in instances:
+            result = steenrod.check_steenrod_criterion(inst)
+            assert isinstance(result, Refusal), (inst.op.label, inst.source_a.base, inst.source_b.base)
+
     def test_top_class_ops_name_classes_of_the_model(self):
         for group, rank in itertools.product(("so", "sp"), range(1, 40)):
             model = steenrod.torus_model(group, rank)
             for _op, b in _top_class_ops(model):
                 assert f"{model.class_prefix}{b}" in model.class_names(), (group, rank, b)
+
+
+def _well_formed_steenrod_instances(space: str, pres: Presentation, model, classes: dict):
+    """Every Steenrod criterion instance on pres, its action derived from the model's class of x.
+
+    `classes` names the model's class of each generator.  x, a and b are generators with
+    |x| + shift = |a| + |b|, for each Sq^k with k <= 2|x| or P^k at the presentation's prime.
+    The sources are every pair, detecting a and b in their degrees, among the suspensions of
+    `suspension_of` up to rank |a| + |b|, the spheres and the Moore space.
+    """
+    prime = pres.algebra.field.characteristic
+    images = {c: pres.algebra.gen(g) for g, c in classes.items()}
+    degree = {g.name: g.degree for g in pres.algebra.generators}
+    top = 2 * max(degree.values())
+    ranks = range(1, top + 1)
+    sources = [steenrod.suspension_of(steenrod.torus_model(g, r)) for g in steenrod._SUSPENSIONS for r in ranks]
+    sources += [steenrod.suspension_sphere(d) for d in ranks] + [steenrod.suspension_moore()]
+    for x, a, b in itertools.product(degree, repeat=3):
+        for k in range(1, 2 * degree[x] + 1):
+            op = steenrod.SteenrodOp("Sq", k) if prime == 2 else steenrod.SteenrodOp("P", k, prime)
+            if degree[x] + op.shift != degree[a] + degree[b]:
+                continue
+            action = partial(catalog._derived_action, model, classes[x], op, images, pres)
+            for source_a, source_b in itertools.product(sources, repeat=2):
+                if degree[a] in source_a.class_in and degree[b] in source_b.class_in:
+                    yield steenrod.SteenrodCriterionInstance(
+                        space, pres, action, "derived", "negative control", op, a, b, x, source_a, source_b
+                    )
 
 
 _DATA = Path(catalog.__file__).parent / "data"

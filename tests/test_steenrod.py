@@ -28,7 +28,6 @@ from loopcomm.steenrod import (
     SuspensionModel,
     _e_coefficients,
     _raised_class,
-    binomial,
     char_class_operation,
     check_steenrod_criterion,
     class_algebra,
@@ -44,6 +43,7 @@ from loopcomm.steenrod import (
     torus_model,
 )
 from torus_reference import (
+    binomial,
     elementary,
     m_coefficients,
     ref_express_symmetric,
@@ -668,7 +668,7 @@ def _ai_instance(n, b, mutate_source_b=None):
     return SteenrodCriterionInstance(
         space=f"AI({n})",
         presentation=pres,
-        theta=action,
+        action=lambda: action,
         action_provenance="derived",
         action_citation="splitting principle",
         op=SteenrodOp("Sq", b, 2),
@@ -692,7 +692,7 @@ def _ei_instance(square, citation):
     return SteenrodCriterionInstance(
         space="EI",
         presentation=pres,
-        theta=square(alg),
+        action=lambda: square(alg),
         action_provenance="asserted",
         action_citation=citation,
         op=SteenrodOp("P", 1, 5),
@@ -771,7 +771,7 @@ class TestCriterionChecker:
         inst = _ei_instance(lambda alg: alg.monomial((2, 0, 0)), "recorded restriction")
         wide = Algebra(FieldSpec(5), inst.presentation.generators + (Generator("y16", 16),))
         pres = Presentation(wide, (Relation(24, "explicit", wide.monomial((3, 0, 0, 0))),))
-        bad = replace(inst, presentation=pres, theta=wide.gen("y16"))
+        bad = replace(inst, presentation=pres, action=lambda: wide.gen("y16"))
         result = check_steenrod_criterion(bad)
         assert isinstance(result, Refusal)
         assert result.failed == "condition (5): P^1 (p=5) x8 = y16 is not decomposable"
@@ -790,7 +790,7 @@ class TestCriterionChecker:
         inst = SteenrodCriterionInstance(
             space="X",
             presentation=pres,
-            theta=alg.monomial((3, 0)),
+            action=lambda: alg.monomial((3, 0)),
             action_provenance="asserted",
             action_citation="constructed for the test",
             op=SteenrodOp("P", 1, 3),
@@ -808,7 +808,7 @@ class TestCriterionChecker:
         # the same monomial x8^2 over an algebra with an extra generator
         inst = _ei_instance(lambda alg: alg.monomial((2, 0, 0)), "recorded restriction")
         wide = Algebra(FieldSpec(5), inst.presentation.generators + (Generator("y16", 16),))
-        bad = replace(inst, theta=wide.monomial((2, 0, 0, 0)))
+        bad = replace(inst, action=lambda: wide.monomial((2, 0, 0, 0)))
         with pytest.raises(ContractViolation, match="is not a degree-16 class of EI"):
             check_steenrod_criterion(bad)
 

@@ -9,7 +9,19 @@ import functools
 import itertools
 
 from loopcomm.gradedalg import ContractViolation
-from loopcomm.steenrod import binomial, class_algebra
+from loopcomm.steenrod import class_algebra
+
+
+def binomial(m: int, t: int) -> int:
+    """Generalized binomial coefficient (m may be negative)."""
+    if t < 0:
+        return 0
+    num = 1
+    for s in range(t):
+        num *= m - s
+    for s in range(2, t + 1):
+        num //= s
+    return num
 
 
 def tp_mul(a: dict, b: dict) -> dict:
