@@ -1013,30 +1013,13 @@ class Report:
 
 def _row_from_instance(instance: SpaceInstance) -> ReportRow:
     result = check(instance)
-    params = ",".join(str(p) for p in instance.params) if instance.params else "-"
     if isinstance(result, Certificate):
-        conclusion = conclude_noncommutative(result)
-        return ReportRow(
-            family=instance.family,
-            params=params,
-            label=instance.label,
-            criterion=result.criterion,
-            witness=result.witness_text(),
-            conclusion=conclusion.statement,
-            exception=False,
-            note="",
-            transcript=conclusion.certificate.transcript,
-        )
+        result = conclude_noncommutative(result)
+    params = ",".join(str(p) for p in instance.params) if instance.params else "-"
+    note = result.exception_note
     return ReportRow(
-        family=instance.family,
-        params=params,
-        label=instance.label,
-        criterion=result.criterion,
-        witness="-",
-        conclusion="no conclusion from the implemented criteria",
-        exception=bool(result.exception_note),
-        note=result.exception_note,
-        transcript=result.transcript,
+        instance.family, params, instance.label, result.criterion, result.witness_text(), result.conclusion,
+        bool(note), note, result.transcript,
     )
 
 

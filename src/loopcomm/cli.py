@@ -1,7 +1,9 @@
 """Command-line front end: checks, the full report, and ad-hoc algebra queries.
 
 Exit codes are a stable contract: 0 for a certificate, 2 for a refusal
-(no conclusion), 1 for usage or data errors.
+(no conclusion), 1 for usage or data errors.  A result renders itself:
+`check` prints the concluded Certificate's or the Refusal's `to_dict()` or
+`render()`, and `report` the Report's `to_dict()` or `render_text()`.
 
 A process imports only what its command runs: `hilbert` loads `gradedalg`,
 `model` adds `sullivan`, and only `check` and `report` load the catalog.  The
@@ -109,61 +111,6 @@ def _emit(fmt: str, payload, text) -> None:
         print(out, end="" if out.endswith("\n") else "\n")
 
 
-def _certificate_payload(cert, conclusion: str) -> dict:
-    return {
-        "schema_version": 1,
-        "kind": "certificate",
-        "space": cert.space,
-        "criterion": cert.criterion,
-        "witness": [[k, v] for k, v in cert.witness],
-        "conclusion": conclusion,
-        "transcript": [e.to_dict() for e in cert.transcript],
-    }
-
-
-def _certificate_text(cert, conclusion: str) -> str:
-    lines = [
-        "certificate",
-        f"space: {cert.space}",
-        f"criterion: {cert.criterion}",
-        "witness:",
-    ]
-    lines += [f"  {k} = {v}" for k, v in cert.witness]
-    lines.append("transcript:")
-    lines += [f"  {i}. {e.render()}" for i, e in enumerate(cert.transcript, start=1)]
-    lines.append(f"conclusion: {conclusion}")
-    return "\n".join(lines) + "\n"
-
-
-def _refusal_payload(ref) -> dict:
-    return {
-        "schema_version": 1,
-        "kind": "refusal",
-        "space": ref.space,
-        "criterion": ref.criterion,
-        "failed": ref.failed,
-        "exception_note": ref.exception_note,
-        "conclusion": "no conclusion from the implemented criteria",
-        "transcript": [e.to_dict() for e in ref.transcript],
-    }
-
-
-def _refusal_text(ref) -> str:
-    lines = [
-        "no conclusion",
-        f"space: {ref.space}",
-        f"criterion attempted: {ref.criterion}",
-        f"failed: {ref.failed}",
-    ]
-    if ref.transcript:
-        lines.append("transcript:")
-        lines += [f"  {i}. {e.render()}" for i, e in enumerate(ref.transcript, start=1)]
-    if ref.exception_note:
-        lines.append(f"exception: {ref.exception_note}")
-    lines.append("conclusion: no conclusion from the implemented criteria")
-    return "\n".join(lines) + "\n"
-
-
 def _read_presentation(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return _cli.parse_presentation(fh.read())
@@ -176,17 +123,11 @@ def _cmd_check(opts: dict) -> int:
         flags = " and ".join(f"--{name}" for name in fam.param_names)
         raise _cli.ParameterError(f"{fam.id} takes {flags or 'no parameters'}")
     result = _cli.check(_cli.instantiate(fam.id, tuple(opts[name] for name in given)))
-    if isinstance(result, _cli.Certificate):
-        conclusion = _cli.conclude_noncommutative(result)
-        cert, statement = conclusion.certificate, conclusion.statement
-        _emit(
-            opts["format"],
-            lambda: _certificate_payload(cert, statement),
-            lambda: _certificate_text(cert, statement),
-        )
-        return EXIT_OK
-    _emit(opts["format"], lambda: _refusal_payload(result), lambda: _refusal_text(result))
-    return EXIT_NO_CONCLUSION
+    certified = isinstance(result, _cli.Certificate)
+    if certified:
+        result = _cli.conclude_noncommutative(result)
+    _emit(opts["format"], result.to_dict, result.render)
+    return EXIT_OK if certified else EXIT_NO_CONCLUSION
 
 
 def _cmd_report(opts: dict) -> int:

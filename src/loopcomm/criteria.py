@@ -3,6 +3,8 @@
 Every check produces either a Certificate (with a transcript of verified
 preconditions) or a Refusal naming exactly one failed hypothesis.  A refusal
 is never evidence of homotopy commutativity; criteria here are one-sided.
+Each result states its `conclusion` and renders itself as `check` prints it:
+`to_dict()` in the structured format, `render()` in text.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ class Certificate:
     witness: tuple  # ordered (key, value) pairs
     transcript: tuple  # TranscriptEntry, ...
 
+    exception_note = ""  # only a refusal carries one
+
     def __post_init__(self):
         for e in self.transcript:
             if e.status not in (MACHINE, ASSERTED):
@@ -60,8 +64,29 @@ class Certificate:
         ):
             raise ValueError("non-recorded certificates need a machine-verified entry")
 
+    @property
+    def conclusion(self) -> str:
+        return f"Omega({self.space}) is not homotopy commutative"
+
     def witness_text(self) -> str:
         return "; ".join(f"{k}={v}" for k, v in self.witness)
+
+    def to_dict(self) -> dict:
+        return {
+            "schema_version": 1,
+            "kind": "certificate",
+            "space": self.space,
+            "criterion": self.criterion,
+            "witness": [[k, v] for k, v in self.witness],
+            "conclusion": self.conclusion,
+            "transcript": [e.to_dict() for e in self.transcript],
+        }
+
+    def render(self) -> str:
+        lines = ["certificate", f"space: {self.space}", f"criterion: {self.criterion}", "witness:"]
+        lines += [f"  {k} = {v}" for k, v in self.witness]
+        lines += ["transcript:", *_numbered(self.transcript), f"conclusion: {self.conclusion}"]
+        return "\n".join(lines) + "\n"
 
 
 @record
@@ -72,15 +97,40 @@ class Refusal:
     transcript: tuple = ()
     exception_note: str = ""
 
+    conclusion = "no conclusion from the implemented criteria"
 
-@record
-class Conclusion:
-    statement: str
-    certificate: Certificate
+    def witness_text(self) -> str:
+        return "-"
+
+    def to_dict(self) -> dict:
+        return {
+            "schema_version": 1,
+            "kind": "refusal",
+            "space": self.space,
+            "criterion": self.criterion,
+            "failed": self.failed,
+            "exception_note": self.exception_note,
+            "conclusion": self.conclusion,
+            "transcript": [e.to_dict() for e in self.transcript],
+        }
+
+    def render(self) -> str:
+        lines = ["no conclusion", f"space: {self.space}", f"criterion attempted: {self.criterion}"]
+        lines.append(f"failed: {self.failed}")
+        if self.transcript:
+            lines += ["transcript:", *_numbered(self.transcript)]
+        if self.exception_note:
+            lines.append(f"exception: {self.exception_note}")
+        lines.append(f"conclusion: {self.conclusion}")
+        return "\n".join(lines) + "\n"
 
 
-def conclude_noncommutative(cert) -> Conclusion:
-    """Non-trivial Whitehead product => loop space not homotopy commutative."""
+def _numbered(transcript: tuple) -> list:
+    return [f"  {i}. {e.render()}" for i, e in enumerate(transcript, start=1)]
+
+
+def conclude_noncommutative(cert: Certificate) -> Certificate:
+    """The certificate with the Whitehead-Samelson adjunction entry that its `conclusion` rests on."""
     if not isinstance(cert, Certificate):
         raise ContractViolation("conclude_noncommutative requires a certificate, not a refusal")
     step = TranscriptEntry(
@@ -90,11 +140,7 @@ def conclude_noncommutative(cert) -> Conclusion:
         "so the loop space multiplication is not homotopy commutative",
         "Whitehead-Samelson adjunction",
     )
-    enriched = Certificate(cert.space, cert.criterion, cert.witness, cert.transcript + (step,))
-    return Conclusion(
-        statement=f"Omega({cert.space}) is not homotopy commutative",
-        certificate=enriched,
-    )
+    return Certificate(cert.space, cert.criterion, cert.witness, cert.transcript + (step,))
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from loopcomm.criteria import (
     TranscriptEntry,
     check_partial_projective_criterion,
     conclude_noncommutative,
+    validate_sq_action,
 )
 from loopcomm.gradedalg import (
     Algebra,
@@ -406,11 +407,11 @@ class TestLifts:
                 cold_caches()
                 inst = instantiate(fam_id, params)
                 cert = check(inst)
-                conclusion = conclude_noncommutative(cert)
+                concluded = conclude_noncommutative(cert)
                 row = rows[inst.label]
                 assert cert.witness_text() == row.witness, inst.label
-                assert conclusion.statement == row.conclusion, inst.label
-                assert conclusion.certificate.transcript == row.transcript, inst.label
+                assert concluded.conclusion == row.conclusion, inst.label
+                assert concluded.transcript == row.transcript, inst.label
 
     def test_report_is_the_same_twice_in_one_process(self):
         assert report().to_dict() == report().to_dict()
@@ -493,8 +494,8 @@ class TestLifts:
 class TestNegativeControls:
     """Spaces whose loop space IS homotopy commutative: each criterion input built for one must refuse.
 
-    CP^3 (Ganea), the H-spaces S^3 and S^7 (Eckmann-Hilton), and BSO(2) = CP^infinity, whose loop
-    space S^1 is abelian.  A certificate here would contradict a theorem.
+    CP^3 (Ganea), the H-spaces S^3, S^7, S^3 x S^7 and SU(3) (Eckmann-Hilton), and BSO(2) = CP^infinity,
+    whose loop space S^1 is abelian.  A certificate here would contradict a theorem.
     """
 
     def test_rational_route_on_cp3(self):
@@ -535,12 +536,50 @@ class TestNegativeControls:
         else:
             model = steenrod.torus_model("so", 2)
             pres, classes = Presentation(steenrod.class_algebra(model, prime)), {"w2": "w2"}
-        instances = list(_well_formed_steenrod_instances(space, pres, model, classes))
+        images = {c: pres.algebra.gen(g) for g, c in classes.items()}
+        ranks = range(1, 5)  # up to |a| + |b| = 4
+        sources = [steenrod.suspension_of(steenrod.torus_model(g, r)) for g in steenrod._SUSPENSIONS for r in ranks]
+        sources += [steenrod.suspension_sphere(d) for d in ranks] + [steenrod.suspension_moore()]
+
+        def derived(x, op):
+            return catalog._derived_action(model, classes[x], op, images, pres)
+
+        instances = list(_well_formed_steenrod_instances(space, pres, derived, sources))
         # P^k raises degree by a multiple of 2(p - 1) >= 4, never by |a| + |b| - |x| = 2
         assert len(instances) == (25 if prime == 2 else 0)
         for inst in instances:
             result = steenrod.check_steenrod_criterion(inst)
             assert isinstance(result, Refusal), (inst.op.label, inst.source_a.base, inst.source_b.base)
+
+    @pytest.mark.parametrize(
+        "space, squares, refusals",
+        [
+            ("S^3 x S^7", {"x3": "", "x7": ""}, {"condition (2)": 2, "condition (5)": 2}),
+            ("SU(3)", {"x3": "x5", "x5": ""}, {"condition (2)": 3, "condition (5)": 4}),
+        ],
+        ids=["S3xS7", "SU3"],
+    )
+    def test_steenrod_instances_on_h_spaces(self, space, squares, refusals):
+        # H^*(-; F_2) is exterior on odd generators; `squares` names Sq^k x for 0 < k < |x|, zero for
+        # S^3 x S^7, and Sq^2 x3 = x5 on SU(3) (Borel).  Sq^k x is x^2 = 0 for k = |x| and zero above
+        gens = [Generator(g, int(g[1:]), squares_to_zero=True) for g in squares]
+        pres = Presentation(Algebra(FieldSpec(2), gens))
+        alg = pres.algebra
+        table = {x: alg.gen(x) + (alg.gen(sq) if sq else alg.zero()) for x, sq in squares.items()}
+        assert validate_sq_action(ExteriorActionData(pres, table)) == []
+
+        def action(x, op):
+            return table[x].degree_component(int(x[1:]) + op.shift)
+
+        sources = [steenrod.suspension_sphere(d) for d in range(1, 2 * max(g.degree for g in gens) + 1)]
+        failed = Counter()
+        for inst in _well_formed_steenrod_instances(space, pres, action, sources):
+            result = steenrod.check_steenrod_criterion(inst)
+            assert isinstance(result, Refusal), (inst.op.label, inst.x, inst.a, inst.b)
+            failed[result.failed.partition(":")[0]] += 1
+            if inst.a != inst.b:  # past condition (2): Sq^3 x7 on S^3 x S^7, Sq^3 x5 and Sq^5 x3 on SU(3)
+                assert result.failed.endswith(f"{inst.op.label} {inst.x} = 0 has no {inst.a}*{inst.b} term")
+        assert failed == refusals
 
     def test_top_class_ops_name_classes_of_the_model(self):
         for group, rank in itertools.product(("so", "sp"), range(1, 40)):
@@ -549,31 +588,25 @@ class TestNegativeControls:
                 assert f"{model.class_prefix}{b}" in model.class_names(), (group, rank, b)
 
 
-def _well_formed_steenrod_instances(space: str, pres: Presentation, model, classes: dict):
-    """Every Steenrod criterion instance on pres, its action derived from the model's class of x.
+def _well_formed_steenrod_instances(space: str, pres: Presentation, action, sources: list):
+    """Every Steenrod criterion instance on pres whose sources detect a and b.
 
-    `classes` names the model's class of each generator.  x, a and b are generators with
-    |x| + shift = |a| + |b|, for each Sq^k with k <= 2|x| or P^k at the presentation's prime.
-    The sources are every pair, detecting a and b in their degrees, among the suspensions of
-    `suspension_of` up to rank |a| + |b|, the spheres and the Moore space.
+    x, a and b are generators with |x| + shift = |a| + |b|, for each Sq^k with k <= 2|x| or P^k at the
+    presentation's prime; `action(x, op)` is the operation on x.  The sources are every pair from
+    `sources` detecting a and b in their degrees.
     """
     prime = pres.algebra.field.characteristic
-    images = {c: pres.algebra.gen(g) for g, c in classes.items()}
     degree = {g.name: g.degree for g in pres.algebra.generators}
-    top = 2 * max(degree.values())
-    ranks = range(1, top + 1)
-    sources = [steenrod.suspension_of(steenrod.torus_model(g, r)) for g in steenrod._SUSPENSIONS for r in ranks]
-    sources += [steenrod.suspension_sphere(d) for d in ranks] + [steenrod.suspension_moore()]
     for x, a, b in itertools.product(degree, repeat=3):
         for k in range(1, 2 * degree[x] + 1):
             op = steenrod.SteenrodOp("Sq", k) if prime == 2 else steenrod.SteenrodOp("P", k, prime)
             if degree[x] + op.shift != degree[a] + degree[b]:
                 continue
-            action = partial(catalog._derived_action, model, classes[x], op, images, pres)
             for source_a, source_b in itertools.product(sources, repeat=2):
                 if degree[a] in source_a.class_in and degree[b] in source_b.class_in:
                     yield steenrod.SteenrodCriterionInstance(
-                        space, pres, action, "derived", "negative control", op, a, b, x, source_a, source_b
+                        space, pres, partial(action, x, op), "derived", "negative control", op, a, b, x,
+                        source_a, source_b,
                     )
 
 

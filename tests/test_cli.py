@@ -387,6 +387,23 @@ class TestDeterminism:
         assert len(argvs) == 156
         assert digest.hexdigest() == "9543dd1f166ec54d9c9a887074f92dac85ccd8325fc7ad7a4c11eae12a2afc2d"
 
+    def test_checks_in_the_report_ranges_print_pinned_text(self, capsys):
+        # every instance of the report's ranges, CP^3 under both its names (refusals) and a usage error, as text
+        argvs = [
+            [fam.id, *(arg for name, p in zip(fam.param_names, params) for arg in (f"--{name}", str(p)))]
+            for fam in FAMILIES
+            for params in fam.default_range
+        ]
+        assert ["AIII", "--m", "1", "--n", "3"] in argvs
+        argvs += [["DIII", "--n", "3"], ["AI", "--n", "1"]]
+        digest, codes = hashlib.sha256(), Counter()
+        for argv in argvs:
+            code, out, err = run(capsys, "check", *argv, "--format", "text")
+            codes[code] += 1
+            digest.update(f"{code}\n{out}{err}".encode("utf-8"))
+        assert codes == {0: len(argvs) - 3, 1: 1, 2: 2}
+        assert digest.hexdigest() == "8fb6e7cb80408ae98766ea12099708b2fd4985431c871b621a66c2bdbfb412a1"
+
     def test_report_matches_the_benchmark_pins(self, capsys):
         """The report meets perfbench/bench_inputs.py's DESK_* pins, read without importing perfbench/."""
         source = (Path(__file__).resolve().parent.parent / "perfbench" / "bench_inputs.py").read_text(encoding="utf-8")

@@ -6,7 +6,6 @@ from loopcomm.criteria import (
     ASSERTED,
     MACHINE,
     Certificate,
-    Conclusion,
     ExteriorActionData,
     GeneratingMapWitness,
     Refusal,
@@ -221,11 +220,40 @@ class TestCertificates:
             (),
             (TranscriptEntry(MACHINE, "pass", "verified"),),
         )
-        conclusion = conclude_noncommutative(cert)
-        assert isinstance(conclusion, Conclusion)
-        assert conclusion.statement == "Omega(X) is not homotopy commutative"
-        assert "Samelson" in conclusion.certificate.transcript[-1].description
+        concluded = conclude_noncommutative(cert)
+        assert isinstance(concluded, Certificate)
+        assert concluded.conclusion == cert.conclusion == "Omega(X) is not homotopy commutative"
+        assert concluded.transcript[:-1] == cert.transcript
+        assert "Samelson" in concluded.transcript[-1].description
 
     def test_conclude_rejects_refusal(self):
         with pytest.raises(ContractViolation):
             conclude_noncommutative(Refusal("X", "Rational", "nope"))
+
+    def test_certificate_renders_itself(self):
+        cert = Certificate("X", "Rational", (("kind", "w"),), (TranscriptEntry(MACHINE, "pass", "verified"),))
+        assert (cert.witness_text(), cert.exception_note) == ("kind=w", "")
+        payload = cert.to_dict()
+        assert list(payload) == ["schema_version", "kind", "space", "criterion", "witness", "conclusion", "transcript"]
+        assert (payload["kind"], payload["witness"]) == ("certificate", [["kind", "w"]])
+        assert payload["conclusion"] == cert.conclusion == "Omega(X) is not homotopy commutative"
+        assert payload["transcript"] == [e.to_dict() for e in cert.transcript]
+        assert cert.render() == (
+            "certificate\nspace: X\ncriterion: Rational\nwitness:\n  kind = w\ntranscript:\n"
+            "  1. [machine-verified] pass: verified\nconclusion: Omega(X) is not homotopy commutative\n"
+        )
+
+    @pytest.mark.parametrize("transcript, note", [((), ""), ((TranscriptEntry(MACHINE, "fail", "odd"),), "known")])
+    def test_refusal_renders_itself(self, transcript, note):
+        ref = Refusal("X", "Rational", "nope", transcript, note)
+        assert ref.witness_text() == "-"
+        payload = ref.to_dict()
+        assert list(payload) == [
+            "schema_version", "kind", "space", "criterion", "failed", "exception_note", "conclusion", "transcript"
+        ]
+        assert (payload["kind"], payload["failed"], payload["exception_note"]) == ("refusal", "nope", note)
+        assert payload["conclusion"] == ref.conclusion == "no conclusion from the implemented criteria"
+        lines = ["no conclusion", "space: X", "criterion attempted: Rational", "failed: nope"]
+        if transcript:
+            lines += ["transcript:", "  1. [machine-verified] fail: odd", "exception: known"]
+        assert ref.render() == "\n".join([*lines, f"conclusion: {ref.conclusion}"]) + "\n"

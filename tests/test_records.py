@@ -8,8 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from loopcomm.catalog import FAMILIES, SteenrodStep, check, instantiate, report, route
-from loopcomm.criteria import Certificate, conclude_noncommutative
+from loopcomm.catalog import FAMILIES, check, instantiate, report, route
 from loopcomm.gradedalg import Algebra, ContractViolation, _frozen_setattr, record, replace
 from loopcomm.steenrod import SteenrodOp
 from loopcomm.sullivan import build_formal_model, find_rational_witness
@@ -55,9 +54,6 @@ def _samples() -> dict:
             instance = instantiate(fam.id, params)
             plan = route(instance)
             walk([instance, plan, check(instance)])
-            # a Steenrod step builds its criterion instance when a run reaches it
-            walk([step.instance for step in plan.steps if isinstance(step, SteenrodStep)])
-    walk(conclude_noncommutative(next(v for v in found.values() if isinstance(v, Certificate))))
     (eii,) = route(instantiate("EII")).steps
     walk(find_rational_witness(build_formal_model(eii.presentation)))
     found[SteenrodOp] = SteenrodOp("Sq", 2)  # a P operation would reject the default prime
@@ -68,7 +64,7 @@ SAMPLES = _samples()
 
 
 def test_every_record_class_is_sampled():
-    assert len(RECORDS) == 26
+    assert len(RECORDS) == 25
     assert set(SAMPLES) == set(RECORDS)
 
 
