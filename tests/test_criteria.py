@@ -1,5 +1,8 @@
 """Certificates, total-square validation, the odd-generator criterion."""
 
+import hashlib
+import json
+
 import pytest
 
 from loopcomm.criteria import (
@@ -257,3 +260,88 @@ class TestCertificates:
         if transcript:
             lines += ["transcript:", "  1. [machine-verified] fail: odd", "exception: known"]
         assert ref.render() == "\n".join([*lines, f"conclusion: {ref.conclusion}"]) + "\n"
+
+
+def _every_refusal_shape(monkeypatch) -> dict:
+    """One refusal from each site that builds one, keyed by what it refuses."""
+    from loopcomm import catalog
+    from loopcomm.catalog import check, instantiate, route
+    from loopcomm.gradedalg import Relation, replace
+    from loopcomm.steenrod import SuspensionModel, check_steenrod_criterion, suspension_rp
+    from loopcomm.sullivan import SullivanModel
+
+    ai = route(instantiate("AI", (7,))).steps[0].instance  # Sq^2 v7 on Sigma RP^6 and Sigma RP^1
+    ei_step = route(instantiate("EI")).steps[0]  # P^1 x8 on the bottom cell S^8, with a cross-check
+    ei = ei_step.instance
+    alg = ai.presentation.algebra
+    ei_alg = ei.presentation.algebra
+    wide = Algebra(FieldSpec(5), ei.presentation.generators + (Generator("y16", 16),))
+    steenrod = {
+        "(1)": replace(ai, source_a=suspension_rp(5)),
+        "(2)": replace(ai, source_b=suspension_rp(6)),
+        "(3)": replace(ei, source_b=SuspensionModel("S^8", [("s8", 8)])),
+        "(4)": replace(ai, presentation=Presentation(alg, (Relation(7, "explicit", alg.gen("v7")),))),
+        "(5) indecomposable": replace(ei, presentation=Presentation(wide), action=lambda: wide.gen("y16")),
+        "(5) no product term": replace(ei, action=ei_alg.zero),
+        "(6)": replace(ai, source_b=suspension_rp(2)),
+    }
+    shapes = {f"steenrod {k}": check_steenrod_criterion(inst) for k, inst in steenrod.items()}
+
+    theta = ei.action()
+    cc = ei_step.crosscheck
+    contradicted = replace(
+        ei_step,
+        instance=replace(ei, action=lambda: theta + theta),
+        crosscheck=replace(cc, pullback={**cc.pullback, "q4": ei_alg.zero()}),
+    )
+    shapes["cross-check contradiction"] = catalog._run_step(contradicted)
+
+    def projective(degrees, table, cells):
+        a = exterior(*degrees)
+        data = ExteriorActionData(Presentation(a), table(a), "test table")
+        return check_partial_projective_criterion(data, witness("X", cells))
+
+    even = Algebra(F2, [Generator("x2", 2)])
+    shapes["projective invalid table"] = projective((5, 9), lambda a: {"x5": a.gen("x5")}, (5, 9))
+    shapes["projective no generators"] = projective((), lambda a: {}, ())
+    shapes["projective even degree"] = check_partial_projective_criterion(
+        ExteriorActionData(Presentation(even), {"x2": even.gen("x2") + even.gen("x2") * even.gen("x2")}),
+        witness("CP-like", (2,)),
+    )
+    shapes["projective nonlinear"] = projective(
+        (5, 9, 25),
+        lambda a: {"x5": a.gen("x5"), "x9": a.gen("x9"), "x25": a.gen("x25") + a.gen("x9") * a.gen("x25")},
+        (5, 9, 25),
+    )
+    shapes["projective cell degrees"] = projective((5, 9), lambda a: {"x5": a.gen("x5"), "x9": a.gen("x9")}, (5, 13))
+    shapes["projective 2^k - 1"] = projective((7, 11), lambda a: {"x7": a.gen("x7"), "x11": a.gen("x11")}, (7, 11))
+
+    sphere = Presentation(Algebra(FieldSpec(0), [Generator("x3", 3, squares_to_zero=True)]))
+    shapes["rational hypothesis"] = catalog._run_rational(catalog.RationalStep("S^3", sphere, "exterior"))
+    cp3 = catalog.RationalStep("CP^3", catalog._cp_presentation(3), "truncated polynomial")
+    shapes["rational no quadratic term"] = catalog._run_rational(cp3)
+    fi = route(instantiate("FI")).steps[0]
+    shapes["rational transfer threshold"] = catalog._run_rational(
+        replace(fi, transfer=replace(fi.transfer, threshold=17))
+    )
+    lift = route(instantiate("BDI", (7, 4))).steps[0]
+    shapes["lift source dimension"] = catalog._run_lift(replace(lift, threshold=3))
+    shapes["no candidate operation"] = catalog._classifying_result("so", 2)
+    shapes["exception row"] = check(instantiate("AIII", (1, 3)))
+    with monkeypatch.context() as m:
+        # dz6 = x2^2*y3 with dy3 = x2^2 gives d(dz6) = x2^4 != 0
+        q = Algebra(FieldSpec(0), [Generator("x2", 2), Generator("y3", 3, True), Generator("z6", 6)])
+        model = SullivanModel(q, {"y3": q.monomial((2, 0, 0)), "z6": q.monomial((2, 1, 0))})
+        m.setattr(catalog, "build_formal_model", lambda pres: model)
+        shapes["rational cocycle"] = catalog._run_rational(route(instantiate("EII")).steps[0])
+    return shapes
+
+
+def test_every_refusal_shape_is_pinned(monkeypatch):
+    # the report prints one refusal; this pins the to_dict() of every site's refusal, byte for byte
+    shapes = _every_refusal_shape(monkeypatch)
+    assert [k for k, r in shapes.items() if not isinstance(r, Refusal)] == []
+    payload = json.dumps({k: r.to_dict() for k, r in shapes.items()}, sort_keys=True)
+    assert hashlib.sha256(payload.encode("utf-8")).hexdigest() == (
+        "72f1209c47a599eae38b61fb4648d8ae77db5730199a52e4783e1c232cd2b681"
+    )
