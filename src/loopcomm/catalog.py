@@ -17,7 +17,6 @@ from typing import Callable, Optional
 
 from .criteria import (
     ASSERTED,
-    MACHINE,
     RATIONAL,
     RECORDED,
     STEENROD,
@@ -26,7 +25,7 @@ from .criteria import (
     ExteriorActionData,
     GeneratingMapWitness,
     Refusal,
-    TranscriptEntry,
+    Transcript,
     check_partial_projective_criterion,
     conclude_noncommutative,
     total_square_violations,
@@ -747,110 +746,69 @@ _READ_BY_NAME = {"external": (*_BY_ID, *_RANK2_EXTERNAL.values()), "generating-m
 
 def _run_rational(step: RationalStep):
     pres = step.presentation
-    space = step.space
+    t = Transcript(step.space, RATIONAL)
     try:
         model = build_formal_model(pres)
     except HypothesisViolation as exc:
-        return Refusal(space, RATIONAL, str(exc), (TranscriptEntry(MACHINE, "fail", str(exc)),))
-    transcript = [
-        TranscriptEntry(
-            MACHINE,
-            "pass",
-            f"rational coefficients; generators all even (degrees "
-            f"{tuple(g.degree for g in pres.generators)}); "
-            f"{len(pres.relations)} relations for {len(pres.generators)} generators",
-        )
-    ]
+        return t.refuse(str(exc), str(exc))
+    t.add(
+        f"rational coefficients; generators all even (degrees {tuple(g.degree for g in pres.generators)}); "
+        f"{len(pres.relations)} relations for {len(pres.generators)} generators"
+    )
     for i, rel in enumerate(pres.relations):
         if rel.explicit:
-            transcript.append(
-                TranscriptEntry(MACHINE, "pass", f"relation {i} (degree {rel.degree}) is decomposable")
-            )
+            t.add(f"relation {i} (degree {rel.degree}) is decomposable")
         else:
-            transcript.append(
-                TranscriptEntry(
-                    ASSERTED,
-                    "pass",
-                    f"relation {i} (degree {rel.degree}) is decomposable; certified terms: "
-                    f"{poly_to_text(rel.terms)}",
-                    step.citation,
-                )
+            t.add(
+                f"relation {i} (degree {rel.degree}) is decomposable; certified terms: {poly_to_text(rel.terms)}",
+                step.citation,
+                ASSERTED,
             )
     if pres.all_explicit and pres.relations:
-        transcript.append(
-            TranscriptEntry(
-                MACHINE,
-                "pass",
-                "relations form a complete intersection: the quotient vanishes in the window of "
-                "degrees above the formal dimension, so the relations are a regular sequence",
-            )
+        t.add(
+            "relations form a complete intersection: the quotient vanishes in the window of "
+            "degrees above the formal dimension, so the relations are a regular sequence"
         )
     elif pres.relations:
-        transcript.append(
-            TranscriptEntry(
-                ASSERTED,
-                "pass",
-                "relations form a regular sequence (finite-dimensional cohomology)",
-                step.citation,
-            )
-        )
+        t.add("relations form a regular sequence (finite-dimensional cohomology)", step.citation, ASSERTED)
     if not certified_parts_are_cocycles(model):
-        return Refusal(space, RATIONAL, "a stored differential is not a cocycle", tuple(transcript))
-    transcript.append(
-        TranscriptEntry(
-            MACHINE,
-            "pass",
-            f"minimal model {pretty_model(model)}; stored differentials are cocycles",
-        )
-    )
+        return t.refuse("a stored differential is not a cocycle")
+    t.add(f"minimal model {pretty_model(model)}; stored differentials are cocycles")
     witness = find_rational_witness(model)
     if witness is None:
-        lengths = sorted(
-            wl
-            for g in model.generators
-            for wl in model.differential[g.name].word_lengths()
-        )
+        lengths = sorted(wl for g in model.generators for wl in model.differential[g.name].word_lengths())
         detail = f"; smallest differential word length is {lengths[0]}" if lengths else ""
-        transcript.append(
-            TranscriptEntry(MACHINE, "fail", "no differential carries a quadratic monomial" + detail)
+        return t.refuse(
+            "no quadratic term in any differential", "no differential carries a quadratic monomial" + detail
         )
-        return Refusal(space, RATIONAL, "no quadratic term in any differential", tuple(transcript))
-    transcript.append(
-        TranscriptEntry(
-            MACHINE,
-            "pass",
-            f"differential of relation {witness.relation_index} contains the quadratic pair "
-            f"{witness.pair}: non-trivial rational Whitehead pairing on homotopy in degrees "
-            f"({witness.m},{witness.n}) with target degree {witness.target}",
-            "quadratic part of a minimal-model differential detects rational Whitehead products",
-        )
+    t.add(
+        f"differential of relation {witness.relation_index} contains the quadratic pair "
+        f"{witness.pair}: non-trivial rational Whitehead pairing on homotopy in degrees "
+        f"({witness.m},{witness.n}) with target degree {witness.target}",
+        "quadratic part of a minimal-model differential detects rational Whitehead products",
     )
-    final_space = space
     if step.transfer is not None:
-        t = step.transfer
+        tr = step.transfer
         degrees = f"witness degrees ({witness.m},{witness.n},{witness.target})"
-        low = [d for d in (witness.m, witness.n, witness.target) if d < t.threshold]
+        low = [d for d in (witness.m, witness.n, witness.target) if d < tr.threshold]
         if low:
-            transcript.append(TranscriptEntry(MACHINE, "fail", f"{degrees} not all >= threshold {t.threshold}"))
-            failed = f"witness degree {low[0]} is below the equivalence threshold {t.threshold}"
-            return Refusal(space, RATIONAL, failed, tuple(transcript))
-        transcript.append(TranscriptEntry(MACHINE, "pass", f"{degrees} all >= threshold {t.threshold}"))
-        transcript.append(
-            TranscriptEntry(
-                ASSERTED,
-                "pass",
-                f"{space} -> {t.target} induces a rational homotopy isomorphism in degrees >= {t.threshold}",
-                t.citation,
+            return t.refuse(
+                f"witness degree {low[0]} is below the equivalence threshold {tr.threshold}",
+                f"{degrees} not all >= threshold {tr.threshold}",
             )
+        t.add(f"{degrees} all >= threshold {tr.threshold}")
+        t.add(
+            f"{step.space} -> {tr.target} induces a rational homotopy isomorphism in degrees >= {tr.threshold}",
+            tr.citation,
+            ASSERTED,
         )
-        final_space = t.target
-    payload = (
+        t.space = tr.target
+    return t.certify((
         ("pair", f"({witness.pair[0]}, {witness.pair[1]})"),
         ("degrees", f"({witness.m}, {witness.n})"),
         ("target", f"pi_{witness.target} (x) Q"),
         ("relation_index", str(witness.relation_index)),
-    )
-    return Certificate(final_space, RATIONAL, payload, tuple(transcript))
+    ))
 
 
 def _run_steenrod(step: SteenrodStep):
@@ -866,7 +824,7 @@ def _classifying_result(group: str, rank: int):
     steps = _classifying_plan(group, rank).steps
     if not steps:
         why = "no candidate operation on the top class lands on a class of the model"
-        return Refusal(f"{_CLASSIFYING[group][0]}({rank})", STEENROD, why, (TranscriptEntry(MACHINE, "fail", why),))
+        return Transcript(f"{_CLASSIFYING[group][0]}({rank})", STEENROD).refuse(why, why)
     return _first_certificate(steps)
 
 
@@ -875,27 +833,16 @@ def _run_lift(lift: LiftStep):
     if isinstance(result, Refusal):
         return result
     base = result.space
-    transcript = result.transcript + (
-        TranscriptEntry(
-            ASSERTED,
-            "pass",
-            f"{lift.target} -> {base} is a {lift.threshold}-equivalence",
-            lift.citation,
-        ),
-    )
+    t = Transcript(lift.target, STEENROD, result.transcript)
+    t.add(f"{lift.target} -> {base} is a {lift.threshold}-equivalence", lift.citation, ASSERTED)
     source_dim = torus_model(lift.group, lift.rank).class_degree(lift.rank)  # a, the top class, is its top cell
     if source_dim > lift.threshold:
-        failed = f"source dimension {source_dim} > {lift.threshold}: the maps need not lift"
-        return Refusal(lift.target, STEENROD, failed, transcript)
-    transcript += (
-        TranscriptEntry(
-            MACHINE,
-            "pass",
-            f"source dimension {source_dim} <= {lift.threshold}: both maps lift, and the "
-            f"lifted Whitehead product maps onto the verified non-trivial one",
-        ),
+        return t.refuse(f"source dimension {source_dim} > {lift.threshold}: the maps need not lift")
+    t.add(
+        f"source dimension {source_dim} <= {lift.threshold}: both maps lift, and the "
+        f"lifted Whitehead product maps onto the verified non-trivial one"
     )
-    return Certificate(lift.target, STEENROD, result.witness + (("lifted-from", base),), transcript)
+    return t.certify(result.witness + (("lifted-from", base),))
 
 
 def _run_step(step):
@@ -908,11 +855,8 @@ def _run_step(step):
     if isinstance(step, ProjectiveStep):
         return check_partial_projective_criterion(step.data, step.witness)
     if isinstance(step, RecordedStep):
-        return Certificate(
-            step.space,
-            RECORDED,
-            (("statement", step.statement),),
-            (TranscriptEntry(ASSERTED, "pass", step.statement, step.citation),),
+        return Transcript(step.space, RECORDED).add(step.statement, step.citation, ASSERTED).certify(
+            (("statement", step.statement),)
         )
     raise TypeError(f"unknown plan step {step!r}")
 
@@ -924,13 +868,13 @@ def _first_certificate(steps):
     When every step refuses, the last refusal comes back with the notes of the
     refused steps before it appended.
     """
-    notes = []
+    notes = Transcript(None, None)  # only its entries are read
     for step in steps:
         result = _run_step(step)
         if isinstance(result, Certificate):
-            return replace(result, transcript=tuple(notes) + result.transcript) if notes else result
-        notes.append(TranscriptEntry(MACHINE, "info", f"plan step '{step.label}' refused: {result.failed}"))
-    return replace(result, transcript=result.transcript + tuple(notes[:-1]))
+            return replace(result, transcript=notes.entries + result.transcript) if notes.entries else result
+        notes.add(f"plan step '{step.label}' refused: {result.failed}", outcome="info")
+    return replace(result, transcript=result.transcript + notes.entries[:-1])
 
 
 def check(instance: SpaceInstance):
@@ -1035,7 +979,7 @@ def _family_level_row(fam: Family) -> ReportRow:
         conclusion=statement,
         exception=False,
         note=fam.summary_note,
-        transcript=(TranscriptEntry(ASSERTED, "pass", statement, rec["cite"]),),
+        transcript=Transcript(fam.id, RECORDED).add(statement, rec["cite"], ASSERTED).entries,
     )
 
 

@@ -3,6 +3,8 @@
 Every check produces either a Certificate (with a transcript of verified
 preconditions) or a Refusal naming exactly one failed hypothesis.  A refusal
 is never evidence of homotopy commutativity; criteria here are one-sided.
+A check records its evidence in a `Transcript`, one `add` per step, and ends
+it with `certify` or `refuse`: no other module builds an entry or a result.
 Each result states its `conclusion` and renders itself as `check` prints it:
 `to_dict()` in the structured format, `render()` in text.
 """
@@ -129,18 +131,40 @@ def _numbered(transcript: tuple) -> list:
     return [f"  {i}. {e.render()}" for i, e in enumerate(transcript, start=1)]
 
 
+class Transcript:
+    """The evidence of one check on `space`, recorded entry by entry, and the result it comes to.
+
+    `space` may be set before `certify`: a transferred certificate is on the
+    transfer's target.
+    """
+
+    def __init__(self, space: str, criterion: str, entries: tuple = ()):
+        self.space, self.criterion, self.entries = space, criterion, tuple(entries)
+
+    def add(self, description: str, citation: str = "", status: str = MACHINE, outcome: str = "pass"):
+        self.entries += (TranscriptEntry(status, outcome, description, citation),)
+        return self
+
+    def refuse(self, failed: str, entry: str = "") -> Refusal:
+        """A refusal naming the failed hypothesis; `entry`, when given, is first recorded as a failed step."""
+        if entry:
+            self.add(entry, outcome="fail")
+        return Refusal(self.space, self.criterion, failed, self.entries)
+
+    def certify(self, witness: tuple) -> Certificate:
+        return Certificate(self.space, self.criterion, witness, self.entries)
+
+
 def conclude_noncommutative(cert: Certificate) -> Certificate:
     """The certificate with the Whitehead-Samelson adjunction entry that its `conclusion` rests on."""
     if not isinstance(cert, Certificate):
         raise ContractViolation("conclude_noncommutative requires a certificate, not a refusal")
-    step = TranscriptEntry(
-        ASSERTED,
-        "pass",
+    return Transcript(cert.space, cert.criterion, cert.transcript).add(
         "a non-trivial Whitehead product adjoins to a non-trivial Samelson product in the loop space, "
         "so the loop space multiplication is not homotopy commutative",
         "Whitehead-Samelson adjunction",
-    )
-    return Certificate(cert.space, cert.criterion, cert.witness, cert.transcript + (step,))
+        ASSERTED,
+    ).certify(cert.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -217,83 +241,39 @@ def check_partial_projective_criterion(
     Hypotheses: odd generators only, linear total squares, suspension source,
     and minimal generator degree not of the form 2^k - 1.
     """
-    space = g.target
-    transcript = []
+    t = Transcript(g.target, PROJECTIVE)
     gens = data.presentation.generators
-
-    def refuse(why: str) -> Refusal:
-        return Refusal(space, PROJECTIVE, why, tuple(transcript))
-
     violations = validate_sq_action(data)
     if violations:
-        return refuse(f"invalid total-square table: {violations[0]}")
-    transcript.append(
-        TranscriptEntry(MACHINE, "pass", "total-square table is unital, instability-bounded, and square-consistent")
-    )
-
+        return t.refuse(f"invalid total-square table: {violations[0]}")
+    t.add("total-square table is unital, instability-bounded, and square-consistent")
     if not gens:
-        return refuse("presentation has no generators")
-
+        return t.refuse("presentation has no generators")
     odd = [g_.degree % 2 == 1 for g_ in gens]
     if not all(odd):
         bad = gens[odd.index(False)]
-        return refuse(f"generator {bad.name} has even degree {bad.degree}")
-    transcript.append(
-        TranscriptEntry(MACHINE, "pass", "all generators have odd degree")
-    )
-
+        return t.refuse(f"generator {bad.name} has even degree {bad.degree}")
+    t.add("all generators have odd degree")
     if not check_sq_linearity(data):
-        return refuse("a total square has a decomposable component")
-    transcript.append(
-        TranscriptEntry(
-            MACHINE,
-            "pass",
-            "every total square is a linear combination of the generators",
-            data.citation,
-        )
-    )
-
+        return t.refuse("a total square has a decomposable component")
+    t.add("every total square is a linear combination of the generators", data.citation)
     if sorted(g.cell_degrees) != sorted(g_.degree for g_ in gens):
-        return refuse("generating map record inconsistent with generator degrees")
-    transcript.append(
-        TranscriptEntry(
-            MACHINE,
-            "pass",
-            f"source cell degrees {tuple(sorted(g.cell_degrees))} match the indecomposables",
-        )
-    )
-    transcript.append(
-        TranscriptEntry(
-            ASSERTED,
-            "pass",
-            f"{g.source} -> {g.target} is a generating map from a suspension of {g.base}",
-            g.citation,
-        )
-    )
-
+        return t.refuse("generating map record inconsistent with generator degrees")
+    t.add(f"source cell degrees {tuple(sorted(g.cell_degrees))} match the indecomposables")
+    t.add(f"{g.source} -> {g.target} is a generating map from a suspension of {g.base}", g.citation, ASSERTED)
     mindeg = min(g_.degree for g_ in gens)
     if _is_power_of_two_minus_one(mindeg):
-        return refuse(f"minimal generator degree {mindeg} = 2^k - 1")
-    transcript.append(
-        TranscriptEntry(
-            MACHINE,
-            "pass",
-            f"minimal generator degree {mindeg} is not of the form 2^k - 1",
-        )
+        return t.refuse(f"minimal generator degree {mindeg} = 2^k - 1")
+    t.add(f"minimal generator degree {mindeg} is not of the form 2^k - 1")
+    t.add(
+        "a trivial [g,g] would extend g+g over the product and force a square-closed "
+        "truncated polynomial ring on a class of non-2-power degree, which is impossible",
+        "Toda: truncated polynomial rings admitting total squares; partial projective plane of the extension",
+        ASSERTED,
     )
-    transcript.append(
-        TranscriptEntry(
-            ASSERTED,
-            "pass",
-            "a trivial [g,g] would extend g+g over the product and force a square-closed "
-            "truncated polynomial ring on a class of non-2-power degree, which is impossible",
-            "Toda: truncated polynomial rings admitting total squares; partial projective plane of the extension",
-        )
-    )
-    witness = (
+    return t.certify((
         ("kind", "self Whitehead product of a generating map"),
         ("map", f"{g.source} -> {g.target}"),
         ("min_degree", str(mindeg)),
         ("generators", ", ".join(g_.name for g_ in gens)),
-    )
-    return Certificate(space, PROJECTIVE, witness, tuple(transcript))
+    ))

@@ -11,7 +11,6 @@ canonical residue 0..p-1.
 from __future__ import annotations
 
 import re
-from contextlib import contextmanager
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add, attrgetter
@@ -205,7 +204,8 @@ def _coefficient(text: str):
 
     An int stays an int; only int/int is read as a Fraction.
     """
-    if not re.fullmatch(r"-?[0-9]+(?:/[0-9]+)?", text):
+    numerator, slash, denominator = text.removeprefix("-").partition("/")
+    if not (_is_digits(numerator) and (not slash or _is_digits(denominator))):
         raise ValueError(f"not a coefficient: {text!r}")
     if "/" not in text:
         return int(text)
@@ -224,7 +224,7 @@ class Generator:
     def __post_init__(self) -> None:
         if self.degree <= 0:
             raise ValueError(f"generator degree must be positive, got {self.degree}")
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", self.name):
+        if not (self.name.isascii() and self.name.isidentifier()):  # [A-Za-z_][A-Za-z_0-9]*
             raise ValueError(f"bad generator name {self.name!r}")
 
 
@@ -898,13 +898,9 @@ def print_presentation(pres: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-@contextmanager
-def _at_line(lineno: int):
-    """Re-raise a ValueError or IndexError from inside as a ValueError naming the line."""
-    try:
-        yield
-    except (IndexError, ValueError) as exc:
-        raise ValueError(f"presentation line {lineno}: {exc}") from exc
+def _at_line(lineno: int, exc: Exception) -> ValueError:
+    """A ValueError or IndexError raised while reading a line, as a ValueError naming the line."""
+    return ValueError(f"presentation line {lineno}: {exc}")
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -920,7 +916,7 @@ def parse_presentation(text: str) -> Presentation:
         if not line:
             continue
         words = line.split()
-        with _at_line(lineno):
+        try:
             if end:
                 raise ValueError(f"{words[0]!r} record after the end record of line {end}")
             if words[0] in once:
@@ -954,33 +950,46 @@ def parse_presentation(text: str) -> Presentation:
                 end = lineno
             else:
                 raise ValueError(f"unknown record {words[0]!r}")
+        except (IndexError, ValueError) as exc:
+            raise _at_line(lineno, exc) from exc
     if field is None:
         raise ValueError(f"presentation line {end or max(lineno, 1)}: no field record before the end")
     earlier = set()
     for gen_line, g in gens:
-        with _at_line(gen_line):
+        try:
             _check_generator(field, g, earlier)
+        except (IndexError, ValueError) as exc:
+            raise _at_line(gen_line, exc) from exc
         earlier.add(g.name)
     alg = Algebra(field, [g for _, g in gens])
     relations = []
     for rel_line, degree, kind, asserted, terms in rel_specs:
         body = alg.zero()
         for term_line, coeff_text, exps in terms:
-            with _at_line(term_line):
+            try:
                 term = alg.monomial(exps, field.parse(coeff_text))
                 if alg.monomial_degree(exps) != degree:
                     raise ContractViolation(
                         f"term of degree {alg.monomial_degree(exps)} in a degree-{degree} relation"
                     )
+            except (IndexError, ValueError) as exc:
+                raise _at_line(term_line, exc) from exc
             body = body + term
-        with _at_line(rel_line):
+        try:
             relations.append(Relation(degree, kind, body, decomposable_asserted=asserted))
+        except (IndexError, ValueError) as exc:
+            raise _at_line(rel_line, exc) from exc
     return Presentation(alg, tuple(relations), formal_dimension)
+
+
+def _is_digits(text: str) -> bool:
+    """Whether text is [0-9]+: str.isdigit alone also takes other scripts' digits and superscripts."""
+    return text.isascii() and text.isdigit()
 
 
 def _integer(text: str) -> int:
     """An integer in the form print_presentation prints, -?[0-9]+ in ASCII digits."""
-    if not re.fullmatch(r"-?[0-9]+", text):
+    if not _is_digits(text.removeprefix("-")):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
 

@@ -17,14 +17,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import Callable
 
-from .criteria import (
-    ASSERTED,
-    MACHINE,
-    STEENROD,
-    Certificate,
-    Refusal,
-    TranscriptEntry,
-)
+from .criteria import ASSERTED, MACHINE, STEENROD, Certificate, Transcript
 from .gradedalg import (
     Algebra,
     ContractViolation,
@@ -517,23 +510,16 @@ def crosscheck(inst: SteenrodCriterionInstance, cc: ClassifyingCrossCheck, cert:
     theta = inst.action()
     computed = char_class_operation(cc.model, cc.class_name, inst.op)
     resolved, surfaced = restrict(computed, cc.pullback, inst.presentation)
-    entries = [
-        TranscriptEntry(
-            MACHINE,
-            "info",
-            f"classifying-space cross-check: {inst.op.label} {cc.class_name} = {poly_to_text(computed)} "
-            f"in the {cc.model.group}({cc.model.rank}) model",
-        )
-    ]
+    t = Transcript(cert.space, cert.criterion, cert.transcript).add(
+        f"classifying-space cross-check: {inst.op.label} {cc.class_name} = {poly_to_text(computed)} "
+        f"in the {cc.model.group}({cc.model.rank}) model",
+        outcome="info",
+    )
     if surfaced:
-        entries.append(
-            TranscriptEntry(
-                MACHINE,
-                "info",
-                "cross-check terms with unrecorded restriction images, surfaced unresolved: "
-                + ", ".join(surfaced),
-                cc.citation,
-            )
+        t.add(
+            "cross-check terms with unrecorded restriction images, surfaced unresolved: " + ", ".join(surfaced),
+            cc.citation,
+            outcome="info",
         )
     difference = (
         f"resolved image {poly_to_text(resolved)} differs from recorded action {poly_to_text(theta)}"
@@ -546,11 +532,8 @@ def crosscheck(inst: SteenrodCriterionInstance, cc: ClassifyingCrossCheck, cert:
         text += " surfaced terms may account for it"
     else:
         outcome, text = "fail", f"cross-check contradiction: {difference}"
-    entries.append(TranscriptEntry(MACHINE, outcome, text, cc.citation))
-    transcript = cert.transcript + tuple(entries)
-    if outcome == "fail":
-        return Refusal(inst.space, STEENROD, f"cross-check: {difference}", transcript)
-    return Certificate(cert.space, cert.criterion, cert.witness, transcript)
+    t.add(text, cc.citation, outcome=outcome)
+    return t.refuse(f"cross-check: {difference}") if outcome == "fail" else t.certify(cert.witness)
 
 
 def check_steenrod_criterion(inst: SteenrodCriterionInstance):
@@ -573,116 +556,78 @@ def check_steenrod_criterion(inst: SteenrodCriterionInstance):
             f"{inst.op.label} {inst.x} = {poly_to_text(theta)} is not a degree-{da + db} "
             f"class of {inst.space}"
         )
-    transcript = [
-        TranscriptEntry(
-            MACHINE,
-            "pass",
-            f"degrees consistent: |{inst.op.label} {inst.x}| = {dx + inst.op.shift} = |{inst.a}| + |{inst.b}|",
-        )
-    ]
-
-    def refuse(cond: str, why: str) -> Refusal:
-        transcript.append(TranscriptEntry(MACHINE, "fail", why))
-        return Refusal(inst.space, STEENROD, f"condition ({cond}): {why}", tuple(transcript))
+    t = Transcript(inst.space, STEENROD).add(
+        f"degrees consistent: |{inst.op.label} {inst.x}| = {dx + inst.op.shift} = |{inst.a}| + |{inst.b}|"
+    )
 
     # (1) non-zero pullbacks of a and b
     for gen, degree, source in ((inst.a, da, inst.source_a), (inst.b, db, inst.source_b)):
         if degree not in source.class_in:
-            return refuse("1", f"{gen} pulls back to zero on {source.base}")
-    transcript.append(
-        TranscriptEntry(
-            MACHINE,
-            "pass",
-            f"(1) {inst.a} restricts to {inst.source_a.class_in[da]} on {inst.source_a.base}; "
-            f"{inst.b} restricts to {inst.source_b.class_in[db]} on {inst.source_b.base}",
-            inst.pullback_citation,
-        )
+            why = f"{gen} pulls back to zero on {source.base}"
+            return t.refuse(f"condition (1): {why}", why)
+    t.add(
+        f"(1) {inst.a} restricts to {inst.source_a.class_in[da]} on {inst.source_a.base}; "
+        f"{inst.b} restricts to {inst.source_b.class_in[db]} on {inst.source_b.base}",
+        inst.pullback_citation,
     )
 
     # (2) at p = 2 the second map must kill a
     if inst.op.prime == 2:
         if da in inst.source_b.class_in:
-            return refuse("2", f"{inst.a} does not pull back to zero on {inst.source_b.base}")
-        transcript.append(
-            TranscriptEntry(MACHINE, "pass", f"(2) {inst.a} restricts to zero on {inst.source_b.base}")
-        )
+            why = f"{inst.a} does not pull back to zero on {inst.source_b.base}"
+            return t.refuse(f"condition (2): {why}", why)
+        t.add(f"(2) {inst.a} restricts to zero on {inst.source_b.base}")
 
     # (3) equal odd-primary degrees force the diagonal instance
     if inst.op.prime != 2 and da == db:
-        diagonal = inst.a == inst.b and inst.source_a is inst.source_b
-        if not diagonal:
-            return refuse("3", "|a| = |b| at an odd prime requires equal sources, maps and classes")
-        transcript.append(
-            TranscriptEntry(
-                MACHINE, "pass", "(3) |a| = |b| at an odd prime with identical sources, maps and classes"
-            )
-        )
+        if not (inst.a == inst.b and inst.source_a is inst.source_b):
+            why = "|a| = |b| at an odd prime requires equal sources, maps and classes"
+            return t.refuse(f"condition (3): {why}", why)
+        t.add("(3) |a| = |b| at an odd prime with identical sources, maps and classes")
 
     # (4) one-dimensional indecomposables in degree |a|
     qdim = indecomposable_dimension(pres, da)
     if qdim != 1:
-        return refuse("4", f"indecomposable quotient has dimension {qdim} != 1 in degree {da}")
-    transcript.append(
-        TranscriptEntry(
-            MACHINE, "pass", f"(4) indecomposable quotient of H^{da}({inst.space}) has dimension 1"
-        )
-    )
+        why = f"indecomposable quotient has dimension {qdim} != 1 in degree {da}"
+        return t.refuse(f"condition (4): {why}", why)
+    t.add(f"(4) indecomposable quotient of H^{da}({inst.space}) has dimension 1")
 
     # (5) theta(x) decomposable with a non-zero (a, b) coefficient
     if not is_decomposable(theta):
-        return refuse("5", f"{inst.op.label} {inst.x} = {poly_to_text(theta)} is not decomposable")
+        why = f"{inst.op.label} {inst.x} = {poly_to_text(theta)} is not decomposable"
+        return t.refuse(f"condition (5): {why}", why)
     product = pres.algebra.gen(inst.a) * pres.algebra.gen(inst.b)
     coeff = next((theta.coefficient(mono) for mono in product.terms), 0)
     if not coeff:
-        return refuse(
-            "5",
-            f"{inst.op.label} {inst.x} = {poly_to_text(theta)} has no {inst.a}*{inst.b} term",
-        )
-    transcript.append(
-        TranscriptEntry(
-            MACHINE if inst.action_provenance == "derived" else ASSERTED,
-            "pass",
-            f"(5) {inst.op.label} {inst.x} = {poly_to_text(theta)} is decomposable and the "
-            f"{inst.a}*{inst.b} coefficient is {coeff}",
-            inst.action_citation,
-        )
+        why = f"{inst.op.label} {inst.x} = {poly_to_text(theta)} has no {inst.a}*{inst.b} term"
+        return t.refuse(f"condition (5): {why}", why)
+    t.add(
+        f"(5) {inst.op.label} {inst.x} = {poly_to_text(theta)} is decomposable and the "
+        f"{inst.a}*{inst.b} coefficient is {coeff}",
+        inst.action_citation,
+        MACHINE if inst.action_provenance == "derived" else ASSERTED,
     )
 
     # (6) theta kills the whole degree-|x| slice of the product of suspensions
     basis, violations = product_slice_vanishes(inst.source_a, inst.source_b, inst.op, dx)
-    basis_text = ", ".join(f"{a}(x){b}" for a, b in basis) or "(empty)"
+    product_text = f"{inst.source_a.base} x {inst.source_b.base}"
     if violations:
         (ca, cb), img = violations[0]
         img_text = ", ".join(f"{v}*{m}(x){n}" for (m, n), v in sorted(img.items()))
-        transcript.append(
-            TranscriptEntry(
-                MACHINE,
-                "fail",
-                f"(6) {inst.op.label}({ca}(x){cb}) = {img_text} != 0 in "
-                f"H^*({inst.source_a.base} x {inst.source_b.base})",
-            )
+        return t.refuse(
+            f"condition (6): {inst.op.label} does not vanish on H^{dx} of {product_text} (element {ca}(x){cb})",
+            f"(6) {inst.op.label}({ca}(x){cb}) = {img_text} != 0 in H^*({product_text})",
         )
-        return Refusal(
-            inst.space,
-            STEENROD,
-            f"condition (6): {inst.op.label} does not vanish on H^{dx} of "
-            f"{inst.source_a.base} x {inst.source_b.base} (element {ca}(x){cb})",
-            tuple(transcript),
-        )
-    transcript.append(
-        TranscriptEntry(
-            MACHINE,
-            "pass",
-            f"(6) {inst.op.label} vanishes on the degree-{dx} slice of "
-            f"H^*({inst.source_a.base} x {inst.source_b.base}); Kunneth basis: {basis_text}",
-        )
+    basis_text = ", ".join(f"{a}(x){b}" for a, b in basis) or "(empty)"
+    t.add(
+        f"(6) {inst.op.label} vanishes on the degree-{dx} slice of H^*({product_text}); "
+        f"Kunneth basis: {basis_text}"
     )
 
-    witness = (
+    return t.certify((
         ("operation", inst.op.label),
         ("x", inst.x),
         ("a", f"{inst.a} detected on {inst.source_a.base}"),
         ("b", f"{inst.b} detected on {inst.source_b.base}"),
         ("product", f"[{inst.source_a.base} -> {inst.space}, {inst.source_b.base} -> {inst.space}] != 0"),
-    )
-    return Certificate(inst.space, STEENROD, witness, tuple(transcript))
+    ))

@@ -33,13 +33,12 @@ from loopcomm.catalog import (
 from loopcomm.cli import main as cli_main
 from loopcomm.criteria import (
     ASSERTED,
-    MACHINE,
     Certificate,
     DataIncomplete,
     ExteriorActionData,
     GeneratingMapWitness,
     Refusal,
-    TranscriptEntry,
+    Transcript,
     check_partial_projective_criterion,
     conclude_noncommutative,
     validate_sq_action,
@@ -478,8 +477,8 @@ class TestLifts:
         # BSO(5) tries Sq^3, then Sq^4; with both refused the row keeps the last
         # refusal and a note for the first, as an unlifted plan does
         def refuse(inst):
-            entry = TranscriptEntry(MACHINE, "fail", f"{inst.op.label} refused")
-            return Refusal(inst.space, "Steenrod", f"condition (4): {inst.op.label}", (entry,))
+            failed = f"condition (4): {inst.op.label}"
+            return Transcript(inst.space, "Steenrod").refuse(failed, f"{inst.op.label} refused")
 
         monkeypatch.setattr(catalog, "check_steenrod_criterion", refuse)
         result = check(instantiate("BDI", (8, 5)))
@@ -560,26 +559,23 @@ class TestNegativeControls:
         ids=["S3xS7", "SU3"],
     )
     def test_steenrod_instances_on_h_spaces(self, space, squares, refusals):
-        # H^*(-; F_2) is exterior on odd generators; `squares` names Sq^k x for 0 < k < |x|, zero for
-        # S^3 x S^7, and Sq^2 x3 = x5 on SU(3) (Borel).  Sq^k x is x^2 = 0 for k = |x| and zero above
-        gens = [Generator(g, int(g[1:]), squares_to_zero=True) for g in squares]
-        pres = Presentation(Algebra(FieldSpec(2), gens))
-        alg = pres.algebra
-        table = {x: alg.gen(x) + (alg.gen(sq) if sq else alg.zero()) for x, sq in squares.items()}
-        assert validate_sq_action(ExteriorActionData(pres, table)) == []
-
-        def action(x, op):
-            return table[x].degree_component(int(x[1:]) + op.shift)
-
-        sources = [steenrod.suspension_sphere(d) for d in range(1, 2 * max(g.degree for g in gens) + 1)]
         failed = Counter()
-        for inst in _well_formed_steenrod_instances(space, pres, action, sources):
+        for inst in _h_space_instances(space, squares, detected=True):
             result = steenrod.check_steenrod_criterion(inst)
             assert isinstance(result, Refusal), (inst.op.label, inst.x, inst.a, inst.b)
             failed[result.failed.partition(":")[0]] += 1
             if inst.a != inst.b:  # past condition (2): Sq^3 x7 on S^3 x S^7, Sq^3 x5 and Sq^5 x3 on SU(3)
                 assert result.failed.endswith(f"{inst.op.label} {inst.x} = 0 has no {inst.a}*{inst.b} term")
         assert failed == refusals
+
+    def test_steenrod_instances_whose_sources_miss_a_class_refuse(self):
+        # a pair of sources that does not detect both a and b carries no Whitehead product to certify;
+        # every such instance must stop at condition (1) rather than read a class the source lacks
+        instances = list(_h_space_instances("S^3 x S^7", {"x3": "", "x7": ""}, detected=False))
+        assert len(instances) == 780
+        for inst in instances:
+            result = steenrod.check_steenrod_criterion(inst)
+            assert isinstance(result, Refusal) and result.failed.startswith("condition (1): "), result
 
     def test_top_class_ops_name_classes_of_the_model(self):
         for group, rank in itertools.product(("so", "sp"), range(1, 40)):
@@ -588,12 +584,31 @@ class TestNegativeControls:
                 assert f"{model.class_prefix}{b}" in model.class_names(), (group, rank, b)
 
 
-def _well_formed_steenrod_instances(space: str, pres: Presentation, action, sources: list):
-    """Every Steenrod criterion instance on pres whose sources detect a and b.
+def _h_space_instances(space: str, squares: dict, detected: bool):
+    """The Steenrod criterion instances on an H-space whose mod-2 cohomology is exterior on odd generators.
+
+    `squares` names Sq^k x for 0 < k < |x|: zero for S^3 x S^7, and Sq^2 x3 = x5 on SU(3) (Borel).
+    Sq^k x is x^2 = 0 for k = |x| and zero above.  The sources are spheres.
+    """
+    gens = [Generator(g, int(g[1:]), squares_to_zero=True) for g in squares]
+    pres = Presentation(Algebra(FieldSpec(2), gens))
+    alg = pres.algebra
+    table = {x: alg.gen(x) + (alg.gen(sq) if sq else alg.zero()) for x, sq in squares.items()}
+    assert validate_sq_action(ExteriorActionData(pres, table)) == []
+
+    def action(x, op):
+        return table[x].degree_component(int(x[1:]) + op.shift)
+
+    sources = [steenrod.suspension_sphere(d) for d in range(1, 2 * max(g.degree for g in gens) + 1)]
+    return _well_formed_steenrod_instances(space, pres, action, sources, detected)
+
+
+def _well_formed_steenrod_instances(space: str, pres: Presentation, action, sources: list, detected: bool = True):
+    """Every Steenrod criterion instance on pres whose sources detect a and b, or, unless `detected`, miss one.
 
     x, a and b are generators with |x| + shift = |a| + |b|, for each Sq^k with k <= 2|x| or P^k at the
     presentation's prime; `action(x, op)` is the operation on x.  The sources are every pair from
-    `sources` detecting a and b in their degrees.
+    `sources` detecting a and b in their degrees, or every other pair.
     """
     prime = pres.algebra.field.characteristic
     degree = {g.name: g.degree for g in pres.algebra.generators}
@@ -603,7 +618,7 @@ def _well_formed_steenrod_instances(space: str, pres: Presentation, action, sour
             if degree[x] + op.shift != degree[a] + degree[b]:
                 continue
             for source_a, source_b in itertools.product(sources, repeat=2):
-                if degree[a] in source_a.class_in and degree[b] in source_b.class_in:
+                if (degree[a] in source_a.class_in and degree[b] in source_b.class_in) == detected:
                     yield steenrod.SteenrodCriterionInstance(
                         space, pres, partial(action, x, op), "derived", "negative control", op, a, b, x,
                         source_a, source_b,

@@ -12,6 +12,7 @@ from loopcomm.criteria import (
     ExteriorActionData,
     GeneratingMapWitness,
     Refusal,
+    Transcript,
     TranscriptEntry,
     _is_power_of_two_minus_one,
     check_partial_projective_criterion,
@@ -245,6 +246,21 @@ class TestCertificates:
             "certificate\nspace: X\ncriterion: Rational\nwitness:\n  kind = w\ntranscript:\n"
             "  1. [machine-verified] pass: verified\nconclusion: Omega(X) is not homotopy commutative\n"
         )
+
+    def test_transcript_builds_entries_and_results(self):
+        t = Transcript("X", "Rational").add("verified").add("recorded", "prior result", ASSERTED)
+        assert t.entries == (
+            TranscriptEntry(MACHINE, "pass", "verified"),
+            TranscriptEntry(ASSERTED, "pass", "recorded", "prior result"),
+        )
+        t.space = "Y"
+        assert t.certify((("kind", "w"),)) == Certificate("Y", "Rational", (("kind", "w"),), t.entries)
+
+    def test_transcript_refuses_with_a_failed_entry_only_when_given_one(self):
+        bare = Transcript("X", "Steenrod", (TranscriptEntry(MACHINE, "pass", "verified"),))
+        assert bare.refuse("nope") == Refusal("X", "Steenrod", "nope", bare.entries)
+        failed = Transcript("X", "Steenrod").refuse("condition (4): why", "why")
+        assert failed.transcript == (TranscriptEntry(MACHINE, "fail", "why"),)
 
     @pytest.mark.parametrize("transcript, note", [((), ""), ((TranscriptEntry(MACHINE, "fail", "odd"),), "known")])
     def test_refusal_renders_itself(self, transcript, note):

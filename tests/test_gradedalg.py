@@ -909,6 +909,48 @@ class TestParserFailsClosed:
             assert print_presentation(back) == printed, text
 
 
+# the token grammar of the presentation reader, as the regexes it used to be read with
+_TOKEN_REGEXES = {
+    "integer": r"-?[0-9]+",
+    "coefficient": r"-?[0-9]+(?:/[0-9]+)?",
+    "name": r"[A-Za-z_][A-Za-z_0-9]*",
+}
+# ASCII tokens, and look-alikes the regexes reject: Arabic-Indic and Devanagari digits, superscripts,
+# a fullwidth digit, non-ASCII letters, a signed zero, whitespace
+_TOKEN_ALPHABET = list("0123456789-/+_aZx ") + ["\u0661", "\u0968", "\u00b2", "\uff11", "\u00e9", "\u03b1", "\n"]
+
+
+def _read_token(kind: str, text: str):
+    """What the reader makes of text as a token of `kind`: its value, or None when it is rejected."""
+    try:
+        if kind == "integer":
+            return gradedalg._integer(text)
+        if kind == "coefficient":
+            return gradedalg._coefficient(text)
+        return Generator(text, 1).name
+    except ValueError:
+        return None
+
+
+class TestTokenReaders:
+    @pytest.mark.parametrize("kind", sorted(_TOKEN_REGEXES))
+    def test_str_method_readers_match_the_regexes(self, kind):
+        rng = random.Random(kind)
+        texts = ["", "+1", "-", "1/", "/2", "--1", "-1/-2", "1/0", "0/1", "\u0661", "\u00b2", "x\u00b2", "_", "1a"]
+        texts += ["".join(rng.choices(_TOKEN_ALPHABET, k=rng.randint(1, 5))) for _ in range(4000)]
+        for text in texts:
+            matched = re.fullmatch(_TOKEN_REGEXES[kind], text) is not None
+            if kind == "coefficient" and matched and re.fullmatch(r"-?[0-9]+/0+", text):
+                with pytest.raises(ValueError, match="zero denominator"):
+                    gradedalg._coefficient(text)
+                continue
+            value = _read_token(kind, text)
+            assert (value is not None) == matched, text
+            if matched:
+                expected = {"integer": int, "coefficient": Fraction if "/" in text else int, "name": str}[kind](text)
+                assert value == expected and type(value) is type(expected), text
+
+
 _XY = q_algebra(Generator("x", 2), Generator("y", 2))
 
 
