@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import os
 import re
+from collections.abc import Callable
 from functools import lru_cache, partial
-from pathlib import Path
-from typing import Callable, Optional
 
 from .criteria import (
     ASSERTED,
@@ -44,6 +43,8 @@ from .gradedalg import (
     replace,
 )
 from .steenrod import (
+    CLASSIFYING,
+    _WU_CITE,
     ClassifyingCrossCheck,
     SteenrodCriterionInstance,
     SteenrodOp,
@@ -141,7 +142,7 @@ def _shell_words(line: str) -> list:
     return words
 
 
-def _fact_record(line: str) -> Optional[tuple]:
+def _fact_record(line: str) -> tuple | None:
     """(kind, {key: value}) of one facts.txt record; `value` stays text, the integer keys are ints.
 
     A `#` outside quotes starts a comment; a blank or comment-only line is None.
@@ -282,9 +283,10 @@ def _link(kind: str, rec: dict, ds: DataSet) -> None:
 
 @lru_cache(maxsize=None)
 def _load_dataset(data_dir: str) -> DataSet:
-    root = Path(data_dir) if data_dir else Path(__file__).parent / "data"
+    root = data_dir or os.path.join(os.path.dirname(__file__), "data")
     records = {}  # (kind, values of its naming keys) -> record, in file order
-    text = (root / "facts.txt").read_text(encoding="utf-8")
+    with open(os.path.join(root, "facts.txt"), encoding="utf-8") as f:
+        text = f.read()
     for lineno, line in enumerate(text.splitlines(), start=1):
         try:
             parsed = _fact_record(line)
@@ -304,7 +306,8 @@ def _load_dataset(data_dir: str) -> DataSet:
         rec["line"] = lineno
         if kind == "presentation":
             try:
-                body = (root / "presentations" / rec["file"]).read_text(encoding="utf-8")
+                with open(os.path.join(root, "presentations", rec["file"]), encoding="utf-8") as f:
+                    body = f.read()
             except OSError as exc:
                 raise CatalogDataError(f"facts.txt line {lineno}: {exc}") from exc
             try:
@@ -361,18 +364,8 @@ class RationalStep:
     space: str
     presentation: Presentation
     citation: str
-    transfer: Optional[TransferStep] = None
+    transfer: TransferStep | None = None
     label = "Rational"
-
-
-@record
-class SteenrodStep:
-    instance: SteenrodCriterionInstance
-    crosscheck: Optional[ClassifyingCrossCheck] = None
-
-    @property
-    def label(self) -> str:
-        return f"Steenrod {self.instance.op.label} on {self.instance.space}"
 
 
 @record
@@ -459,14 +452,6 @@ def _top_class_ops(model) -> list:
     return [(SteenrodOp("P", 1, p), (p - 1) // 2)]
 
 
-_WU_CITE = "Wu formula computed by the splitting principle"
-# group -> (classifying space, action citation, pullback citation)
-_CLASSIFYING = {
-    "so": ("BSO", _WU_CITE + " in BSO(n)", "reflection-map restriction g*(w_i) = Sigma u^{i-1} (Whitehead)"),
-    "sp": ("BSp", "mod-p " + _WU_CITE + " in BSp(n)", "quasi-projective restriction g*(q_i) = Sigma x_i (James)"),
-}
-
-
 def _derived_action(model, class_name: str, op: SteenrodOp, images: dict, pres: Presentation):
     """op on a class of the model, carried to `pres` along `images`; a class without an image is DataIncomplete."""
     theta, unresolved = restrict(char_class_operation(model, class_name, op), images, pres)
@@ -475,15 +460,15 @@ def _derived_action(model, class_name: str, op: SteenrodOp, images: dict, pres: 
     return theta
 
 
-def _top_class_steps(model, space: str, prefix: str, pres: Optional[Presentation] = None, restriction="") -> tuple:
-    """One Steenrod step per `_top_class_ops(model)`, x = a = the top class.
+def _top_class_steps(model, space: str, prefix: str, pres: Presentation | None = None, restriction="") -> tuple:
+    """One Steenrod criterion instance per `_top_class_ops(model)`, x = a = the top class.
 
     The action is `_derived_action` of the op on the top class, carried along
     class i -> <prefix>i to `pres` (by default the class algebra at the ops'
     prime); a run calls it only when it reaches the step.  The sources come
     from `suspension_of`, and the criterion reads each map's pullback off them.
     """
-    _, action_citation, pullback_citation = _CLASSIFYING[model.group]
+    classifying = CLASSIFYING[model.group]
     ops = _top_class_ops(model)
     if not ops:
         return ()
@@ -491,11 +476,11 @@ def _top_class_steps(model, space: str, prefix: str, pres: Optional[Presentation
     names, top = model.class_names(), f"{prefix}{model.rank}"
     images = {c: pres.algebra.gen(f"{prefix}{model.class_index(c)}") for c in names}
     return tuple(
-        SteenrodStep(SteenrodCriterionInstance(
+        SteenrodCriterionInstance(
             space, pres, partial(_derived_action, model, names[-1], op, images, pres), "derived",
-            action_citation + restriction, op, top, f"{prefix}{b}", top,
-            suspension_of(model), suspension_of(torus_model(model.group, b)), pullback_citation,
-        ))
+            classifying["action_cite"] + restriction, op, top, f"{prefix}{b}", top,
+            suspension_of(model), suspension_of(torus_model(model.group, b)), classifying["pullback_cite"],
+        )
         for op, b in ops
     )
 
@@ -526,7 +511,7 @@ def _bdi_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     return CriterionPlan((LiftStep("so", n, inst.label, threshold=n, citation=citation),))
 
 
-def _smallest_odd_prime_divisor(n: int) -> Optional[int]:
+def _smallest_odd_prime_divisor(n: int) -> int | None:
     m = n
     while m % 2 == 0:
         m //= 2
@@ -547,12 +532,6 @@ def _cii_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     return CriterionPlan((LiftStep("sp", n, inst.label, threshold=4 * n + 2, citation=citation),))
 
 
-def _classifying_plan(group: str, rank: int) -> CriterionPlan:
-    """The plan on BSO(rank) (group "so") or BSp(rank) (group "sp") that lift steps start from."""
-    model = torus_model(group, rank)
-    return CriterionPlan(_top_class_steps(model, f"{_CLASSIFYING[group][0]}({rank})", model.class_prefix))
-
-
 def _bottom_cell_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     """Diagonal bottom-cell instance on the recorded action, with a classifying cross-check on the
     class of the action's pullback record, along every pullback record's image.
@@ -566,9 +545,9 @@ def _bottom_cell_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     sphere = suspension_sphere(pres.algebra.degrees[pres.algebra.index[gen]])  # the bottom cell, detecting gen
     criterion = SteenrodCriterionInstance(
         space, pres, lambda: rec["value"], "asserted", rec["cite"], rec["op"], gen, gen, gen,
-        sphere, sphere, f"bottom cell {sphere.base} -> {space} detecting {gen}",
+        sphere, sphere, f"bottom cell {sphere.base} -> {space} detecting {gen}", cc,
     )
-    return CriterionPlan((SteenrodStep(criterion, cc),))
+    return CriterionPlan((criterion,))
 
 
 def _g_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
@@ -582,7 +561,7 @@ def _g_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
         op, "x3", "x2", "x3", suspension_moore(), suspension_sphere(2),
         "restriction to the 3-skeleton S^2 cup_2 e^3 and its bottom cell",
     )
-    return CriterionPlan((SteenrodStep(criterion),))
+    return CriterionPlan((criterion,))
 
 
 def _aii_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
@@ -772,7 +751,8 @@ def _run_rational(step: RationalStep):
     elif pres.relations:
         t.add("relations form a regular sequence (finite-dimensional cohomology)", step.citation, ASSERTED)
     if not certified_parts_are_cocycles(model):
-        return t.refuse("a stored differential is not a cocycle")
+        why = "a stored differential is not a cocycle"
+        return t.refuse(why, why)
     t.add(f"minimal model {pretty_model(model)}; stored differentials are cocycles")
     witness = find_rational_witness(model)
     if witness is None:
@@ -811,20 +791,14 @@ def _run_rational(step: RationalStep):
     ))
 
 
-def _run_steenrod(step: SteenrodStep):
-    result = check_steenrod_criterion(step.instance)
-    if isinstance(result, Certificate) and step.crosscheck is not None:
-        result = crosscheck(step.instance, step.crosscheck, result)
-    return result
-
-
 @lru_cache(maxsize=None)
 def _classifying_result(group: str, rank: int):
-    """The outcome of `_classifying_plan(group, rank)`, computed once and shared by every lift."""
-    steps = _classifying_plan(group, rank).steps
+    """The outcome on BSO(rank) (group "so") or BSp(rank) (group "sp"), computed once and shared by every lift."""
+    model, space = torus_model(group, rank), f"{CLASSIFYING[group]['space']}({rank})"
+    steps = _top_class_steps(model, space, model.class_prefix)
     if not steps:
         why = "no candidate operation on the top class lands on a class of the model"
-        return Transcript(f"{_CLASSIFYING[group][0]}({rank})", STEENROD).refuse(why, why)
+        return Transcript(space, STEENROD).refuse(why, why)
     return _first_certificate(steps)
 
 
@@ -837,7 +811,8 @@ def _run_lift(lift: LiftStep):
     t.add(f"{lift.target} -> {base} is a {lift.threshold}-equivalence", lift.citation, ASSERTED)
     source_dim = torus_model(lift.group, lift.rank).class_degree(lift.rank)  # a, the top class, is its top cell
     if source_dim > lift.threshold:
-        return t.refuse(f"source dimension {source_dim} > {lift.threshold}: the maps need not lift")
+        why = f"source dimension {source_dim} > {lift.threshold}: the maps need not lift"
+        return t.refuse(why, why)
     t.add(
         f"source dimension {source_dim} <= {lift.threshold}: both maps lift, and the "
         f"lifted Whitehead product maps onto the verified non-trivial one"
@@ -848,8 +823,11 @@ def _run_lift(lift: LiftStep):
 def _run_step(step):
     if isinstance(step, RationalStep):
         return _run_rational(step)
-    if isinstance(step, SteenrodStep):
-        return _run_steenrod(step)
+    if isinstance(step, SteenrodCriterionInstance):
+        result = check_steenrod_criterion(step)
+        if isinstance(result, Certificate) and step.crosscheck is not None:
+            result = crosscheck(step, step.crosscheck, result)
+        return result
     if isinstance(step, LiftStep):
         return _run_lift(step)
     if isinstance(step, ProjectiveStep):
@@ -983,7 +961,7 @@ def _family_level_row(fam: Family) -> ReportRow:
     )
 
 
-def report(families=None, max_param: Optional[int] = None) -> Report:
+def report(families=None, max_param: int | None = None) -> Report:
     """One row per instance over desk-scale ranges, in classification-table order."""
     wanted = {family(f).id for f in families} if families else None
     rows = []

@@ -15,7 +15,6 @@ so a wrapper set on `loopcomm.cli` is what runs.
 from __future__ import annotations
 
 import os
-import re
 import sys
 from functools import cache
 from importlib import import_module
@@ -175,6 +174,8 @@ def _cmd_model(opts: dict) -> int:
 
 
 def _cmd_steenrod(opts: dict) -> int:
+    import re
+
     m = re.fullmatch(r"(sq|p)([0-9]+)", opts["op"], re.IGNORECASE | re.ASCII)
     if not m:
         raise ArgvError(f"bad operation {opts['op']!r}; expected e.g. sq2 or p1")

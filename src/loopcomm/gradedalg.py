@@ -10,11 +10,10 @@ canonical residue 0..p-1.
 
 from __future__ import annotations
 
-import re
+from collections.abc import Iterable
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add, attrgetter
-from typing import Iterable, Optional
 
 
 class StructuralError(ValueError):
@@ -390,7 +389,7 @@ class Poly:
     def is_homogeneous(self) -> bool:
         return len(self.degrees()) <= 1
 
-    def homogeneous_degree(self) -> Optional[int]:
+    def homogeneous_degree(self) -> int | None:
         ds = self.degrees()
         if not ds:
             return None
@@ -495,7 +494,7 @@ class Relation:
 class Presentation:
     algebra: Algebra
     relations: tuple = ()
-    formal_dimension: Optional[int] = None
+    formal_dimension: int | None = None
 
     @property
     def field(self) -> FieldSpec:
@@ -510,28 +509,28 @@ class Presentation:
         return all(r.explicit for r in self.relations)
 
 
-def _bit_rank(rows: Iterable[int], ncols: Optional[int] = None) -> int:
-    """Rank over F_2 of rows given as ints, bit j standing for column j.
+def _bit_rank(rows: Iterable[int], ncols: int) -> int:
+    """Rank over F_2 of rows given as ints, bit j standing for column j of ncols.
 
-    Pivots are keyed by their lowest set bit, and a row is reduced by adding
-    (xor) the pivot of its lowest bit until that bit has no pivot or the row
-    vanishes.  Given the column count, it stops once every column has a pivot.
+    Pivots are keyed by their top set bit, and a row is reduced by adding
+    (xor) the pivot of its top bit until that bit has no pivot or the row
+    vanishes.  It stops once every column has a pivot.
     """
-    pivots: dict = {}  # lowest set bit -> row
+    pivots: dict = {}  # top set bit, as the row's bit length -> row
     for row in rows:
         if len(pivots) == ncols:
             break
         while row:
-            low = row & -row
-            pivot = pivots.get(low)
+            top = row.bit_length()
+            pivot = pivots.get(top)
             if pivot is None:
-                pivots[low] = row
+                pivots[top] = row
                 break
             row ^= pivot
     return len(pivots)
 
 
-def _rank(rows: Iterable[dict], field: FieldSpec, ncols: Optional[int] = None) -> int:
+def _rank(rows: Iterable[dict], field: FieldSpec, ncols: int | None = None) -> int:
     """Rank of sparse rows {column: coefficient}, by exact fraction-free elimination.
 
     Pivots are keyed by their leading (least) column.  Only a row's leading
@@ -851,6 +850,8 @@ def parse_poly(text: str, alg: Algebra) -> Poly:
     poly := [sign] term (sign term)*;  term := factor ('*' factor)*;
     factor := int | int/int | name['^' int].  Any other text is a ValueError.
     """
+    import re
+
     if not re.fullmatch(_POLY, text, re.ASCII):
         raise ValueError(f"not a polynomial: {text!r}")
     result = alg.zero()
@@ -905,8 +906,8 @@ def _at_line(lineno: int, exc: Exception) -> ValueError:
 
 def parse_presentation(text: str) -> Presentation:
     """Parse the presentation grammar; every rejection names the line it concerns."""
-    field: Optional[FieldSpec] = None
-    formal_dimension: Optional[int] = None
+    field: FieldSpec | None = None
+    formal_dimension: int | None = None
     gens: list = []  # (lineno, Generator)
     rel_specs: list = []  # (lineno, degree, kind, asserted, [(lineno, coeff_text, exps)])
     once: dict = {}  # record word -> line, for the records a presentation has at most one of

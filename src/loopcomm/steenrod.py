@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Callable
 from functools import lru_cache
-from typing import Callable
 
 from .criteria import ASSERTED, MACHINE, STEENROD, Certificate, Transcript
 from .gradedalg import (
@@ -344,12 +344,18 @@ def _linear_coefficient(w: int, i: int, n: int, prime: int, raise_by: int) -> in
     return total % prime
 
 
-# group -> (base, class name, shift) of the suspension mapping to B<group>(rank)
-# that pulls class i back to the class named by i + shift, in the same degree:
-# w_i -> Sigma u^{i-1} on Sigma RP^{rank-1}, q_i -> Sigma x_i on Sigma Q_rank.
-_SUSPENSIONS = {
-    "so": ("Sigma RP^{}", "su{}", -1),
-    "sp": ("Sigma Q_{}", "sx{}", 0),
+_WU_CITE = "Wu formula computed by the splitting principle"
+# group -> B<group>(rank), described once: its name; the suspension mapping to it, which pulls class i back to
+# its class named by i + shift, in the same degree; the citations of an operation on its classes and of that pullback
+CLASSIFYING = {
+    "so": dict(
+        space="BSO", source="Sigma RP^{}", source_class="su{}", shift=-1, action_cite=f"{_WU_CITE} in BSO(n)",
+        pullback_cite="reflection-map restriction g*(w_i) = Sigma u^{i-1} (Whitehead)",
+    ),
+    "sp": dict(
+        space="BSp", source="Sigma Q_{}", source_class="sx{}", shift=0, action_cite=f"mod-p {_WU_CITE} in BSp(n)",
+        pullback_cite="quasi-projective restriction g*(q_i) = Sigma x_i (James)",
+    ),
 }
 
 
@@ -359,14 +365,14 @@ def suspension_of(model: TorusModel) -> SuspensionModel:
 
     It acts by the linear coefficients `suspended_coefficient` reads in the model.
     """
-    base, name, shift = _SUSPENSIONS[model.group]
+    entry = CLASSIFYING[model.group]
     by_degree = {model.class_degree(model.class_index(c)): c for c in model.class_names()}
 
     def coefficient(degree: int, op: SteenrodOp) -> int:
         return suspended_coefficient(model, by_degree[degree], op, by_degree[degree + op.shift])
 
-    classes = [(name.format(model.class_index(c) + shift), d) for d, c in by_degree.items()]
-    return SuspensionModel(base.format(model.rank + shift), classes, coefficient)
+    classes = [(entry["source_class"].format(model.class_index(c) + entry["shift"]), d) for d, c in by_degree.items()]
+    return SuspensionModel(entry["source"].format(model.rank + entry["shift"]), classes, coefficient)
 
 
 def suspension_rp(m: int) -> SuspensionModel:
@@ -452,6 +458,11 @@ class SteenrodCriterionInstance:
     source_a: SuspensionModel
     source_b: SuspensionModel
     pullback_citation: str = ""
+    crosscheck: ClassifyingCrossCheck | None = None  # recomputes a recorded action once the instance certifies
+
+    @property
+    def label(self) -> str:
+        return f"Steenrod {self.op.label} on {self.space}"
 
 
 @record
@@ -541,7 +552,7 @@ def check_steenrod_criterion(inst: SteenrodCriterionInstance):
 
     theta comes from one call of `inst.action`, made first, so an action is
     derived only when a check runs.  Plan-level evidence runs on the
-    certificate, in the catalog's Steenrod step: the classifying-space
+    certificate, when the catalog runs the instance: its classifying-space
     `crosscheck`, then the lift.
     """
     theta = inst.action()

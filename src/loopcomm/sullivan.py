@@ -8,8 +8,6 @@ a non-trivial rational Whitehead pairing on homotopy in degrees (|y|, |z|).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .gradedalg import (
     Algebra,
     ContractViolation,
@@ -153,7 +151,7 @@ class RationalWitness:
             raise ContractViolation("witness target degree must be m + n - 1")
 
 
-def find_rational_witness(model: SullivanModel) -> Optional[RationalWitness]:
+def find_rational_witness(model: SullivanModel) -> RationalWitness | None:
     """First decomposable differential with a quadratic monomial, if any.
 
     Tie-break: generators in declaration order, then the quadratic pair with

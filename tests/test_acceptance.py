@@ -217,8 +217,8 @@ def test_acceptance_6_condition_six_computed():
     from loopcomm.catalog import route
 
     plan = route(instantiate("AI", (7,)))
-    step = plan.steps[0]
-    result = check_steenrod_criterion(step.instance)
+    inst = plan.steps[0]
+    result = check_steenrod_criterion(inst)
     ok = isinstance(result, Certificate)
     six = [e for e in result.transcript if e.description.startswith("(6)")]
     ok = ok and six and "Kunneth basis" in six[0].description
@@ -226,9 +226,7 @@ def test_acceptance_6_condition_six_computed():
     ok = ok and "su4(x)su1" in basis_text and "su6(x)1" in basis_text
 
     # mutation: enlarge the small source so Sq^2 no longer vanishes on the slice
-    mutated = SteenrodCriterionInstance(
-        **{**step.instance.__dict__, "source_b": suspension_rp(2)}
-    )
+    mutated = SteenrodCriterionInstance(**{**inst.__dict__, "source_b": suspension_rp(2)})
     flipped = check_steenrod_criterion(mutated)
     ok = ok and isinstance(flipped, Refusal) and "condition (6)" in flipped.failed
     _line(6, "condition (6) genuinely computed + mutation test", ok)

@@ -19,8 +19,6 @@ from loopcomm.catalog import (
     CriterionPlan,
     ParameterError,
     RecordedStep,
-    SteenrodStep,
-    _classifying_plan,
     _smallest_odd_prime_divisor,
     _top_class_ops,
     check,
@@ -53,6 +51,11 @@ from loopcomm.gradedalg import (
     replace,
 )
 from loopcomm.sullivan import SullivanModel
+
+
+def _bsp_steps(rank: int) -> tuple:
+    """The Steenrod steps on BSp(rank) that its CII lifts start from."""
+    return catalog._top_class_steps(steenrod.torus_model("sp", rank), f"BSp({rank})", "q")
 
 
 class TestInstantiate:
@@ -108,9 +111,8 @@ class TestRouting:
 
     def test_ai7_plan_data(self):
         plan = route(instantiate("AI", (7,)))
-        step = plan.steps[0]
-        assert isinstance(step, SteenrodStep)
-        inst = step.instance
+        inst = plan.steps[0]
+        assert isinstance(inst, steenrod.SteenrodCriterionInstance)
         assert inst.op.label == "Sq^2"
         assert {inst.a, inst.b} == {"v7", "v2"}
         assert inst.x == "v7"
@@ -120,19 +122,19 @@ class TestRouting:
         assert (lift.group, lift.rank, lift.threshold) == ("sp", 5, 22)
         lifted = check(instantiate("CII", (5, 5))).transcript
         assert any(e.description.startswith("source dimension 20 <= 22:") for e in lifted)
-        inst = _classifying_plan("sp", 5).steps[0].instance
+        inst = _bsp_steps(5)[0]
         assert inst.op.label == "P^1 (p=5)"
         assert inst.b == "q2"
 
     def test_cii_power_of_two_plan(self):
         assert route(instantiate("CII", (4, 4))).steps[0].rank == 4
-        inst = _classifying_plan("sp", 4).steps[0].instance
+        inst = _bsp_steps(4)[0]
         assert inst.op.label == "Sq^4"
         assert inst.b == "q1"
 
     def test_cii_rank_one_diagonal(self):
         assert route(instantiate("CII", (3, 1))).steps[0].rank == 1
-        inst = _classifying_plan("sp", 1).steps[0].instance
+        inst = _bsp_steps(1)[0]
         assert inst.op.prime == 3 and inst.a == inst.b
         assert inst.source_a is inst.source_b
 
@@ -447,18 +449,18 @@ class TestLifts:
         # 35 Steenrod steps are built and 31 run: a step derives its action only when the run reaches it,
         # and a suspension coefficient is read once per (class power, i, n, prime, raise)
         built, ran = [], []
-        init, run_steenrod = SteenrodStep.__init__, catalog._run_steenrod
+        init, criterion = steenrod.SteenrodCriterionInstance.__init__, catalog.check_steenrod_criterion
 
         def building(self, *args, **kwargs):
             built.append(args)
             init(self, *args, **kwargs)
 
-        def running(step):
-            ran.append(step.label)
-            return run_steenrod(step)
+        def running(inst):
+            ran.append(inst.label)
+            return criterion(inst)
 
-        monkeypatch.setattr(SteenrodStep, "__init__", building)
-        monkeypatch.setattr(catalog, "_run_steenrod", running)
+        monkeypatch.setattr(steenrod.SteenrodCriterionInstance, "__init__", building)
+        monkeypatch.setattr(catalog, "check_steenrod_criterion", running)
         report()
         assert (len(built), len(ran)) == (35, 31)
         ops = steenrod.char_class_operation.cache_info()
@@ -537,7 +539,7 @@ class TestNegativeControls:
             pres, classes = Presentation(steenrod.class_algebra(model, prime)), {"w2": "w2"}
         images = {c: pres.algebra.gen(g) for g, c in classes.items()}
         ranks = range(1, 5)  # up to |a| + |b| = 4
-        sources = [steenrod.suspension_of(steenrod.torus_model(g, r)) for g in steenrod._SUSPENSIONS for r in ranks]
+        sources = [steenrod.suspension_of(steenrod.torus_model(g, r)) for g in steenrod.CLASSIFYING for r in ranks]
         sources += [steenrod.suspension_sphere(d) for d in ranks] + [steenrod.suspension_moore()]
 
         def derived(x, op):
@@ -578,7 +580,7 @@ class TestNegativeControls:
             assert isinstance(result, Refusal) and result.failed.startswith("condition (1): "), result
 
     def test_top_class_ops_name_classes_of_the_model(self):
-        for group, rank in itertools.product(("so", "sp"), range(1, 40)):
+        for group, rank in itertools.product(steenrod.CLASSIFYING, range(1, 40)):
             model = steenrod.torus_model(group, rank)
             for _op, b in _top_class_ops(model):
                 assert f"{model.class_prefix}{b}" in model.class_names(), (group, rank, b)

@@ -286,9 +286,8 @@ def _every_refusal_shape(monkeypatch) -> dict:
     from loopcomm.steenrod import SuspensionModel, check_steenrod_criterion, suspension_rp
     from loopcomm.sullivan import SullivanModel
 
-    ai = route(instantiate("AI", (7,))).steps[0].instance  # Sq^2 v7 on Sigma RP^6 and Sigma RP^1
-    ei_step = route(instantiate("EI")).steps[0]  # P^1 x8 on the bottom cell S^8, with a cross-check
-    ei = ei_step.instance
+    ai = route(instantiate("AI", (7,))).steps[0]  # Sq^2 v7 on Sigma RP^6 and Sigma RP^1
+    ei = route(instantiate("EI")).steps[0]  # P^1 x8 on the bottom cell S^8, with a cross-check
     alg = ai.presentation.algebra
     ei_alg = ei.presentation.algebra
     wide = Algebra(FieldSpec(5), ei.presentation.generators + (Generator("y16", 16),))
@@ -304,11 +303,9 @@ def _every_refusal_shape(monkeypatch) -> dict:
     shapes = {f"steenrod {k}": check_steenrod_criterion(inst) for k, inst in steenrod.items()}
 
     theta = ei.action()
-    cc = ei_step.crosscheck
+    cc = ei.crosscheck
     contradicted = replace(
-        ei_step,
-        instance=replace(ei, action=lambda: theta + theta),
-        crosscheck=replace(cc, pullback={**cc.pullback, "q4": ei_alg.zero()}),
+        ei, action=lambda: theta + theta, crosscheck=replace(cc, pullback={**cc.pullback, "q4": ei_alg.zero()})
     )
     shapes["cross-check contradiction"] = catalog._run_step(contradicted)
 
@@ -357,7 +354,11 @@ def test_every_refusal_shape_is_pinned(monkeypatch):
     # the report prints one refusal; this pins the to_dict() of every site's refusal, byte for byte
     shapes = _every_refusal_shape(monkeypatch)
     assert [k for k, r in shapes.items() if not isinstance(r, Refusal)] == []
+    # every refusal records its failed step but the projective ones, CP^3's exception row among them,
+    # whose entry would change the pinned report
+    unrecorded = {k for k, r in shapes.items() if not any(e.outcome == "fail" for e in r.transcript)}
+    assert unrecorded == {k for k in shapes if k.startswith("projective")} | {"exception row"}
     payload = json.dumps({k: r.to_dict() for k, r in shapes.items()}, sort_keys=True)
     assert hashlib.sha256(payload.encode("utf-8")).hexdigest() == (
-        "72f1209c47a599eae38b61fb4648d8ae77db5730199a52e4783e1c232cd2b681"
+        "58eddadcf84c87a673740a9119511644e4c711a5982ce7083ea43e0d5a286eae"
     )

@@ -417,6 +417,22 @@ def _dense_rank(rows: list, field: FieldSpec) -> int:
     return rank
 
 
+def _lowest_bit_rank(rows, ncols=None) -> int:
+    """Reference F_2 rank of int rows, pivoting on each row's lowest set bit, as `_bit_rank` once did."""
+    pivots: dict = {}  # lowest set bit -> row
+    for row in rows:
+        if len(pivots) == ncols:
+            break
+        while row:
+            low = row & -row
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = row
+                break
+            row ^= pivot
+    return len(pivots)
+
+
 def _random_sparse_matrix(rng, field):
     """Rows {column: entry} with zero rows, duplicates and dependent combinations."""
     width = rng.randint(1, 10)
@@ -469,8 +485,29 @@ class TestRank:
             if dense and rng.random() < 0.3:  # a repeated row
                 dense.append(list(rng.choice(dense)))
             bits = [sum(c << j for j, c in enumerate(row)) for row in dense]
-            assert _bit_rank(bits) == _dense_rank(dense, f2), dense
             assert _bit_rank(bits, width) == _dense_rank(dense, f2), dense
+
+    def test_bit_rank_matches_the_lowest_bit_kernel(self):
+        # seeded rows, sparse and dense, with dependent ones; ncols = width lets a full-rank run stop
+        # early, and one more column than the rows reach never does
+        rng = random.Random(31)
+        stopped = 0
+        for _ in range(2000):
+            width = rng.randint(1, 90)
+            rows = []
+            for _ in range(rng.randint(0, 2 * width)):
+                if len(rows) >= 2 and rng.random() < 0.2:
+                    rows.append(rng.choice(rows) ^ rng.choice(rows))
+                else:
+                    row = rng.getrandbits(width)
+                    for _ in range(rng.randint(0, 3)):
+                        row &= rng.getrandbits(width)
+                    rows.append(row)
+            expected = _lowest_bit_rank(rows)
+            assert _bit_rank(rows, width) == _lowest_bit_rank(rows, width) == expected, (width, rows)
+            assert _bit_rank(rows, width + 1) == expected, (width, rows)
+            stopped += expected == width
+        assert stopped > 100
 
 
 def _grassmannian(k, n, seed):

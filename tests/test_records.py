@@ -64,7 +64,7 @@ SAMPLES = _samples()
 
 
 def test_every_record_class_is_sampled():
-    assert len(RECORDS) == 25
+    assert len(RECORDS) == 24
     assert set(SAMPLES) == set(RECORDS)
 
 
@@ -169,17 +169,17 @@ def test_a_required_field_after_a_default_is_rejected():
             y: int
 
 
-def _fresh_run(code: str) -> tuple:
-    """(the modules a fresh interpreter adds to sys.modules while it runs `code`, its stdout)."""
+def _fresh_run(code: str, *flags: str) -> tuple:
+    """(the modules a fresh interpreter, started with `flags`, adds to sys.modules while it runs `code`, its stdout)."""
     script = f"import sys; before = set(sys.modules); {code}; print(*sorted(set(sys.modules) - before), file=sys.stderr)"
     env = {**os.environ, "PYTHONPATH": str(_SRC)}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, check=True)
     return done.stderr.split(), done.stdout
 
 
-def _modules_loaded_by(code: str) -> list:
-    """The modules a fresh interpreter adds to sys.modules while it runs `code`."""
-    return _fresh_run(code)[0]
+def _modules_loaded_by(code: str, *flags: str) -> list:
+    """The modules a fresh interpreter, started with `flags`, adds to sys.modules while it runs `code`."""
+    return _fresh_run(code, *flags)[0]
 
 
 _NOT_AT_IMPORT = ("dataclasses", "inspect", "argparse", "gettext", "locale")
@@ -217,6 +217,22 @@ def test_hilbert_and_model_load_only_what_they_run(tmp_path):
     assert {name for name in abbreviated[0] if name.startswith("loopcomm")} == hilbert
     cp3 = "".join(f"{d}: {int(d % 2 == 0 and d < 8)}\n" for d in range(9)) + "complete intersection: True\n"
     assert abbreviated[1] == exact[1] == cp3
+
+
+def test_commands_load_only_the_standard_library_they_run(tmp_path):
+    # -S: a site hook (a .pth file) may preload these modules, which would hide the package's own imports
+    pres = tmp_path / "cp3.pres"
+    pres.write_text("field rational\ngenerator x2 2\nrelation 8 explicit\nterm 1 4\nend\n", encoding="utf-8")
+    algebra_only = ("re", "enum", "typing", "pathlib")
+    catalog_side = ("typing", "pathlib", "urllib.parse", "ipaddress")
+    for argv, unused in (
+        (["hilbert", "--file", str(pres), "--up-to", "8", "--complete-intersection"], algebra_only),
+        (["model", "--file", str(pres)], algebra_only),
+        (["check", "CII", "--m", "5", "--n", "5"], catalog_side),
+        (["report", "--all", "--format", "structured"], catalog_side),
+    ):
+        loaded = _modules_loaded_by(f"from loopcomm.cli import main; assert main({argv!r}) == 0", "-S")
+        assert "loopcomm.cli" in loaded and not set(loaded) & set(unused), (argv, loaded)
 
 
 def test_the_catalog_finds_its_data_without_importlib_resources():
