@@ -117,6 +117,23 @@ class TestRouting:
         assert {inst.a, inst.b} == {"v7", "v2"}
         assert inst.x == "v7"
 
+    def test_only_ei_and_fii_steps_carry_a_crosscheck(self):
+        # a Steenrod plan step is its criterion instance; EI and FII also recompute a recorded action
+        crosschecked = set()
+        for fam in FAMILIES:
+            for params in fam.default_range:
+                for step in route(instantiate(fam.id, params)).steps:
+                    if isinstance(step, steenrod.SteenrodCriterionInstance) and step.crosscheck is not None:
+                        assert isinstance(step.crosscheck, steenrod.ClassifyingCrossCheck), step.label
+                        crosschecked.add(step.space)
+        assert crosschecked == {"EI", "FII"}
+
+    def test_a_refused_step_is_noted_by_its_label(self):
+        first = route(instantiate("AI", (5,))).steps[0]
+        assert first.label == "Steenrod Sq^3 on AI(5)"
+        notes = [e.description for e in check(instantiate("AI", (5,))).transcript if e.outcome == "info"]
+        assert notes[0].startswith(f"plan step '{first.label}' refused: condition ")
+
     def test_cii_odd_prime_plan(self):
         (lift,) = route(instantiate("CII", (5, 5))).steps
         assert (lift.group, lift.rank, lift.threshold) == ("sp", 5, 22)
@@ -413,6 +430,20 @@ class TestLifts:
                 assert cert.witness_text() == row.witness, inst.label
                 assert concluded.conclusion == row.conclusion, inst.label
                 assert concluded.transcript == row.transcript, inst.label
+
+    def test_classifying_spaces_are_described_by_the_steenrod_table(self):
+        # catalog names no classifying space: each space's name, sources and citations come from steenrod
+        for name in ("SteenrodStep", "_CLASSIFYING", "_classifying_plan"):
+            assert not hasattr(catalog, name), name
+        for group, rank in itertools.product(steenrod.CLASSIFYING, range(2, 9)):
+            entry, model = steenrod.CLASSIFYING[group], steenrod.torus_model(group, rank)
+            space = f"{entry['space']}({rank})"
+            assert catalog._classifying_result(group, rank).space == space
+            steps = catalog._top_class_steps(model, space, model.class_prefix)
+            for step in steps:
+                assert (step.action_citation, step.pullback_citation) == (entry["action_cite"], entry["pullback_cite"])
+                assert step.source_a.base == entry["source"].format(rank + entry["shift"])
+            assert bool(steps) == ((group, rank) != ("so", 2)), space  # BSO(2) lacks w3, so no op lands
 
     def test_report_is_the_same_twice_in_one_process(self):
         assert report().to_dict() == report().to_dict()

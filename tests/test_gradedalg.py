@@ -487,6 +487,12 @@ class TestRank:
             bits = [sum(c << j for j, c in enumerate(row)) for row in dense]
             assert _bit_rank(bits, width) == _dense_rank(dense, f2), dense
 
+    def test_bit_rank_takes_its_width(self):
+        # every caller knows the window's column count, so the kernel never guesses it
+        with pytest.raises(TypeError):
+            _bit_rank([0b11, 0b10])
+        assert _bit_rank([0b11, 0b10, 0b01], 2) == 2
+
     def test_bit_rank_matches_the_lowest_bit_kernel(self):
         # seeded rows, sparse and dense, with dependent ones; ncols = width lets a full-rank run stop
         # early, and one more column than the rows reach never does
