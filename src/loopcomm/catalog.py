@@ -16,13 +16,13 @@ from functools import lru_cache, partial
 
 from .criteria import (
     ASSERTED,
+    MACHINE,
     RATIONAL,
     RECORDED,
     STEENROD,
     Certificate,
     DataIncomplete,
-    ExteriorActionData,
-    GeneratingMapWitness,
+    ProjectivePlaneInstance,
     Refusal,
     Transcript,
     check_partial_projective_criterion,
@@ -182,8 +182,9 @@ class DataSet:
     a polynomial over its space's presentation and every `gen` one of its
     generators, a fibration's `aux` is the presentation record it names, a
     pullback's `model` is the rank-4 torus model that has its `class`, one
-    model per space, and an action's `family`, `k` and `prime` are its `op`
-    and its `pullback` the one pullback record of its space valued `gen`.
+    model per space, and an action's `family`, `k` and `prime` are its `op`,
+    at the characteristic of its space's presentation, and its `pullback`
+    the one pullback record of its space valued `gen`.
     Every value has the degree its record gives it, and a space's sq-table
     records give a total square of each of its generators.  Each record
     carries the facts.txt `line` it was read from.  Plans read records by
@@ -246,6 +247,8 @@ def _resolve(kind: str, rec: dict, ds: DataSet) -> None:
         what, degree = f"g*({rec['class']})", model.class_degree(model.class_index(rec["class"]))
     else:  # action
         op = rec["op"] = SteenrodOp(rec.pop("family"), rec.pop("k"), rec.pop("prime"))
+        if op.prime != alg.field.characteristic:
+            raise ValueError(f"prime={op.prime}, but the {rec['space']} presentation is over {alg.field}")
         what, degree = f"{op.label} {rec['gen']}", alg.degrees[alg.index[rec["gen"]]] + op.shift
     if not value.degrees() <= {degree}:
         raise ValueError(f"{what} = {poly_to_text(value)} is not a degree-{degree} class of {rec['space']}")
@@ -369,13 +372,6 @@ class RationalStep:
 
 
 @record
-class ProjectiveStep:
-    data: ExteriorActionData
-    witness: GeneratingMapWitness
-    label = "PartialProjectivePlane"
-
-
-@record
 class RecordedStep:
     space: str
     statement: str
@@ -426,12 +422,6 @@ def _cp_presentation(N: int, prime: int = 0) -> Presentation:
     return Presentation(alg, (Relation(2 * (N + 1), "explicit", alg.monomial((N + 1,))),))
 
 
-def _cp_mod2_data(N: int) -> ExteriorActionData:
-    pres = _cp_presentation(N, 2)
-    x2 = pres.algebra.gen("x2")
-    return ExteriorActionData(pres, {"x2": x2 + x2 * x2}, citation="total square of the projective-space generator")
-
-
 def _top_class_ops(model) -> list:
     """(op, b) per step on the top class of BSO(n) or BSp(n), all at one prime; b indexes the class b.
 
@@ -477,7 +467,7 @@ def _top_class_steps(model, space: str, prefix: str, pres: Presentation | None =
     images = {c: pres.algebra.gen(f"{prefix}{model.class_index(c)}") for c in names}
     return tuple(
         SteenrodCriterionInstance(
-            space, pres, partial(_derived_action, model, names[-1], op, images, pres), "derived",
+            space, pres, partial(_derived_action, model, names[-1], op, images, pres), MACHINE,
             classifying["action_cite"] + restriction, op, top, f"{prefix}{b}", top,
             suspension_of(model), suspension_of(torus_model(model.group, b)), classifying["pullback_cite"],
         )
@@ -544,7 +534,7 @@ def _bottom_cell_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     cc = ClassifyingCrossCheck(acted["model"], acted["class"], images, acted["cite"])
     sphere = suspension_sphere(pres.algebra.degrees[pres.algebra.index[gen]])  # the bottom cell, detecting gen
     criterion = SteenrodCriterionInstance(
-        space, pres, lambda: rec["value"], "asserted", rec["cite"], rec["op"], gen, gen, gen,
+        space, pres, lambda: rec["value"], ASSERTED, rec["cite"], rec["op"], gen, gen, gen,
         sphere, sphere, f"bottom cell {sphere.base} -> {space} detecting {gen}", cc,
     )
     return CriterionPlan((criterion,))
@@ -556,7 +546,7 @@ def _g_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     model = ds.one("pullback", "G", "w3")["model"]
     op = SteenrodOp("Sq", 2, 2)
     criterion = SteenrodCriterionInstance(
-        "G", pres, partial(_derived_action, model, "w3", op, images, pres), "derived",
+        "G", pres, partial(_derived_action, model, "w3", op, images, pres), MACHINE,
         _WU_CITE + " in BSO(4), restricted along x_i = iota^*(w_i) (Borel-Hirzebruch)",
         op, "x3", "x2", "x3", suspension_moore(), suspension_sphere(2),
         "restriction to the 3-skeleton S^2 cup_2 e^3 and its bottom cell",
@@ -585,17 +575,19 @@ def _aii_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
         "principle, transported by the cohomology suspension (decomposables die)"
     )
     gm = ds.one("generating-map", "AII")
-    witness = GeneratingMapWitness(f"Sigma HP^{n - 1}", f"HP^{n - 1}", inst.label, tuple(degrees), gm["cite"])
-    return CriterionPlan((ProjectiveStep(ExteriorActionData(pres, table, citation), witness),))
+    return CriterionPlan((
+        ProjectivePlaneInstance(pres, table, citation, f"HP^{n - 1}", inst.label, tuple(degrees), gm["cite"]),
+    ))
 
 
 def _eiv_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     records = ds.of("sq-table", "EIV")
     table = {gen: rec["value"] for gen, rec in records.items()}
-    data = ExteriorActionData(ds.presentation("EIV"), table, "; ".join(rec["cite"] for rec in records.values()))
+    citation = "; ".join(rec["cite"] for rec in records.values())
     gm = ds.one("generating-map", "EIV")
-    witness = GeneratingMapWitness("Sigma OP^2", "OP^2", "EIV", (9, 17), gm["cite"])
-    return CriterionPlan((ProjectiveStep(data, witness),))
+    return CriterionPlan((
+        ProjectivePlaneInstance(ds.presentation("EIV"), table, citation, "OP^2", "EIV", (9, 17), gm["cite"]),
+    ))
 
 
 def _aiii_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
@@ -607,8 +599,12 @@ def _aiii_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     rational = RationalStep(f"CP^{n}", _cp_presentation(n), citation)
     if n != 3:
         return CriterionPlan((rational, _recorded_step(ds, "AIII", inst.label)))
-    bottom_cell = GeneratingMapWitness("S^2", "S^1", "CP^3", (2,), "bottom cell of CP^3")
-    projective = ProjectiveStep(_cp_mod2_data(n), bottom_cell)
+    pres = _cp_presentation(n, 2)
+    x2 = pres.algebra.gen("x2")
+    projective = ProjectivePlaneInstance(
+        pres, {"x2": x2 + x2 * x2}, "total square of the projective-space generator",
+        "S^1", "CP^3", (2,), "bottom cell of CP^3",
+    )
     return CriterionPlan((rational, projective), exception_note=ds.one("exception", _CP3)["cite"])
 
 
@@ -830,8 +826,8 @@ def _run_step(step):
         return result
     if isinstance(step, LiftStep):
         return _run_lift(step)
-    if isinstance(step, ProjectiveStep):
-        return check_partial_projective_criterion(step.data, step.witness)
+    if isinstance(step, ProjectivePlaneInstance):
+        return check_partial_projective_criterion(step)
     if isinstance(step, RecordedStep):
         return Transcript(step.space, RECORDED).add(step.statement, step.citation, ASSERTED).certify(
             (("statement", step.statement),)

@@ -172,27 +172,30 @@ def conclude_noncommutative(cert: Certificate) -> Certificate:
 
 
 @record
-class ExteriorActionData:
-    """A mod-2 presentation together with a total-Sq table on its generators."""
+class ProjectivePlaneInstance:
+    """Everything the partial-projective-plane check consumes.
+
+    A mod-2 presentation of `space` with a total-Sq table on its generators,
+    and a recorded generating map g onto its indecomposables out of
+    `source` = Sigma `base`, with cells in `cell_degrees`.
+    """
 
     presentation: Presentation
     sq_table: dict  # generator name -> Poly (total square)
-    citation: str = ""
+    table_citation: str
+    base: str
+    space: str
+    cell_degrees: tuple
+    map_citation: str
+    label = PROJECTIVE
 
     def __post_init__(self):
         if self.presentation.field.characteristic != 2:
             raise ContractViolation("total-Sq tables live over F2")
 
-
-@record
-class GeneratingMapWitness:
-    """A recorded generating map from a suspension onto the indecomposables."""
-
-    source: str  # e.g. "Sigma HP^2"
-    base: str  # the B with source = Sigma B
-    target: str
-    cell_degrees: tuple
-    citation: str
+    @property
+    def source(self) -> str:
+        return f"Sigma {self.base}"
 
 
 def total_square_violations(alg, name: str, total) -> list:
@@ -209,59 +212,54 @@ def total_square_violations(alg, name: str, total) -> list:
     return violations
 
 
-def validate_sq_action(data: ExteriorActionData) -> list:
+def validate_sq_action(inst: ProjectivePlaneInstance) -> list:
     """Instability and unit checks on a total-Sq table; violations are data."""
     violations = []
-    for g in data.presentation.generators:
-        total = data.sq_table.get(g.name)
+    for g in inst.presentation.generators:
+        total = inst.sq_table.get(g.name)
         if total is None:
             violations.append(f"no table entry for {g.name}")
         else:
-            violations += total_square_violations(data.presentation.algebra, g.name, total)
+            violations += total_square_violations(inst.presentation.algebra, g.name, total)
     return violations
 
 
-def check_sq_linearity(data: ExteriorActionData) -> bool:
+def check_sq_linearity(inst: ProjectivePlaneInstance) -> bool:
     """Whether every table value is a linear combination of generators."""
-    return all(
-        all(wl <= 1 for wl in poly.word_lengths())
-        for poly in data.sq_table.values()
-    )
+    return all(wl <= 1 for poly in inst.sq_table.values() for wl in poly.word_lengths())
 
 
 def _is_power_of_two_minus_one(d: int) -> bool:
     return d >= 1 and ((d + 1) & d) == 0
 
 
-def check_partial_projective_criterion(
-    data: ExteriorActionData, g: GeneratingMapWitness
-):
-    """Certify [g,g] != 0 for a generating map out of a suspension.
+def check_partial_projective_criterion(inst: ProjectivePlaneInstance):
+    """Certify [g,g] != 0 for the instance's generating map g.
 
     Hypotheses: odd generators only, linear total squares, suspension source,
     and minimal generator degree not of the form 2^k - 1.
     """
-    t = Transcript(g.target, PROJECTIVE)
-    gens = data.presentation.generators
-    violations = validate_sq_action(data)
+    t, gmap = Transcript(inst.space, PROJECTIVE), f"{inst.source} -> {inst.space}"
+    gens = inst.presentation.generators
+    violations = validate_sq_action(inst)
     if violations:
         return t.refuse(f"invalid total-square table: {violations[0]}")
     t.add("total-square table is unital, instability-bounded, and square-consistent")
     if not gens:
         return t.refuse("presentation has no generators")
-    odd = [g_.degree % 2 == 1 for g_ in gens]
+    odd = [g.degree % 2 == 1 for g in gens]
     if not all(odd):
         bad = gens[odd.index(False)]
         return t.refuse(f"generator {bad.name} has even degree {bad.degree}")
     t.add("all generators have odd degree")
-    if not check_sq_linearity(data):
+    if not check_sq_linearity(inst):
         return t.refuse("a total square has a decomposable component")
-    t.add("every total square is a linear combination of the generators", data.citation)
-    if sorted(g.cell_degrees) != sorted(g_.degree for g_ in gens):
+    t.add("every total square is a linear combination of the generators", inst.table_citation)
+    if sorted(inst.cell_degrees) != sorted(g.degree for g in gens):
         return t.refuse("generating map record inconsistent with generator degrees")
-    t.add(f"source cell degrees {tuple(sorted(g.cell_degrees))} match the indecomposables")
-    t.add(f"{g.source} -> {g.target} is a generating map from a suspension of {g.base}", g.citation, ASSERTED)
-    mindeg = min(g_.degree for g_ in gens)
+    t.add(f"source cell degrees {tuple(sorted(inst.cell_degrees))} match the indecomposables")
+    t.add(f"{gmap} is a generating map from a suspension of {inst.base}", inst.map_citation, ASSERTED)
+    mindeg = min(g.degree for g in gens)
     if _is_power_of_two_minus_one(mindeg):
         return t.refuse(f"minimal generator degree {mindeg} = 2^k - 1")
     t.add(f"minimal generator degree {mindeg} is not of the form 2^k - 1")
@@ -273,7 +271,7 @@ def check_partial_projective_criterion(
     )
     return t.certify((
         ("kind", "self Whitehead product of a generating map"),
-        ("map", f"{g.source} -> {g.target}"),
+        ("map", gmap),
         ("min_degree", str(mindeg)),
-        ("generators", ", ".join(g_.name for g_ in gens)),
+        ("generators", ", ".join(g.name for g in gens)),
     ))

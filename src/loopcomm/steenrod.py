@@ -17,7 +17,7 @@ from collections import Counter
 from collections.abc import Callable
 from functools import lru_cache
 
-from .criteria import ASSERTED, MACHINE, STEENROD, Certificate, Transcript
+from .criteria import STEENROD, Certificate, Transcript
 from .gradedalg import (
     Algebra,
     ContractViolation,
@@ -449,7 +449,7 @@ class SteenrodCriterionInstance:
     space: str
     presentation: Presentation
     action: Callable  # () -> theta, the operation on x over the presentation's algebra, of degree |x| + shift
-    action_provenance: str
+    action_status: str  # MACHINE | ASSERTED, the status of condition (5)'s entry
     action_citation: str
     op: SteenrodOp
     a: str
@@ -550,13 +550,17 @@ def crosscheck(inst: SteenrodCriterionInstance, cc: ClassifyingCrossCheck, cert:
 def check_steenrod_criterion(inst: SteenrodCriterionInstance):
     """Mechanically verify the six conditions; certificate or first refusal.
 
-    theta comes from one call of `inst.action`, made first, so an action is
-    derived only when a check runs.  Plan-level evidence runs on the
-    certificate, when the catalog runs the instance: its classifying-space
-    `crosscheck`, then the lift.
+    theta comes from one call of `inst.action`, made first once the
+    presentation is over the operation's field, so an action is derived only
+    when a check runs.  Plan-level evidence runs on the certificate, when the
+    catalog runs the instance: its classifying-space `crosscheck`, then the lift.
     """
-    theta = inst.action()
     pres = inst.presentation
+    if pres.field.characteristic != inst.op.prime:
+        raise ContractViolation(
+            f"{inst.op.label} acts over F{inst.op.prime}, but {inst.space} is presented over {pres.field}"
+        )
+    theta = inst.action()
     da, db, dx = (_gen_degree(pres, n) for n in (inst.a, inst.b, inst.x))
     if dx + inst.op.shift != da + db:
         raise ContractViolation(
@@ -616,7 +620,7 @@ def check_steenrod_criterion(inst: SteenrodCriterionInstance):
         f"(5) {inst.op.label} {inst.x} = {poly_to_text(theta)} is decomposable and the "
         f"{inst.a}*{inst.b} coefficient is {coeff}",
         inst.action_citation,
-        MACHINE if inst.action_provenance == "derived" else ASSERTED,
+        inst.action_status,
     )
 
     # (6) theta kills the whole degree-|x| slice of the product of suspensions

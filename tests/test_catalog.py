@@ -31,15 +31,16 @@ from loopcomm.catalog import (
 from loopcomm.cli import main as cli_main
 from loopcomm.criteria import (
     ASSERTED,
+    MACHINE,
+    PROJECTIVE,
     Certificate,
     DataIncomplete,
-    ExteriorActionData,
-    GeneratingMapWitness,
+    ProjectivePlaneInstance,
     Refusal,
     Transcript,
     check_partial_projective_criterion,
     conclude_noncommutative,
-    validate_sq_action,
+    total_square_violations,
 )
 from loopcomm.gradedalg import (
     Algebra,
@@ -127,6 +128,16 @@ class TestRouting:
                         assert isinstance(step.crosscheck, steenrod.ClassifyingCrossCheck), step.label
                         crosschecked.add(step.space)
         assert crosschecked == {"EI", "FII"}
+
+    @pytest.mark.parametrize("family_id", ["AII", "EIV", "AIII", "DIII"])
+    def test_a_projective_step_is_its_criterion_instance(self, family_id):
+        # DIII's report range is its summary row; DIII(3) = CP^3 runs AIII(1,3)'s plan
+        for params in family(family_id).default_range or ((3,),):
+            steps = route(instantiate(family_id, params)).steps
+            projective = [step for step in steps if catalog._run_step(step).criterion == PROJECTIVE]
+            assert projective, params
+            for step in projective:
+                assert isinstance(step, ProjectivePlaneInstance) and step.label == PROJECTIVE, step
 
     def test_a_refused_step_is_noted_by_its_label(self):
         first = route(instantiate("AI", (5,))).steps[0]
@@ -264,6 +275,13 @@ class TestChecks:
         assert ("target", "pi_39 (x) Q") in eviii.witness
         evi = check(instantiate("EVI"))
         assert ("degrees", "(12, 12)") in evi.witness
+
+    def test_projective_map_is_out_of_the_suspension_of_its_base(self):
+        for family_id, params, source in (("AII", (3,), "Sigma HP^2"), ("EIV", (), "Sigma OP^2")):
+            instance = instantiate(family_id, params)
+            (step,) = route(instance).steps
+            assert step.source == source
+            assert ("map", f"{source} -> {instance.label}") in check(instance).witness
 
     def test_fi_transfer_recorded_in_transcript(self):
         cert = check(instantiate("FI"))
@@ -546,9 +564,9 @@ class TestNegativeControls:
     @pytest.mark.parametrize("d", [3, 7])
     def test_projective_route_on_odd_spheres(self, d):
         pres = Presentation(Algebra(FieldSpec(2), [Generator(f"x{d}", d, squares_to_zero=True)]))
-        data = ExteriorActionData(pres, {f"x{d}": pres.algebra.gen(f"x{d}")}, "identity table")
-        witness = GeneratingMapWitness(f"Sigma S^{d - 1}", f"S^{d - 1}", f"S^{d}", (d,), "one cell")
-        refusal = check_partial_projective_criterion(data, witness)
+        table = {f"x{d}": pres.algebra.gen(f"x{d}")}
+        inst = ProjectivePlaneInstance(pres, table, "identity table", f"S^{d - 1}", f"S^{d}", (d,), "one cell")
+        refusal = check_partial_projective_criterion(inst)
         assert isinstance(refusal, Refusal)
         assert refusal.failed == f"minimal generator degree {d} = 2^k - 1"
 
@@ -627,7 +645,7 @@ def _h_space_instances(space: str, squares: dict, detected: bool):
     pres = Presentation(Algebra(FieldSpec(2), gens))
     alg = pres.algebra
     table = {x: alg.gen(x) + (alg.gen(sq) if sq else alg.zero()) for x, sq in squares.items()}
-    assert validate_sq_action(ExteriorActionData(pres, table)) == []
+    assert [v for x, total in table.items() for v in total_square_violations(alg, x, total)] == []
 
     def action(x, op):
         return table[x].degree_component(int(x[1:]) + op.shift)
@@ -653,7 +671,7 @@ def _well_formed_steenrod_instances(space: str, pres: Presentation, action, sour
             for source_a, source_b in itertools.product(sources, repeat=2):
                 if (degree[a] in source_a.class_in and degree[b] in source_b.class_in) == detected:
                     yield steenrod.SteenrodCriterionInstance(
-                        space, pres, partial(action, x, op), "derived", "negative control", op, a, b, x,
+                        space, pres, partial(action, x, op), MACHINE, "negative control", op, a, b, x,
                         source_a, source_b,
                     )
 
@@ -987,6 +1005,22 @@ class TestDataset:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"error: facts.txt line {lineno}: {message.format(lineno)}\n", run
+
+    @pytest.mark.parametrize("space", ["EI", "FII"])
+    def test_an_action_at_another_prime_fails_at_load(self, tmp_path, monkeypatch, capsys, space):
+        # read over F3, P^1 at p = 5 would certify with the cross-check's coefficients reduced mod 3
+        data = tmp_path / "data"
+        shutil.copytree(_DATA, data)
+        pres = data / "presentations" / f"{space}.pres"
+        pres.write_text(pres.read_text(encoding="utf-8").replace("field prime 5", "field prime 3"), encoding="utf-8")
+        lines = (_DATA / "facts.txt").read_text(encoding="utf-8").splitlines()
+        (lineno,) = [i for i, line in enumerate(lines, start=1) if line.startswith(f"action space={space} ")]
+        monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(data))
+        for argv in (["check", space], ["report", "--all"]):
+            assert cli_main(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: facts.txt line {lineno}: prime=5, but the {space} presentation is over F3\n"
 
     @pytest.mark.parametrize(
         "deleted,argv,message",

@@ -18,7 +18,7 @@ from loopcomm import catalog, cli, steenrod
 from loopcomm.catalog import FAMILIES, instantiate
 from loopcomm.cli import main
 
-# bench_trace.py targets that no longer exist; ROADMAP item 2 drops them
+# bench_trace.py targets that no longer exist; ROADMAP item 1 (its trace-target part) and item 5 drop them
 _STALE_TRACE_TARGETS = {
     "loopcomm.catalog.total_char_class_operation",
     "loopcomm.catalog.hook_component_e_top",

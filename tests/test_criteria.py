@@ -8,9 +8,9 @@ import pytest
 from loopcomm.criteria import (
     ASSERTED,
     MACHINE,
+    PROJECTIVE,
     Certificate,
-    ExteriorActionData,
-    GeneratingMapWitness,
+    ProjectivePlaneInstance,
     Refusal,
     Transcript,
     TranscriptEntry,
@@ -26,6 +26,7 @@ from loopcomm.gradedalg import (
     FieldSpec,
     Generator,
     Presentation,
+    replace,
 )
 
 F2 = FieldSpec(2)
@@ -36,56 +37,50 @@ def exterior(*degrees):
     return Algebra(F2, gens)
 
 
-def witness(target, degrees):
-    return GeneratingMapWitness(
-        source="Sigma B",
-        base="B",
-        target=target,
-        cell_degrees=tuple(degrees),
-        citation="recorded generating map",
-    )
+def instance(alg, table, cells=None, space="X", citation=""):
+    """The projective instance on `alg` with its total-Sq table, the map's cells by default in its generators' degrees."""
+    cells = tuple(g.degree for g in alg.generators) if cells is None else tuple(cells)
+    return ProjectivePlaneInstance(Presentation(alg), table, citation, "B", space, cells, "recorded generating map")
+
+
+class TestInstance:
+    def test_tables_live_over_f2(self):
+        alg = Algebra(FieldSpec(3), [Generator("x5", 5, squares_to_zero=True)])
+        with pytest.raises(ContractViolation, match="total-Sq tables live over F2"):
+            instance(alg, {"x5": alg.gen("x5")})
+
+    def test_source_is_the_suspension_of_the_base(self):
+        inst = replace(instance(exterior(5, 9), {}), base="HP^2")
+        assert inst.source == "Sigma HP^2"
+        assert inst.label == PROJECTIVE
 
 
 class TestValidateSqAction:
     def test_eiv_shape_table(self):
         alg = exterior(9, 17)
-        data = ExteriorActionData(
-            Presentation(alg),
-            {"x9": alg.gen("x9") + alg.gen("x17"), "x17": alg.gen("x17")},
-        )
-        assert validate_sq_action(data) == []
+        inst = instance(alg, {"x9": alg.gen("x9") + alg.gen("x17"), "x17": alg.gen("x17")})
+        assert validate_sq_action(inst) == []
 
     def test_instability_bound(self):
         alg = exterior(5, 17)
-        data = ExteriorActionData(
-            Presentation(alg), {"x5": alg.gen("x5") + alg.gen("x17"), "x17": alg.gen("x17")}
-        )
-        violations = validate_sq_action(data)
+        inst = instance(alg, {"x5": alg.gen("x5") + alg.gen("x17"), "x17": alg.gen("x17")})
+        violations = validate_sq_action(inst)
         assert any("degree 17" in v for v in violations)
 
     def test_identity_table_is_legal(self):
         alg = exterior(9, 11)
-        data = ExteriorActionData(
-            Presentation(alg), {"x9": alg.gen("x9"), "x11": alg.gen("x11")}
-        )
-        assert validate_sq_action(data) == []
+        assert validate_sq_action(instance(alg, {"x9": alg.gen("x9"), "x11": alg.gen("x11")})) == []
 
     def test_missing_unit_component(self):
         alg = exterior(9, 17)
-        data = ExteriorActionData(
-            Presentation(alg), {"x9": alg.gen("x17"), "x17": alg.gen("x17")}
-        )
-        violations = validate_sq_action(data)
+        violations = validate_sq_action(instance(alg, {"x9": alg.gen("x17"), "x17": alg.gen("x17")}))
         assert any("Sq^0" in v for v in violations)
 
 
 class TestLinearity:
     def test_linear_table(self):
         alg = exterior(5, 9)
-        data = ExteriorActionData(
-            Presentation(alg), {"x5": alg.gen("x5") + alg.gen("x9"), "x9": alg.gen("x9")}
-        )
-        assert check_sq_linearity(data)
+        assert check_sq_linearity(instance(alg, {"x5": alg.gen("x5") + alg.gen("x9"), "x9": alg.gen("x9")}))
 
     def test_decomposable_component_fails(self):
         alg = exterior(3, 5, 7, 15)
@@ -95,12 +90,10 @@ class TestLinearity:
             "x7": alg.gen("x7"),
             "x15": alg.gen("x15"),
         }
-        data = ExteriorActionData(Presentation(alg), table)
-        assert not check_sq_linearity(data)
+        assert not check_sq_linearity(instance(alg, table))
 
     def test_empty_table_is_linear(self):
-        data = ExteriorActionData(Presentation(exterior()), {})
-        assert check_sq_linearity(data)
+        assert check_sq_linearity(instance(exterior(), {}))
 
 
 class TestPowerOfTwoMinusOne:
@@ -113,12 +106,11 @@ class TestPowerOfTwoMinusOne:
 class TestProjectiveCriterion:
     def test_certificate_for_degree_five(self):
         alg = exterior(5, 9)
-        data = ExteriorActionData(
-            Presentation(alg),
-            {"x5": alg.gen("x5") + alg.gen("x9"), "x9": alg.gen("x9")},
+        inst = instance(
+            alg, {"x5": alg.gen("x5") + alg.gen("x9"), "x9": alg.gen("x9")}, space="AII(2)-like",
             citation="linear squares",
         )
-        result = check_partial_projective_criterion(data, witness("AII(2)-like", (5, 9)))
+        result = check_partial_projective_criterion(inst)
         assert isinstance(result, Certificate)
         assert result.criterion == "PartialProjectivePlane"
         assert any(e.status == MACHINE for e in result.transcript)
@@ -126,19 +118,15 @@ class TestProjectiveCriterion:
 
     def test_refusal_on_mersenne_degree(self):
         alg = exterior(7, 11)
-        data = ExteriorActionData(
-            Presentation(alg), {"x7": alg.gen("x7"), "x11": alg.gen("x11")}
-        )
-        result = check_partial_projective_criterion(data, witness("synthetic", (7, 11)))
+        inst = instance(alg, {"x7": alg.gen("x7"), "x11": alg.gen("x11")}, space="synthetic")
+        result = check_partial_projective_criterion(inst)
         assert isinstance(result, Refusal)
         assert "7 = 2^k - 1" in result.failed
 
     def test_refusal_on_even_generator(self):
         alg = Algebra(F2, [Generator("x2", 2)])
-        data = ExteriorActionData(
-            Presentation(alg), {"x2": alg.gen("x2") + alg.gen("x2") * alg.gen("x2")}
-        )
-        result = check_partial_projective_criterion(data, witness("CP-like", (2,)))
+        inst = instance(alg, {"x2": alg.gen("x2") + alg.gen("x2") * alg.gen("x2")}, space="CP-like")
+        result = check_partial_projective_criterion(inst)
         assert isinstance(result, Refusal)
         assert "even degree" in result.failed
 
@@ -150,42 +138,31 @@ class TestProjectiveCriterion:
             # word-length-2 component in degree 34 < 50
             "x25": alg.gen("x25") + alg.gen("x9") * alg.gen("x25"),
         }
-        data = ExteriorActionData(Presentation(alg), table)
-        result = check_partial_projective_criterion(data, witness("synthetic", (5, 9, 25)))
+        result = check_partial_projective_criterion(instance(alg, table, space="synthetic"))
         assert isinstance(result, Refusal)
         assert "decomposable" in result.failed
 
     def test_refusal_names_one_hypothesis_and_repair_yields_certificate(self):
         alg = exterior(7, 11)
-        data = ExteriorActionData(
-            Presentation(alg), {"x7": alg.gen("x7"), "x11": alg.gen("x11")}
-        )
-        refusal = check_partial_projective_criterion(data, witness("X", (7, 11)))
+        refusal = check_partial_projective_criterion(instance(alg, {"x7": alg.gen("x7"), "x11": alg.gen("x11")}))
         assert isinstance(refusal, Refusal)
         # repair the failed hypothesis on synthetic data: shift the bottom degree
         alg2 = exterior(9, 11)
-        data2 = ExteriorActionData(
-            Presentation(alg2), {"x9": alg2.gen("x9"), "x11": alg2.gen("x11")}
-        )
-        repaired = check_partial_projective_criterion(data2, witness("X", (9, 11)))
+        repaired = check_partial_projective_criterion(instance(alg2, {"x9": alg2.gen("x9"), "x11": alg2.gen("x11")}))
         assert isinstance(repaired, Certificate)
 
     def test_cell_degree_mismatch_refused(self):
         alg = exterior(5, 9)
-        data = ExteriorActionData(
-            Presentation(alg), {"x5": alg.gen("x5"), "x9": alg.gen("x9")}
-        )
-        result = check_partial_projective_criterion(data, witness("X", (5, 13)))
+        inst = instance(alg, {"x5": alg.gen("x5"), "x9": alg.gen("x9")}, cells=(5, 13))
+        result = check_partial_projective_criterion(inst)
         assert isinstance(result, Refusal)
         assert "inconsistent" in result.failed
 
     def test_transcripts_reproduce_byte_for_byte(self):
         alg = exterior(5, 9)
-        data = ExteriorActionData(
-            Presentation(alg), {"x5": alg.gen("x5"), "x9": alg.gen("x9")}
-        )
-        a = check_partial_projective_criterion(data, witness("X", (5, 9)))
-        b = check_partial_projective_criterion(data, witness("X", (5, 9)))
+        inst = instance(alg, {"x5": alg.gen("x5"), "x9": alg.gen("x9")})
+        a = check_partial_projective_criterion(inst)
+        b = check_partial_projective_criterion(inst)
         assert [e.render() for e in a.transcript] == [e.render() for e in b.transcript]
 
 
@@ -311,15 +288,13 @@ def _every_refusal_shape(monkeypatch) -> dict:
 
     def projective(degrees, table, cells):
         a = exterior(*degrees)
-        data = ExteriorActionData(Presentation(a), table(a), "test table")
-        return check_partial_projective_criterion(data, witness("X", cells))
+        return check_partial_projective_criterion(instance(a, table(a), cells, citation="test table"))
 
     even = Algebra(F2, [Generator("x2", 2)])
     shapes["projective invalid table"] = projective((5, 9), lambda a: {"x5": a.gen("x5")}, (5, 9))
     shapes["projective no generators"] = projective((), lambda a: {}, ())
     shapes["projective even degree"] = check_partial_projective_criterion(
-        ExteriorActionData(Presentation(even), {"x2": even.gen("x2") + even.gen("x2") * even.gen("x2")}),
-        witness("CP-like", (2,)),
+        instance(even, {"x2": even.gen("x2") + even.gen("x2") * even.gen("x2")}, space="CP-like")
     )
     shapes["projective nonlinear"] = projective(
         (5, 9, 25),

@@ -64,7 +64,7 @@ SAMPLES = _samples()
 
 
 def test_every_record_class_is_sampled():
-    assert len(RECORDS) == 24
+    assert len(RECORDS) == 22
     assert set(SAMPLES) == set(RECORDS)
 
 

@@ -3,12 +3,13 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 
 from loopcomm.catalog import instantiate, route
 from loopcomm.cli import main as cli_main
-from loopcomm.criteria import Certificate, Refusal
+from loopcomm.criteria import ASSERTED, MACHINE, Certificate, Refusal
 from loopcomm.gradedalg import (
     Algebra,
     ContractViolation,
@@ -285,7 +286,7 @@ class TestCharClassOperations:
         # the AII table: Sq^{4r} x_{4k+1} has x_{4(k+r)+1} exactly when the linear
         # coefficient of c_{2(k+r)+1} in Sq^{4r} c_{2k+1} is odd
         n = 5
-        table = route(instantiate("AII", (n,))).steps[0].data.sq_table
+        table = route(instantiate("AII", (n,))).steps[0].sq_table
         alg = table["x5"].algebra
         for k in range(1, n):
             want = alg.gen(f"x{4 * k + 1}")
@@ -669,7 +670,7 @@ def _ai_instance(n, b, mutate_source_b=None):
         space=f"AI({n})",
         presentation=pres,
         action=lambda: action,
-        action_provenance="derived",
+        action_status=MACHINE,
         action_citation="splitting principle",
         op=SteenrodOp("Sq", b, 2),
         a=f"v{n}",
@@ -693,7 +694,7 @@ def _ei_instance(square, citation):
         space="EI",
         presentation=pres,
         action=lambda: square(alg),
-        action_provenance="asserted",
+        action_status=ASSERTED,
         action_citation=citation,
         op=SteenrodOp("P", 1, 5),
         a="x8",
@@ -791,7 +792,7 @@ class TestCriterionChecker:
             space="X",
             presentation=pres,
             action=lambda: alg.monomial((3, 0)),
-            action_provenance="asserted",
+            action_status=ASSERTED,
             action_citation="constructed for the test",
             op=SteenrodOp("P", 1, 3),
             a="a3",
@@ -816,6 +817,32 @@ class TestCriterionChecker:
         inst = _ei_instance(lambda alg: alg.monomial((3, 0, 0)), "recorded restriction")
         with pytest.raises(ContractViolation, match="is not a degree-16 class of EI"):
             check_steenrod_criterion(inst)
+
+    @pytest.mark.parametrize("family_id", ["EI", "G"])
+    def test_a_presentation_over_another_field_is_contract_violation(self, family_id):
+        # read over F3, the action's coefficients would be reduced mod 3 without a word
+        def unread():
+            raise AssertionError("the action is read before the field is checked")
+
+        (inst,) = route(instantiate(family_id)).steps
+        odd_squares_to_zero = [
+            replace(g, squares_to_zero=g.squares_to_zero or g.degree % 2 == 1) for g in inst.presentation.generators
+        ]
+        other = Presentation(Algebra(FieldSpec(3), odd_squares_to_zero))
+        message = f"{re.escape(inst.op.label)} acts over F{inst.op.prime}, but {family_id} is presented over F3"
+        with pytest.raises(ContractViolation, match=message):
+            check_steenrod_criterion(replace(inst, presentation=other, action=unread))
+
+    @pytest.mark.parametrize("status", [MACHINE, ASSERTED])
+    def test_condition_five_carries_the_action_status(self, status):
+        cert = check_steenrod_criterion(replace(_ai_instance(7, 2), action_status=status))
+        (five,) = [e for e in cert.transcript if e.description.startswith("(5)")]
+        assert five.status == status
+
+    def test_an_unknown_action_status_is_rejected(self):
+        # a status that is not a transcript status fails the certificate instead of downgrading condition (5)
+        with pytest.raises(ValueError, match="bad transcript status 'derived'"):
+            check_steenrod_criterion(replace(_ai_instance(7, 2), action_status="derived"))
 
     def test_degree_mismatch_raises(self):
         inst = _ai_instance(7, 2)
