@@ -12,11 +12,10 @@ from __future__ import annotations
 import os
 import re
 from collections.abc import Callable
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .criteria import (
     ASSERTED,
-    MACHINE,
     RATIONAL,
     RECORDED,
     STEENROD,
@@ -45,14 +44,12 @@ from .gradedalg import (
 from .steenrod import (
     CLASSIFYING,
     _WU_CITE,
-    ClassifyingCrossCheck,
+    ClassifyingRead,
     SteenrodCriterionInstance,
     SteenrodOp,
-    char_class_operation,
     check_steenrod_criterion,
     class_algebra,
     crosscheck,
-    restrict,
     suspended_coefficient,
     suspension_moore,
     suspension_of,
@@ -442,21 +439,13 @@ def _top_class_ops(model) -> list:
     return [(SteenrodOp("P", 1, p), (p - 1) // 2)]
 
 
-def _derived_action(model, class_name: str, op: SteenrodOp, images: dict, pres: Presentation):
-    """op on a class of the model, carried to `pres` along `images`; a class without an image is DataIncomplete."""
-    theta, unresolved = restrict(char_class_operation(model, class_name, op), images, pres)
-    if unresolved:
-        raise DataIncomplete(f"restriction images are not recorded for {', '.join(unresolved)}")
-    return theta
-
-
 def _top_class_steps(model, space: str, prefix: str, pres: Presentation | None = None, restriction="") -> tuple:
     """One Steenrod criterion instance per `_top_class_ops(model)`, x = a = the top class.
 
-    The action is `_derived_action` of the op on the top class, carried along
-    class i -> <prefix>i to `pres` (by default the class algebra at the ops'
-    prime); a run calls it only when it reaches the step.  The sources come
-    from `suspension_of`, and the criterion reads each map's pullback off them.
+    Each reads the op on the top class, carried along class i -> <prefix>i
+    to `pres` (by default the class algebra at the ops' prime); a run derives
+    it only when it reaches the step.  The sources come from `suspension_of`,
+    and the criterion reads each map's pullback off them.
     """
     classifying = CLASSIFYING[model.group]
     ops = _top_class_ops(model)
@@ -464,11 +453,10 @@ def _top_class_steps(model, space: str, prefix: str, pres: Presentation | None =
         return ()
     pres = pres or Presentation(class_algebra(model, ops[0][0].prime))
     names, top = model.class_names(), f"{prefix}{model.rank}"
-    images = {c: pres.algebra.gen(f"{prefix}{model.class_index(c)}") for c in names}
+    read = ClassifyingRead(model, names[-1], {c: pres.algebra.gen(f"{prefix}{model.class_index(c)}") for c in names})
     return tuple(
         SteenrodCriterionInstance(
-            space, pres, partial(_derived_action, model, names[-1], op, images, pres), MACHINE,
-            classifying["action_cite"] + restriction, op, top, f"{prefix}{b}", top,
+            space, pres, read, classifying["action_cite"] + restriction, op, top, f"{prefix}{b}", top,
             suspension_of(model), suspension_of(torus_model(model.group, b)), classifying["pullback_cite"],
         )
         for op, b in ops
@@ -523,19 +511,19 @@ def _cii_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
 
 
 def _bottom_cell_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
-    """Diagonal bottom-cell instance on the recorded action, with a classifying cross-check on the
-    class of the action's pullback record, along every pullback record's image.
+    """Diagonal bottom-cell instance on the recorded action, cross-checked by a classifying read of
+    the class of the action's pullback record, along every pullback record's image.
     """
     space = inst.family
     pres = ds.presentation(space)
     rec = ds.one("action", space)
     gen, acted = rec["gen"], rec["pullback"]
     images = {name: pb["value"] for name, pb in ds.of("pullback", space).items()}
-    cc = ClassifyingCrossCheck(acted["model"], acted["class"], images, acted["cite"])
+    read = ClassifyingRead(acted["model"], acted["class"], images, acted["cite"])
     sphere = suspension_sphere(pres.algebra.degrees[pres.algebra.index[gen]])  # the bottom cell, detecting gen
     criterion = SteenrodCriterionInstance(
-        space, pres, lambda: rec["value"], ASSERTED, rec["cite"], rec["op"], gen, gen, gen,
-        sphere, sphere, f"bottom cell {sphere.base} -> {space} detecting {gen}", cc,
+        space, pres, read, rec["cite"], rec["op"], gen, gen, gen,
+        sphere, sphere, f"bottom cell {sphere.base} -> {space} detecting {gen}", rec["value"],
     )
     return CriterionPlan((criterion,))
 
@@ -543,12 +531,10 @@ def _bottom_cell_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
 def _g_plan(ds: DataSet, inst: SpaceInstance) -> CriterionPlan:
     pres = ds.presentation("G")
     images = {name: rec["value"] for name, rec in ds.of("pullback", "G").items()}
-    model = ds.one("pullback", "G", "w3")["model"]
-    op = SteenrodOp("Sq", 2, 2)
+    read = ClassifyingRead(ds.one("pullback", "G", "w3")["model"], "w3", images)
     criterion = SteenrodCriterionInstance(
-        "G", pres, partial(_derived_action, model, "w3", op, images, pres), MACHINE,
-        _WU_CITE + " in BSO(4), restricted along x_i = iota^*(w_i) (Borel-Hirzebruch)",
-        op, "x3", "x2", "x3", suspension_moore(), suspension_sphere(2),
+        "G", pres, read, _WU_CITE + " in BSO(4), restricted along x_i = iota^*(w_i) (Borel-Hirzebruch)",
+        SteenrodOp("Sq", 2, 2), "x3", "x2", "x3", suspension_moore(), suspension_sphere(2),
         "restriction to the 3-skeleton S^2 cup_2 e^3 and its bottom cell",
     )
     return CriterionPlan((criterion,))
@@ -821,8 +807,8 @@ def _run_step(step):
         return _run_rational(step)
     if isinstance(step, SteenrodCriterionInstance):
         result = check_steenrod_criterion(step)
-        if isinstance(result, Certificate) and step.crosscheck is not None:
-            result = crosscheck(step, step.crosscheck, result)
+        if isinstance(result, Certificate) and step.read is not None and step.recorded is not None:
+            result = crosscheck(step, result)
         return result
     if isinstance(step, LiftStep):
         return _run_lift(step)

@@ -33,6 +33,12 @@ class TranscriptEntry:
     description: str
     citation: str = ""
 
+    def __post_init__(self):
+        if self.status not in (MACHINE, ASSERTED):
+            raise ValueError(f"bad transcript status {self.status!r}")
+        if self.outcome not in ("pass", "fail", "info"):
+            raise ValueError(f"bad transcript outcome {self.outcome!r}")
+
     def render(self) -> str:
         cite = f" ({self.citation})" if self.citation else ""
         return f"[{self.status}] {self.outcome}: {self.description}{cite}"
@@ -57,8 +63,6 @@ class Certificate:
 
     def __post_init__(self):
         for e in self.transcript:
-            if e.status not in (MACHINE, ASSERTED):
-                raise ValueError(f"bad transcript status {e.status!r}")
             if e.outcome == "fail":
                 raise ValueError(f"a certificate cannot carry a failed entry: {e.description}")
         if self.criterion != RECORDED and not any(

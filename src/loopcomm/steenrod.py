@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Callable
 from functools import lru_cache
 
-from .criteria import STEENROD, Certificate, Transcript
+from .criteria import ASSERTED, MACHINE, STEENROD, Certificate, DataIncomplete, Transcript
 from .gradedalg import (
     Algebra,
     ContractViolation,
@@ -103,11 +102,27 @@ def _e_coefficients(mcoeffs: dict, nvars: int, prime: int = 0) -> dict:
     Leading-term elimination: the lex-greatest partition lambda is the leading
     term, with coefficient 1, of the elementary monomial with multiplicities
     lambda_k - lambda_{k+1}, whose other terms are all lex-smaller.  With a
-    prime, coefficients are reduced mod prime as they are produced.
+    prime, coefficients are reduced mod prime as they are produced.  Two exact
+    identities run first: while every partition has nvars parts, e_n is
+    factored out (m_lambda = e_n m_(lambda - 1^n)); then, if every partition
+    has one part, m_(b) is the power sum p_b, written over the e_mu with mu |- b
+    and parts <= n by `_girard_waring`.
     """
     work = {lam: c % prime if prime else c for lam, c in mcoeffs.items()}
     work = {lam: c for lam, c in work.items() if c}
+    top = 0  # the power of e_n factored out
+    while work and all(len(lam) == nvars for lam in work):
+        work = {tuple(part - 1 for part in lam if part > 1): c for lam, c in work.items()}
+        top += 1
     out: dict = {}
+    if work and all(len(lam) == 1 for lam in work):
+        for (b,), c in work.items():
+            for mu in _partitions(b, nvars):
+                v = c * _girard_waring(b, mu) % prime if prime else c * _girard_waring(b, mu)
+                if v:
+                    mult = Counter(mu)
+                    out[tuple(mult[k] for k in range(1, nvars + 1))] = v
+        work = {}
     while work:
         lam = max(work)
         c = work.pop(lam)
@@ -124,7 +139,23 @@ def _e_coefficients(mcoeffs: dict, nvars: int, prime: int = 0) -> dict:
                 work[nu] = v
             else:
                 work.pop(nu, None)
-    return out
+    return {e_exps[:-1] + (e_exps[-1] + top,): c for e_exps, c in out.items()} if top else out
+
+
+def _girard_waring(b: int, mu: tuple) -> int:
+    """The e_mu coefficient of the power sum p_b: (-1)^(b - l) b (l - 1)! / prod_i m_i(mu)!, l = len(mu)
+    (Girard-Waring; Macdonald, Symmetric Functions, I.2)."""
+    numerator = (-1) ** (b - len(mu)) * b * math.factorial(len(mu) - 1)
+    return numerator // math.prod(map(math.factorial, Counter(mu).values()))
+
+
+def _partitions(b: int, most: int):
+    """The partitions of b with parts at most `most`, as non-increasing tuples."""
+    if b == 0:
+        yield ()
+    for first in range(min(b, most), 0, -1):
+        for rest in _partitions(b - first, first):
+            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +368,7 @@ def _linear_coefficient(w: int, i: int, n: int, prime: int, raise_by: int) -> in
     It depends on the model only through its class power w, so every model
     and operation with the same raise shares one read.
     """
-    total = 0
-    for lam, c in _raised_class(w, i, prime, raise_by).items():
-        pairing = n * math.factorial(len(lam) - 1) // math.prod(map(math.factorial, Counter(lam).values()))
-        total += (-1) ** (n - len(lam)) * c * pairing
-    return total % prime
+    return sum(c * _girard_waring(n, lam) for lam, c in _raised_class(w, i, prime, raise_by).items()) % prime
 
 
 _WU_CITE = "Wu formula computed by the splitting principle"
@@ -438,18 +465,30 @@ def _components(op: SteenrodOp) -> tuple:
 
 
 @record
+class ClassifyingRead:
+    """Where a derived theta comes from: the operation on a class of a classifying-space model,
+    carried to the space along the recorded images of the model's classes."""
+
+    model: TorusModel
+    class_name: str
+    images: dict  # classifying class name -> Poly on the space
+    citation: str = ""
+
+
+@record
 class SteenrodCriterionInstance:
     """Everything the six-condition Whitehead-product check consumes.
 
     a is detected by the first map, out of source_a, and b by the second, out of
     source_b; each map pulls a generator back to its source's class of the same
     degree or to zero, read off the source.  The operation fixes the prime.
+    theta, the operation on x, is `recorded` (literature-asserted) or derived
+    from `read` (machine-verified); with both, the read cross-checks the record.
     """
 
     space: str
     presentation: Presentation
-    action: Callable  # () -> theta, the operation on x over the presentation's algebra, of degree |x| + shift
-    action_status: str  # MACHINE | ASSERTED, the status of condition (5)'s entry
+    read: ClassifyingRead | None
     action_citation: str
     op: SteenrodOp
     a: str
@@ -458,21 +497,20 @@ class SteenrodCriterionInstance:
     source_a: SuspensionModel
     source_b: SuspensionModel
     pullback_citation: str = ""
-    crosscheck: ClassifyingCrossCheck | None = None  # recomputes a recorded action once the instance certifies
+    recorded: Poly | None = None  # theta over the presentation's algebra, of degree |x| + shift
+
+    def __post_init__(self):
+        if self.read is None and self.recorded is None:
+            raise ContractViolation(f"{self.label} has neither a classifying read nor a recorded action")
 
     @property
     def label(self) -> str:
         return f"Steenrod {self.op.label} on {self.space}"
 
-
-@record
-class ClassifyingCrossCheck:
-    """Recompute a recorded space-level action from the classifying space."""
-
-    model: TorusModel
-    class_name: str
-    pullback: dict  # classifying class name -> space Poly (recorded images)
-    citation: str = ""
+    @property
+    def action_status(self) -> str:
+        """The status of condition (5)'s entry: machine-verified exactly when nothing is recorded."""
+        return MACHINE if self.recorded is None else ASSERTED
 
 
 def _gen_degree(pres: Presentation, name: str) -> int:
@@ -508,28 +546,32 @@ def restrict(poly: Poly, images: dict, target: Presentation) -> tuple:
     return image, unresolved
 
 
-def crosscheck(inst: SteenrodCriterionInstance, cc: ClassifyingCrossCheck, cert: Certificate):
+def derive(read: ClassifyingRead, op: SteenrodOp, pres: Presentation) -> tuple:
+    """op on the read's class: the class-level component, its image on `pres` and the unresolved terms."""
+    component = char_class_operation(read.model, read.class_name, op)
+    return (component, *restrict(component, read.images, pres))
+
+
+def crosscheck(inst: SteenrodCriterionInstance, cert: Certificate):
     """Compare the recorded action against the splitting-principle computation.
 
-    Runs on the certificate the six conditions gave `inst`.  Returns that
-    certificate with the cross-check entries appended, or a refusal when every
-    computed term restricts and the image still differs from the recorded
-    action.  With terms surfaced unresolved a difference is inconclusive.
-    It calls `inst.action` again: a step with a cross-check records its
-    action, so the call returns that record and derives nothing.
+    Runs on the certificate the six conditions gave `inst`, which has both a
+    `read` and a `recorded` theta.  Returns that certificate with the
+    cross-check entries appended, or a refusal when every computed term
+    restricts and the image still differs from the recorded action.  With
+    terms surfaced unresolved a difference is inconclusive.
     """
-    theta = inst.action()
-    computed = char_class_operation(cc.model, cc.class_name, inst.op)
-    resolved, surfaced = restrict(computed, cc.pullback, inst.presentation)
+    read, theta = inst.read, inst.recorded
+    computed, resolved, surfaced = derive(read, inst.op, inst.presentation)
     t = Transcript(cert.space, cert.criterion, cert.transcript).add(
-        f"classifying-space cross-check: {inst.op.label} {cc.class_name} = {poly_to_text(computed)} "
-        f"in the {cc.model.group}({cc.model.rank}) model",
+        f"classifying-space cross-check: {inst.op.label} {read.class_name} = {poly_to_text(computed)} "
+        f"in the {read.model.group}({read.model.rank}) model",
         outcome="info",
     )
     if surfaced:
         t.add(
             "cross-check terms with unrecorded restriction images, surfaced unresolved: " + ", ".join(surfaced),
-            cc.citation,
+            read.citation,
             outcome="info",
         )
     difference = (
@@ -543,14 +585,14 @@ def crosscheck(inst: SteenrodCriterionInstance, cc: ClassifyingCrossCheck, cert:
         text += " surfaced terms may account for it"
     else:
         outcome, text = "fail", f"cross-check contradiction: {difference}"
-    t.add(text, cc.citation, outcome=outcome)
+    t.add(text, read.citation, outcome=outcome)
     return t.refuse(f"cross-check: {difference}") if outcome == "fail" else t.certify(cert.witness)
 
 
 def check_steenrod_criterion(inst: SteenrodCriterionInstance):
     """Mechanically verify the six conditions; certificate or first refusal.
 
-    theta comes from one call of `inst.action`, made first once the
+    theta is the recorded action, or else `derive`d from the read once the
     presentation is over the operation's field, so an action is derived only
     when a check runs.  Plan-level evidence runs on the certificate, when the
     catalog runs the instance: its classifying-space `crosscheck`, then the lift.
@@ -560,7 +602,11 @@ def check_steenrod_criterion(inst: SteenrodCriterionInstance):
         raise ContractViolation(
             f"{inst.op.label} acts over F{inst.op.prime}, but {inst.space} is presented over {pres.field}"
         )
-    theta = inst.action()
+    theta = inst.recorded
+    if theta is None:
+        _, theta, unresolved = derive(inst.read, inst.op, pres)
+        if unresolved:
+            raise DataIncomplete(f"restriction images are not recorded for {', '.join(unresolved)}")
     da, db, dx = (_gen_degree(pres, n) for n in (inst.a, inst.b, inst.x))
     if dx + inst.op.shift != da + db:
         raise ContractViolation(

@@ -4,7 +4,6 @@ import itertools
 import json
 import random
 from collections import Counter
-from functools import partial
 import re
 import shlex
 import shutil
@@ -118,16 +117,48 @@ class TestRouting:
         assert {inst.a, inst.b} == {"v7", "v2"}
         assert inst.x == "v7"
 
-    def test_only_ei_and_fii_steps_carry_a_crosscheck(self):
-        # a Steenrod plan step is its criterion instance; EI and FII also recompute a recorded action
-        crosschecked = set()
+    def test_every_steenrod_step_reads_or_records_its_action(self):
+        # theta is read off a classifying space (G, AI, BSO and BSp) or recorded and cross-checked by a read
+        # (EI and FII); its condition-(5) status is machine-verified exactly when nothing is recorded
+        shapes = {}
         for fam in FAMILIES:
             for params in fam.default_range:
                 for step in route(instantiate(fam.id, params)).steps:
-                    if isinstance(step, steenrod.SteenrodCriterionInstance) and step.crosscheck is not None:
-                        assert isinstance(step.crosscheck, steenrod.ClassifyingCrossCheck), step.label
-                        crosschecked.add(step.space)
-        assert crosschecked == {"EI", "FII"}
+                    if isinstance(step, catalog.LiftStep):
+                        model = steenrod.torus_model(step.group, step.rank)
+                        space = f"{steenrod.CLASSIFYING[step.group]['space']}({step.rank})"
+                        steps = catalog._top_class_steps(model, space, model.class_prefix)
+                    else:
+                        steps = [step] if isinstance(step, steenrod.SteenrodCriterionInstance) else []
+                    for inst in steps:
+                        assert isinstance(inst.read, steenrod.ClassifyingRead), inst.label
+                        recorded = inst.recorded is not None
+                        assert inst.action_status == (ASSERTED if recorded else MACHINE), inst.label
+                        shapes.setdefault(recorded, set()).add(inst.space.partition("(")[0])
+        assert shapes == {False: {"G", "AI", "BSO", "BSp"}, True: {"EI", "FII"}}
+
+    def test_steenrod_records_carry_no_callable(self):
+        # where theta comes from is data: no action callable, status field or cross-check record is left
+        fields = steenrod.SteenrodCriterionInstance._fields
+        assert not {"action", "action_status", "crosscheck"} & set(fields)
+        assert not hasattr(steenrod, "ClassifyingCrossCheck") and not hasattr(catalog, "_derived_action")
+        assert steenrod.ClassifyingRead._fields == ("model", "class_name", "images", "citation")
+
+    def test_a_missing_pullback_fails_when_the_step_runs(self, tmp_path, monkeypatch, capsys):
+        # without G's w2 image the read leaves w2*w3 unresolved: a data error, never a dropped term
+        data = tmp_path / "data"
+        shutil.copytree(_DATA, data)
+        lines = (_DATA / "facts.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+        kept = [line for line in lines if not line.startswith("pullback space=G model=so class=w2 ")]
+        assert len(kept) == len(lines) - 1
+        (data / "facts.txt").write_text("".join(kept), encoding="utf-8")
+        monkeypatch.setenv("LOOPCOMM_DATA_DIR", str(data))
+        (step,) = route(instantiate("G")).steps  # the plan builds; only the run derives
+        assert "w2" not in step.read.images
+        assert cli_main(["check", "G", "--format", "structured"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: restriction images are not recorded for w2*w3\n"
 
     @pytest.mark.parametrize("family_id", ["AII", "EIV", "AIII", "DIII"])
     def test_a_projective_step_is_its_criterion_instance(self, family_id):
@@ -591,10 +622,10 @@ class TestNegativeControls:
         sources = [steenrod.suspension_of(steenrod.torus_model(g, r)) for g in steenrod.CLASSIFYING for r in ranks]
         sources += [steenrod.suspension_sphere(d) for d in ranks] + [steenrod.suspension_moore()]
 
-        def derived(x, op):
-            return catalog._derived_action(model, classes[x], op, images, pres)
+        def read(x, op):
+            return {"read": steenrod.ClassifyingRead(model, classes[x], images)}
 
-        instances = list(_well_formed_steenrod_instances(space, pres, derived, sources))
+        instances = list(_well_formed_steenrod_instances(space, pres, read, sources))
         # P^k raises degree by a multiple of 2(p - 1) >= 4, never by |a| + |b| - |x| = 2
         assert len(instances) == (25 if prime == 2 else 0)
         for inst in instances:
@@ -647,19 +678,20 @@ def _h_space_instances(space: str, squares: dict, detected: bool):
     table = {x: alg.gen(x) + (alg.gen(sq) if sq else alg.zero()) for x, sq in squares.items()}
     assert [v for x, total in table.items() for v in total_square_violations(alg, x, total)] == []
 
-    def action(x, op):
-        return table[x].degree_component(int(x[1:]) + op.shift)
+    def recorded(x, op):
+        return {"read": None, "recorded": table[x].degree_component(int(x[1:]) + op.shift)}
 
     sources = [steenrod.suspension_sphere(d) for d in range(1, 2 * max(g.degree for g in gens) + 1)]
-    return _well_formed_steenrod_instances(space, pres, action, sources, detected)
+    return _well_formed_steenrod_instances(space, pres, recorded, sources, detected)
 
 
-def _well_formed_steenrod_instances(space: str, pres: Presentation, action, sources: list, detected: bool = True):
+def _well_formed_steenrod_instances(space: str, pres: Presentation, theta, sources: list, detected: bool = True):
     """Every Steenrod criterion instance on pres whose sources detect a and b, or, unless `detected`, miss one.
 
     x, a and b are generators with |x| + shift = |a| + |b|, for each Sq^k with k <= 2|x| or P^k at the
-    presentation's prime; `action(x, op)` is the operation on x.  The sources are every pair from
-    `sources` detecting a and b in their degrees, or every other pair.
+    presentation's prime; `theta(x, op)` gives the instance's fields saying where the operation on x
+    comes from, a `read` or a `recorded` polynomial.  The sources are every pair from `sources`
+    detecting a and b in their degrees, or every other pair.
     """
     prime = pres.algebra.field.characteristic
     degree = {g.name: g.degree for g in pres.algebra.generators}
@@ -671,8 +703,8 @@ def _well_formed_steenrod_instances(space: str, pres: Presentation, action, sour
             for source_a, source_b in itertools.product(sources, repeat=2):
                 if (degree[a] in source_a.class_in and degree[b] in source_b.class_in) == detected:
                     yield steenrod.SteenrodCriterionInstance(
-                        space, pres, partial(action, x, op), MACHINE, "negative control", op, a, b, x,
-                        source_a, source_b,
+                        space=space, presentation=pres, action_citation="negative control", op=op,
+                        a=a, b=b, x=x, source_a=source_a, source_b=source_b, **theta(x, op),
                     )
 
 

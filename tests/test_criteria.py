@@ -233,6 +233,17 @@ class TestCertificates:
         t.space = "Y"
         assert t.certify((("kind", "w"),)) == Certificate("Y", "Rational", (("kind", "w"),), t.entries)
 
+    @pytest.mark.parametrize("field, value", [("status", "derived"), ("outcome", "passed")])
+    def test_an_entry_takes_a_transcript_status_and_outcome(self, field, value):
+        # checked where an entry is made, so a refusal cannot carry a bad one any more than a certificate
+        good = {"status": MACHINE, "outcome": "pass"}
+        with pytest.raises(ValueError, match=f"bad transcript {field} '{value}'"):
+            TranscriptEntry(**{**good, field: value}, description="step")
+        t = Transcript("X", "Steenrod").add("verified")
+        with pytest.raises(ValueError, match=f"bad transcript {field} '{value}'"):
+            t.add("step", **{field: value})
+        assert t.entries == (TranscriptEntry(MACHINE, "pass", "verified"),)
+
     def test_transcript_refuses_with_a_failed_entry_only_when_given_one(self):
         bare = Transcript("X", "Steenrod", (TranscriptEntry(MACHINE, "pass", "verified"),))
         assert bare.refuse("nope") == Refusal("X", "Steenrod", "nope", bare.entries)
@@ -273,16 +284,16 @@ def _every_refusal_shape(monkeypatch) -> dict:
         "(2)": replace(ai, source_b=suspension_rp(6)),
         "(3)": replace(ei, source_b=SuspensionModel("S^8", [("s8", 8)])),
         "(4)": replace(ai, presentation=Presentation(alg, (Relation(7, "explicit", alg.gen("v7")),))),
-        "(5) indecomposable": replace(ei, presentation=Presentation(wide), action=lambda: wide.gen("y16")),
-        "(5) no product term": replace(ei, action=ei_alg.zero),
+        "(5) indecomposable": replace(ei, presentation=Presentation(wide), recorded=wide.gen("y16")),
+        "(5) no product term": replace(ei, recorded=ei_alg.zero()),
         "(6)": replace(ai, source_b=suspension_rp(2)),
     }
     shapes = {f"steenrod {k}": check_steenrod_criterion(inst) for k, inst in steenrod.items()}
 
-    theta = ei.action()
-    cc = ei.crosscheck
+    theta = ei.recorded
+    read = ei.read
     contradicted = replace(
-        ei, action=lambda: theta + theta, crosscheck=replace(cc, pullback={**cc.pullback, "q4": ei_alg.zero()})
+        ei, recorded=theta + theta, read=replace(read, images={**read.images, "q4": ei_alg.zero()})
     )
     shapes["cross-check contradiction"] = catalog._run_step(contradicted)
 

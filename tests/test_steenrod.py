@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from loopcomm import steenrod
 from loopcomm.catalog import instantiate, route
 from loopcomm.cli import main as cli_main
 from loopcomm.criteria import ASSERTED, MACHINE, Certificate, Refusal
@@ -23,7 +24,7 @@ from loopcomm.gradedalg import (
 from loopcomm.steenrod import (
     _GROUPS,
     _FIXED_RANK,
-    ClassifyingCrossCheck,
+    ClassifyingRead,
     SteenrodCriterionInstance,
     SteenrodOp,
     SuspensionModel,
@@ -33,8 +34,8 @@ from loopcomm.steenrod import (
     check_steenrod_criterion,
     class_algebra,
     crosscheck,
+    derive,
     product_slice_vanishes,
-    restrict,
     suspended_coefficient,
     suspension_moore,
     suspension_of,
@@ -359,6 +360,12 @@ def _random_symmetric(rng, n):
     return {e: c for e, c in sym.items() if c}
 
 
+def _partitions_of(size, most_parts):
+    """The partitions of size with at most most_parts parts, as non-increasing tuples."""
+    parts = itertools.combinations_with_replacement(range(size + 1), most_parts)
+    return sorted({tuple(sorted(filter(None, c), reverse=True)) for c in parts if sum(c) == size})
+
+
 def _ops_for(model):
     """Every operation component that can act on the model's classes."""
     top = model.class_degree(model.rank)
@@ -443,6 +450,46 @@ class TestPartitionEngineDifferential:
                     full = ref_total_char_class_operation(model, name, op.family, op.prime)
                     want = full.degree_component(model.class_degree(i) + op.shift)
                     assert char_class_operation(model, name, op) == want, (group, rank, name, op)
+
+    @pytest.mark.parametrize("group", sorted(_GROUPS))
+    def test_char_class_operation_matches_the_torus_reference_up_to_rank_six(self, group):
+        # the e_n factor and the power sums run on the top class and on c1/q1; the torus reference expands
+        # every monomial, so it runs each component of torus weight <= 12: the whole grid would take about
+        # a minute, nearly all of it on sp(6) at p = 7
+        ranks = [_FIXED_RANK[group]] if group in _FIXED_RANK else range(1, 7)
+        checked = 0
+        for rank in ranks:
+            model = torus_model(group, rank)
+            unit = model.var_degree * model.class_power
+            ops = [SteenrodOp("Sq", k, 2) for k in range(model.class_degree(rank) + 1)]
+            if model.var_degree == 2:
+                ops += [SteenrodOp("P", k, p) for p in (3, 5, 7) for k in range(model.class_power * rank + 2)]
+            for name, op in itertools.product(model.class_names(), ops):
+                weight = model.class_index(name) + op.shift // unit
+                if op.shift % unit or weight > 12:
+                    continue
+                want = ref_total_char_class_operation(model, name, op.family, op.prime, weight=weight)
+                assert char_class_operation(model, name, op) == want, (group, rank, name, op)
+                checked += 1
+        assert checked == {"psp4": 96, "so": 85, "sp": 487, "spin9": 96, "su": 318}[group]
+
+    def test_e_coefficient_identities_match_the_torus_reference(self):
+        # m_lambda with n parts is e_n m_(lambda - 1^n), and m_(b) is the power sum p_b (Girard-Waring)
+        def orbit(lam, n):
+            return dict.fromkeys(set(itertools.permutations(lam + (0,) * (n - len(lam)))), 1)
+
+        def reduced(terms, prime):
+            terms = {e: c % prime for e, c in terms.items()} if prime else terms
+            return {e: c for e, c in terms.items() if c}
+
+        for n in range(1, 7):
+            power_sums = [(b,) for b in range(1, 9)]  # m_(b), with b > n where parts above n drop out
+            padded = [mu + (0,) * (n - len(mu)) for k in range(7) for mu in _partitions_of(k, n)]
+            full = [tuple(part + 1 for part in mu) for mu in padded]  # n parts: m_lambda = e_n m_mu
+            for lam in power_sums + full:
+                ref = ref_express_symmetric(orbit(lam, n), n)
+                for prime in (0, 3, 5, 7):
+                    assert _e_coefficients({lam: 1}, n, prime) == reduced(ref, prime), (n, lam, prime)
 
     def test_hook_component_matches_monomial_enumeration(self):
         for j in range(1, 9):
@@ -663,14 +710,11 @@ def _ai_instance(n, b, mutate_source_b=None):
     gens = [Generator(f"v{i}", i, squares_to_zero=True) for i in range(2, n + 1)]
     alg = Algebra(FieldSpec(2), gens)
     pres = Presentation(alg)
-    component = char_class_operation(torus_model("so", n), f"w{n}", SteenrodOp("Sq", b, 2))
-    action, _ = restrict(component, {f"w{i}": alg.gen(f"v{i}") for i in range(2, n + 1)}, pres)
+    read = ClassifyingRead(torus_model("so", n), f"w{n}", {f"w{i}": alg.gen(f"v{i}") for i in range(2, n + 1)})
     source_b = mutate_source_b or suspension_rp(b - 1)
     return SteenrodCriterionInstance(
         space=f"AI({n})",
         presentation=pres,
-        action=lambda: action,
-        action_status=MACHINE,
         action_citation="splitting principle",
         op=SteenrodOp("Sq", b, 2),
         a=f"v{n}",
@@ -679,11 +723,12 @@ def _ai_instance(n, b, mutate_source_b=None):
         source_a=suspension_rp(n - 1),
         source_b=source_b,
         pullback_citation="reflection restriction",
+        read=read,
     )
 
 
 def _ei_instance(square, citation):
-    """Diagonal bottom-cell instance at p = 5 with P^1 x8 = square(algebra)."""
+    """Diagonal bottom-cell instance at p = 5 with P^1 x8 recorded as square(algebra), read off P^1 q2 in PSp(4)."""
     alg = Algebra(
         FieldSpec(5),
         [Generator("x8", 8), Generator("x9", 9, True), Generator("x17", 17, True)],
@@ -693,8 +738,6 @@ def _ei_instance(square, citation):
     return SteenrodCriterionInstance(
         space="EI",
         presentation=pres,
-        action=lambda: square(alg),
-        action_status=ASSERTED,
         action_citation=citation,
         op=SteenrodOp("P", 1, 5),
         a="x8",
@@ -702,23 +745,16 @@ def _ei_instance(square, citation):
         x="x8",
         source_a=sphere,
         source_b=sphere,
+        read=ClassifyingRead(torus_model("psp4", 4), "q2", {"q2": alg.gen("x8")}, "degree argument"),
+        recorded=square(alg),
     )
 
 
-def _ei_crosscheck(inst):
-    return ClassifyingCrossCheck(
-        model=torus_model("psp4", 4),
-        class_name="q2",
-        pullback={"q2": inst.presentation.algebra.gen("x8")},
-        citation="degree argument",
-    )
-
-
-def _certify_then_crosscheck(inst, cc):
+def _certify_then_crosscheck(inst):
     """The plan step's order: the six conditions, then the cross-check on their certificate."""
     cert = check_steenrod_criterion(inst)
     assert isinstance(cert, Certificate)
-    return crosscheck(inst, cc, cert)
+    return crosscheck(inst, cert)
 
 
 class TestCriterionChecker:
@@ -772,7 +808,7 @@ class TestCriterionChecker:
         inst = _ei_instance(lambda alg: alg.monomial((2, 0, 0)), "recorded restriction")
         wide = Algebra(FieldSpec(5), inst.presentation.generators + (Generator("y16", 16),))
         pres = Presentation(wide, (Relation(24, "explicit", wide.monomial((3, 0, 0, 0))),))
-        bad = replace(inst, presentation=pres, action=lambda: wide.gen("y16"))
+        bad = replace(inst, presentation=pres, recorded=wide.gen("y16"))
         result = check_steenrod_criterion(bad)
         assert isinstance(result, Refusal)
         assert result.failed == "condition (5): P^1 (p=5) x8 = y16 is not decomposable"
@@ -791,8 +827,6 @@ class TestCriterionChecker:
         inst = SteenrodCriterionInstance(
             space="X",
             presentation=pres,
-            action=lambda: alg.monomial((3, 0)),
-            action_status=ASSERTED,
             action_citation="constructed for the test",
             op=SteenrodOp("P", 1, 3),
             a="a3",
@@ -800,6 +834,8 @@ class TestCriterionChecker:
             x="x2",
             source_a=sphere,
             source_b=sphere,
+            read=None,
+            recorded=alg.monomial((3, 0)),
         )
         result = check_steenrod_criterion(inst)
         assert isinstance(result, Refusal)
@@ -809,7 +845,7 @@ class TestCriterionChecker:
         # the same monomial x8^2 over an algebra with an extra generator
         inst = _ei_instance(lambda alg: alg.monomial((2, 0, 0)), "recorded restriction")
         wide = Algebra(FieldSpec(5), inst.presentation.generators + (Generator("y16", 16),))
-        bad = replace(inst, action=lambda: wide.monomial((2, 0, 0, 0)))
+        bad = replace(inst, recorded=wide.monomial((2, 0, 0, 0)))
         with pytest.raises(ContractViolation, match="is not a degree-16 class of EI"):
             check_steenrod_criterion(bad)
 
@@ -819,11 +855,12 @@ class TestCriterionChecker:
             check_steenrod_criterion(inst)
 
     @pytest.mark.parametrize("family_id", ["EI", "G"])
-    def test_a_presentation_over_another_field_is_contract_violation(self, family_id):
+    def test_a_presentation_over_another_field_is_contract_violation(self, family_id, monkeypatch):
         # read over F3, the action's coefficients would be reduced mod 3 without a word
-        def unread():
-            raise AssertionError("the action is read before the field is checked")
+        def underived(*args):
+            raise AssertionError("the action is derived before the field is checked")
 
+        monkeypatch.setattr(steenrod, "derive", underived)
         (inst,) = route(instantiate(family_id)).steps
         odd_squares_to_zero = [
             replace(g, squares_to_zero=g.squares_to_zero or g.degree % 2 == 1) for g in inst.presentation.generators
@@ -831,18 +868,37 @@ class TestCriterionChecker:
         other = Presentation(Algebra(FieldSpec(3), odd_squares_to_zero))
         message = f"{re.escape(inst.op.label)} acts over F{inst.op.prime}, but {family_id} is presented over F3"
         with pytest.raises(ContractViolation, match=message):
-            check_steenrod_criterion(replace(inst, presentation=other, action=unread))
+            check_steenrod_criterion(replace(inst, presentation=other))
 
     @pytest.mark.parametrize("status", [MACHINE, ASSERTED])
     def test_condition_five_carries_the_action_status(self, status):
-        cert = check_steenrod_criterion(replace(_ai_instance(7, 2), action_status=status))
+        inst = _ai_instance(7, 2)
+        if status == ASSERTED:  # the same theta, recorded
+            inst = replace(inst, recorded=derive(inst.read, inst.op, inst.presentation)[1])
+        cert = check_steenrod_criterion(inst)
         (five,) = [e for e in cert.transcript if e.description.startswith("(5)")]
-        assert five.status == status
+        assert five.status == inst.action_status == status
 
-    def test_an_unknown_action_status_is_rejected(self):
-        # a status that is not a transcript status fails the certificate instead of downgrading condition (5)
+    @pytest.mark.parametrize("source_b", [None, suspension_rp(2)], ids=["certificate", "refusal"])
+    def test_an_unknown_action_status_is_rejected(self, source_b, monkeypatch):
+        # condition (5)'s Transcript.add(..., status="derived") fails the entry itself, so neither
+        # a certificate nor a later refusal (here at condition (6)) can carry it
+        monkeypatch.setattr(SteenrodCriterionInstance, "action_status", property(lambda inst: "derived"))
         with pytest.raises(ValueError, match="bad transcript status 'derived'"):
-            check_steenrod_criterion(replace(_ai_instance(7, 2), action_status="derived"))
+            check_steenrod_criterion(_ai_instance(7, 2, mutate_source_b=source_b))
+
+    def test_action_status_cannot_be_set(self):
+        inst = _ai_instance(7, 2)
+        with pytest.raises(TypeError):
+            replace(inst, action_status=ASSERTED)
+        with pytest.raises(AttributeError):
+            inst.action_status = ASSERTED
+
+    def test_an_instance_needs_a_read_or_a_record(self):
+        inst = _ai_instance(7, 2)
+        with pytest.raises(ContractViolation, match="Steenrod Sq\\^2 on AI\\(7\\) has neither"):
+            replace(inst, read=None)
+        assert replace(inst, read=None, recorded=inst.presentation.algebra.zero()).action_status == ASSERTED
 
     def test_degree_mismatch_raises(self):
         inst = _ai_instance(7, 2)
@@ -853,7 +909,7 @@ class TestCriterionChecker:
     def test_crosscheck_surfaces_unrecorded_terms(self):
         # EI-style: P^1 q2 has a q4 term whose restriction image is unrecorded
         inst = _ei_instance(lambda alg: alg.monomial((2, 0, 0)), "recorded restriction")
-        result = _certify_then_crosscheck(inst, _ei_crosscheck(inst))
+        result = _certify_then_crosscheck(inst)
         assert isinstance(result, Certificate)
         surfaced = [e for e in result.transcript if "surfaced unresolved" in e.description]
         assert surfaced and "3*q4" in surfaced[0].description
@@ -865,7 +921,7 @@ class TestCriterionChecker:
         # the discrepancy is reported in the transcript, never silently fixed
         # it is inconclusive while terms are surfaced unresolved, so it is recorded as info
         inst = _ei_instance(lambda alg: alg.monomial((2, 0, 0), 2), "corrupted for the test")  # P^1 x8 = 2 x8^2
-        result = _certify_then_crosscheck(inst, _ei_crosscheck(inst))
+        result = _certify_then_crosscheck(inst)
         assert isinstance(result, Certificate)
         reported = [e for e in result.transcript if "discrepancy reported" in e.description]
         assert reported and reported[0].outcome == "info"
@@ -876,13 +932,13 @@ class TestCriterionChecker:
         # computed image x8^2 contradicts a recorded 2*x8^2
         inst = _ei_instance(lambda alg: alg.monomial((2, 0, 0), 2), "corrupted for the test")
         zero = inst.presentation.algebra.zero()
-        cc = replace(_ei_crosscheck(inst), pullback={**_ei_crosscheck(inst).pullback, "q4": zero})
-        result = _certify_then_crosscheck(inst, cc)
+        read = replace(inst.read, images={**inst.read.images, "q4": zero})
+        result = _certify_then_crosscheck(replace(inst, read=read))
         assert isinstance(result, Refusal)
         assert result.failed == "cross-check: resolved image x8^2 differs from recorded action 2*x8^2"
         assert result.transcript[-1].outcome == "fail"
         good = _ei_instance(lambda alg: alg.monomial((2, 0, 0)), "recorded restriction")
-        result = _certify_then_crosscheck(good, cc)
+        result = _certify_then_crosscheck(replace(good, read=read))
         assert isinstance(result, Certificate)
         assert not any("surfaced" in e.description for e in result.transcript)
 
