@@ -9,6 +9,7 @@ the desk-scale ranges over the whole table.
 
 from __future__ import annotations
 
+import operator
 import os
 import re
 from collections.abc import Callable
@@ -391,10 +392,20 @@ def family(family_id: str) -> "Family":
     return row
 
 
+def _integer(value) -> int:
+    """An integer parameter as an int; a bool, float or str is refused, not truncated or parsed."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ParameterError(f"parameter {value!r} is not an integer")
+
+
 def instantiate(family_id: str, params=()) -> SpaceInstance:
     """Validate parameters against the classification table and normalize them."""
     fam = family(family_id)
-    params = tuple(int(p) for p in params)
+    params = tuple(_integer(p) for p in params)
     if len(params) != fam.arity:
         raise ParameterError(
             f"{fam.id} takes {fam.arity} parameter(s)" + (f" ({fam.constraint})" if fam.arity else "")
@@ -838,7 +849,7 @@ def _first_certificate(steps):
 
 
 def check(instance: SpaceInstance):
-    """Run the instance's criterion plan; certificate on first success."""
+    """Run the instance's criterion plan: its first certificate, concluded, or the last refusal."""
     plan = route(instance)
     if not plan.steps:
         raise DataIncomplete(f"empty criterion plan for {instance.label}")
@@ -847,7 +858,7 @@ def check(instance: SpaceInstance):
         return replace(result, space=instance.label, exception_note=plan.exception_note)
     if result.space != instance.label:
         result = replace(result, space=instance.label, witness=result.witness + (("checked-on", result.space),))
-    return result
+    return conclude_noncommutative(result)
 
 
 # ---------------------------------------------------------------------------
@@ -917,8 +928,6 @@ class Report:
 
 def _row_from_instance(instance: SpaceInstance) -> ReportRow:
     result = check(instance)
-    if isinstance(result, Certificate):
-        result = conclude_noncommutative(result)
     params = ",".join(str(p) for p in instance.params) if instance.params else "-"
     note = result.exception_note
     return ReportRow(

@@ -173,6 +173,8 @@ class SteenrodOp:
     def __post_init__(self):
         if self.family not in ("Sq", "P"):
             raise ContractViolation(f"unknown operation family {self.family!r}")
+        if type(self.k) is not int or self.k < 0:
+            raise ContractViolation(f"{self.family}^k needs an integer k >= 0, not {self.k!r}")
         if self.family == "Sq" and self.prime != 2:
             raise ContractViolation("Sq operations live at the prime 2")
         if self.family == "P" and (self.prime == 2 or not _is_prime(self.prime)):
@@ -288,8 +290,7 @@ def _raised_class(w: int, i: int, prime: int, raise_by: int) -> dict:
         n1 = raise_by - 2 * n2
         coeff = w**n1 % prime
         if coeff and n1 + n2 <= i:
-            parts = (w + 2 * (prime - 1),) * n2 + (w + prime - 1,) * n1 + (w,) * (i - n1 - n2)
-            out[tuple(part // w for part in parts)] = coeff
+            out[((w + 2 * (prime - 1)) // w,) * n2 + ((w + prime - 1) // w,) * n1 + (1,) * (i - n1 - n2)] = coeff
     return out
 
 

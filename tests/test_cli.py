@@ -17,6 +17,7 @@ import pytest
 from loopcomm import catalog, cli, steenrod
 from loopcomm.catalog import FAMILIES, instantiate
 from loopcomm.cli import main
+from loopcomm.criteria import Certificate
 
 # bench_trace.py targets that no longer exist; ROADMAP item 1 (its trace-target part) and item 5 drop them
 _STALE_TRACE_TARGETS = {
@@ -345,6 +346,46 @@ class TestFormats:
         for row in payload["rows"]:
             assert row["space"] in text_out
             assert row["conclusion"] in text_out
+
+
+def _check_argv(fam_id: str, params: tuple) -> list:
+    names = catalog.family(fam_id).param_names
+    return ["check", fam_id, *(arg for name, p in zip(names, params) for arg in (f"--{name}", str(p)))]
+
+
+class TestCheckResult:
+    """`loopcomm check` prints the result `catalog.check` returns, and only `catalog.check` concludes it."""
+
+    # every report-range instance, and CP^3 under both its names
+    INSTANCES = tuple(
+        dict.fromkeys([(f.id, p) for f in FAMILIES for p in f.default_range] + [("AIII", (1, 3)), ("DIII", (3,))])
+    )
+
+    def test_structured_check_prints_the_catalog_result(self, capsys):
+        for fam_id, params in self.INSTANCES:
+            result = catalog.check(instantiate(fam_id, params))
+            code, out, err = run(capsys, *_check_argv(fam_id, params), "--format", "structured")
+            assert json.loads(out) == result.to_dict(), (fam_id, params)
+            assert code == (0 if isinstance(result, Certificate) else 2) and err == "", (fam_id, params)
+            if isinstance(result, Certificate):
+                adjunctions = [e for e in result.transcript if e.citation == "Whitehead-Samelson adjunction"]
+                assert adjunctions == [result.transcript[-1]], (fam_id, params)
+
+    def test_catalog_alone_concludes(self, capsys, monkeypatch):
+        concluded, by_cli = [], []
+        conclude = catalog.conclude_noncommutative
+        monkeypatch.setattr(catalog, "conclude_noncommutative", lambda cert: concluded.append(cert.space) or conclude(cert))
+        monkeypatch.setattr(cli, "conclude_noncommutative", lambda cert: by_cli.append(cert.space) or conclude(cert))
+        certified = []
+        for fam_id, params in self.INSTANCES:
+            code, _, _ = run(capsys, *_check_argv(fam_id, params))
+            if code == 0:
+                certified.append(instantiate(fam_id, params).label)
+        assert concluded == certified and len(certified) == len(self.INSTANCES) - 2
+        concluded.clear()
+        rows = catalog.report().rows
+        assert concluded == [r.label for r in rows if r.params != "all" and r.label in certified]
+        assert by_cli == []
 
 
 class TestDeterminism:

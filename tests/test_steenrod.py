@@ -283,6 +283,13 @@ class TestCharClassOperations:
         with pytest.raises(ContractViolation):
             char_class_operation(torus_model("so", 4), "w4", SteenrodOp("P", 1, 3))
 
+    @pytest.mark.parametrize("family, prime", [("Sq", 2), ("P", 3)])
+    @pytest.mark.parametrize("k", [-1, True, 1.0])
+    def test_op_degree_is_a_natural_number(self, family, prime, k):
+        # Sq^-1 would lower degree, yet read w3 -> w4; a bool or a float is not a degree
+        with pytest.raises(ContractViolation, match=r"integer k >= 0"):
+            SteenrodOp(family, k, prime)
+
     def test_hook_coefficient_matches_unitary_model(self):
         # the AII table: Sq^{4r} x_{4k+1} has x_{4(k+r)+1} exactly when the linear
         # coefficient of c_{2(k+r)+1} in Sq^{4r} c_{2k+1} is odd
